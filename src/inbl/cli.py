@@ -37,25 +37,31 @@ EXIT_ABSENT = 1
 EXIT_ERROR = 2
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("INBL_SEED", "0"))
+def _seed(args) -> int:
+    return args.seed if args.seed is not None else int(os.environ.get("INBL_SEED", "0"))
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="master seed (default: $INBL_SEED or 0)")
-    p.add_argument("--scheme", choices=["asym", "sym"], default="asym")
-    p.add_argument("--flip-prob", default="1/2", help="per-clock sign flip probability (rational)")
-    p.add_argument("--max-wait", type=int, default=DEFAULT_MAX_WAIT)
+def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", choices=["json", "table"], default="json")
     p.add_argument("--out", default=None, help="write the report to this path instead of stdout")
 
 
+def _add_system_flags(p: argparse.ArgumentParser, waits_for_live_clock: bool) -> None:
+    """Flags of the reference system; only protocols that wait for a live
+    clock take --max-wait."""
+    p.add_argument("--seed", type=int, default=None, help="master seed (default: $INBL_SEED or 0)")
+    p.add_argument("--scheme", choices=["asym", "sym"], default="asym")
+    p.add_argument("--flip-prob", default="1/2", help="per-clock sign flip probability (rational)")
+    if waits_for_live_clock:
+        p.add_argument("--max-wait", type=int, default=DEFAULT_MAX_WAIT)
+    _add_output_flags(p)
+
+
 def _make_system(args, num_bits: int) -> ReferenceSystem:
-    seed = args.seed if args.seed is not None else _default_seed()
     return ReferenceSystem(
         num_bits,
         RtwScheme(args.scheme),
-        master_seed=seed,
+        master_seed=_seed(args),
         flip_prob=Fraction(args.flip_prob),
     )
 
@@ -99,13 +105,12 @@ def _as_table(report: dict, indent: str = "") -> str:
 
 
 def _base_report(args, parameters: dict) -> dict:
-    seed = args.seed if args.seed is not None else _default_seed()
-    return {
-        "command": list(getattr(args, "_argv", [])),
-        "subcommand": args.cmd,
-        "seed": seed,
-        "parameters": parameters,
-    }
+    report = {"command": list(getattr(args, "_argv", [])), "subcommand": args.cmd}
+    if "seed" in vars(args):  # the subcommand ran on a reference system
+        report["seed"] = _seed(args)
+        parameters.update(scheme=args.scheme, flip_prob=args.flip_prob)
+    report["parameters"] = parameters
+    return report
 
 
 def _cmd_search(args) -> int:
@@ -133,8 +138,6 @@ def _cmd_search(args) -> int:
             "mode": mode,
             "pattern": str(pattern),
             "tau": args.tau if mode == "fragment" else None,
-            "scheme": args.scheme,
-            "flip_prob": args.flip_prob,
             "max_wait": args.max_wait,
         },
     )
@@ -173,8 +176,6 @@ def _cmd_entangle(args) -> int:
         args,
         {
             "file": args.file,
-            "scheme": args.scheme,
-            "flip_prob": args.flip_prob,
             "probe_partner": args.probe_partner,
         },
     )
@@ -194,33 +195,25 @@ def _cmd_entangle(args) -> int:
     return EXIT_OK
 
 
-def _cmd_lookup(args, inverse: bool) -> int:
+def _cmd_lookup(args) -> int:
     started = time.monotonic()
     with open(args.file, "r", encoding="utf-8") as fh:
         spec = phonebook.parse_phonebook(fh.read())
     pb = phonebook.build_phonebook(spec)
     system = _make_system(args, spec.total_bits)
-    if inverse:
-        result, ops = phonebook.inverse_lookup(
-            pb, system, args.number, max_wait=args.max_wait
-        )
-        params = {"file": args.file, "number": args.number, "direction": "inverse"}
-        expected_ops = phonebook.switching_cost(spec.name_bits, spec.number_bits, "inverse")
+    if args.cmd == "lookup":
+        direction, key_kind, key, run = "forward", "name", args.name, phonebook.lookup
+        book = dict(spec.entries)
     else:
-        result, ops = phonebook.lookup(pb, system, args.name, max_wait=args.max_wait)
-        params = {"file": args.file, "name": args.name, "direction": "forward"}
-        expected_ops = phonebook.switching_cost(spec.name_bits, spec.number_bits, "forward")
-    params.update({"scheme": args.scheme, "flip_prob": args.flip_prob})
-    report = _base_report(args, params)
+        direction, key_kind, key, run = "inverse", "number", args.number, phonebook.inverse_lookup
+        book = {number: name for name, number in spec.entries}
+    result, ops = run(pb, system, key, max_wait=args.max_wait)
+    report = _base_report(args, {"file": args.file, key_kind: key, "direction": direction})
     report["result"] = result
     report["switch_ops"] = ops
-    report["switching_cost"] = expected_ops
+    report["switching_cost"] = phonebook.switching_cost(spec.name_bits, spec.number_bits, direction)
     if args.oracle_check:
-        mapping = {name: number for name, number in spec.entries}
-        if inverse:
-            expected = {number: name for name, number in spec.entries}[args.number]
-        else:
-            expected = mapping[args.name]
+        expected = book[key]
         report["oracle_check"] = {"expected": expected, "agrees": expected == result}
         if expected != result:
             _emit(report, args, started)
@@ -244,8 +237,6 @@ def _cmd_zero_stats(args) -> int:
             "expr": args.expr or f"U({bits})",
             "bits": bits,
             "clocks": args.clocks,
-            "scheme": args.scheme,
-            "flip_prob": args.flip_prob,
         },
     )
     report["zero_stats"] = stats.to_json()
@@ -280,8 +271,6 @@ def _cmd_crosscorr(args) -> int:
             "signals": names,
             "bits": bits,
             "clocks": args.clocks,
-            "scheme": args.scheme,
-            "flip_prob": args.flip_prob,
         },
     )
     report["estimate"] = estimate
@@ -315,32 +304,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=int, default=DEFAULT_TAU,
                    help="observation clocks before a bounded Absent verdict")
     p.add_argument("--oracle-check", action="store_true")
-    _add_common(p)
+    _add_system_flags(p, waits_for_live_clock=True)
 
     p = sub.add_parser("entangle", help="classify a 2-bit entangled superposition")
     p.add_argument("file")
     p.add_argument("--probe-partner", type=int, choices=[0, 1], default=0,
                    help="which bit-2 wire the second probe grounds")
     p.add_argument("--oracle-check", action="store_true")
-    _add_common(p)
+    _add_system_flags(p, waits_for_live_clock=True)
 
     p = sub.add_parser("lookup", help="forward phonebook lookup")
     p.add_argument("file")
     p.add_argument("--name", required=True)
     p.add_argument("--oracle-check", action="store_true")
-    _add_common(p)
+    _add_system_flags(p, waits_for_live_clock=True)
 
     p = sub.add_parser("inverse-lookup", help="inverse phonebook lookup")
     p.add_argument("file")
     p.add_argument("--number", required=True)
     p.add_argument("--oracle-check", action="store_true")
-    _add_common(p)
+    _add_system_flags(p, waits_for_live_clock=True)
 
     p = sub.add_parser("zero-stats", help="zero-amplitude statistics of a superposition")
     p.add_argument("--expr", default=None, help=".nbl file (default: the Universe)")
     p.add_argument("--bits", type=int, default=4)
     p.add_argument("--clocks", type=int, default=100_000)
-    _add_common(p)
+    _add_system_flags(p, waits_for_live_clock=False)
 
     p = sub.add_parser("crosscorr", help="cross-correlation of two signals")
     p.add_argument("file_a", nargs="?", default=None)
@@ -348,13 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strings", default=None,
                    help="two product-strings instead of files, e.g. 1010,0110")
     p.add_argument("--clocks", type=int, default=1_000_000)
-    _add_common(p)
+    _add_system_flags(p, waits_for_live_clock=False)
 
     p = sub.add_parser("speedup", help="complexity comparison report")
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--name-bits", type=int, default=None)
     p.add_argument("--number-bits", type=int, default=None)
-    _add_common(p)
+    _add_output_flags(p)
 
     return parser
 
@@ -366,8 +355,8 @@ def main(argv=None) -> int:
     handlers = {
         "search": _cmd_search,
         "entangle": _cmd_entangle,
-        "lookup": lambda a: _cmd_lookup(a, inverse=False),
-        "inverse-lookup": lambda a: _cmd_lookup(a, inverse=True),
+        "lookup": _cmd_lookup,
+        "inverse-lookup": _cmd_lookup,
         "zero-stats": _cmd_zero_stats,
         "crosscorr": _cmd_crosscorr,
         "speedup": _cmd_speedup,
@@ -376,6 +365,13 @@ def main(argv=None) -> int:
         return handlers[args.cmd](args)
     except (InblError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        # exit 1 means "absent": no failure may reach it through an uncaught raise
+        import traceback  # only this path needs it; keeps the import off start-up
+
+        traceback.print_exc()
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

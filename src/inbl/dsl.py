@@ -249,10 +249,6 @@ def format_dsl(expr: Expr) -> str:
     return fmt_sup(expr)
 
 
-def format_program(expr: Expr, bits: int) -> str:
-    return f"bits {bits};\n{format_dsl(expr)}\n"
-
-
 def parse_fragments(text: str) -> Pattern:
     """Fragment syntax used on the CLI: '1=0,2=0,4=1'."""
     assignments = {}

@@ -31,14 +31,6 @@ class Dyadic:
         return d
 
     @classmethod
-    def zero(cls) -> "Dyadic":
-        return ZERO
-
-    @classmethod
-    def one(cls) -> "Dyadic":
-        return ONE
-
-    @classmethod
     def pow2(cls, k: int) -> "Dyadic":
         """2**k as an exact dyadic."""
         return cls._raw(1, k)
@@ -97,22 +89,6 @@ class Dyadic:
     def __hash__(self) -> int:
         return hash((self.mantissa, self.exp2))
 
-    def _cmp_sign(self, other: "Dyadic") -> int:
-        d = self - other
-        return (d.mantissa > 0) - (d.mantissa < 0)
-
-    def __lt__(self, other: "Dyadic") -> bool:
-        return self._cmp_sign(other) < 0
-
-    def __le__(self, other: "Dyadic") -> bool:
-        return self._cmp_sign(other) <= 0
-
-    def __gt__(self, other: "Dyadic") -> bool:
-        return self._cmp_sign(other) > 0
-
-    def __ge__(self, other: "Dyadic") -> bool:
-        return self._cmp_sign(other) >= 0
-
     def as_fraction(self) -> Fraction:
         if self.exp2 >= 0:
             return Fraction(self.mantissa * (1 << self.exp2))
@@ -124,10 +100,6 @@ class Dyadic:
     def to_json(self) -> dict:
         """Serialized form used in reports: no floating point anywhere."""
         return {"mantissa": str(self.mantissa), "exp2": self.exp2}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Dyadic":
-        return cls(int(obj["mantissa"]), int(obj["exp2"]))
 
     def __repr__(self) -> str:
         return f"Dyadic({self.mantissa}, {self.exp2})"

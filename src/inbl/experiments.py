@@ -17,13 +17,8 @@ from typing import Dict, Optional
 import numpy as np
 
 from .expr import Expr, Product, Ref, Sum
-from .reference import ReferenceSystem, mix64
+from .reference import ReferenceSystem
 from .switchboard import SwitchState
-
-
-def derive_trial_seed(seed: int, trial: int) -> int:
-    """Split one experiment seed into independent per-trial seeds."""
-    return mix64(seed ^ mix64(trial + 1))
 
 
 def eval_array(
@@ -57,7 +52,10 @@ def eval_array(
         memo[key] = value
         return value
 
-    return go(expr)
+    try:
+        return go(expr)
+    finally:
+        del go  # go holds itself in its closure; breaking the cycle frees memo now
 
 
 @dataclass

@@ -166,29 +166,6 @@ def iter_wires(expr: Expr) -> Iterator[WireId]:
             stack.extend(node.factors)
 
 
-def count_nodes(expr: Expr) -> Dict[str, int]:
-    """Distinct node counts by kind, and total variadic join operations."""
-    counts = {"ref": 0, "sum": 0, "product": 0, "joins": 0}
-    seen = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, Ref):
-            counts["ref"] += 1
-        elif isinstance(node, Sum):
-            counts["sum"] += 1
-            counts["joins"] += len(node.terms) - 1
-            stack.extend(term for _, term in node.terms)
-        else:
-            counts["product"] += 1
-            counts["joins"] += len(node.factors) - 1
-            stack.extend(node.factors)
-    return counts
-
-
 def evaluate(
     expr: Expr,
     system: ReferenceSystem,
@@ -226,4 +203,7 @@ def evaluate(
         memo[key] = value
         return value
 
-    return go(expr)
+    try:
+        return go(expr)
+    finally:
+        del go  # go holds itself in its closure; breaking the cycle frees memo now

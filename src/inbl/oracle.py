@@ -48,10 +48,6 @@ class Expansion:
     def __repr__(self) -> str:
         return f"Expansion({self.entries!r}, num_bits={self.num_bits})"
 
-    def dump(self) -> str:
-        """Sorted `bitpattern coefficient` lines (golden-file format)."""
-        return "\n".join(f"{k} {v}" for k, v in sorted(self.entries.items()))
-
     def strings(self) -> frozenset:
         return frozenset(self.entries)
 

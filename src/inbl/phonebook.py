@@ -1,17 +1,18 @@
 """Entangled name/number phonebook and its collapse-based lookups.
 
 Names occupy noise-bits 1..N, numbers bits N+1..N+S of one combined
-reference system. A forward lookup collapses the book onto the queried
-name's single entry, then probes the 2S number wires one by one: grounding
-the survivor's own wire zeroes the signal, grounding the other wire of the
-same digit does nothing.
+reference system. Both lookup directions run one routine: collapse the book
+onto the queried key's single entry by grounding the inverse wires of the
+key's side (the N name bits forward, the S number bits inverse), then probe
+the other side's wires one by one: grounding the survivor's own wire zeroes
+the signal, grounding the other wire of the same digit does nothing.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from .errors import (
     DuplicateName,
@@ -21,10 +22,10 @@ from .errors import (
     ParseError,
     PatternError,
 )
-from .expr import Expr, Pattern, Product, evaluate, ref
+from .expr import Expr, Pattern, Product, Sum, evaluate, ref
 from .reference import ReferenceSystem, WireId
-from .search import DEFAULT_MAX_WAIT, TraceStep, wait_for_live_clock
-from .switchboard import SwitchState
+from .search import DEFAULT_MAX_WAIT, wait_for_live_clock
+from .switchboard import ground_inverse
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,6 @@ class PhonebookExpr:
 
 def build_phonebook(spec: PhonebookSpec) -> PhonebookExpr:
     """Sum over entries of name-product * number-product."""
-    from .expr import Sum
-
     terms = []
     for name, number in spec.entries:
         name_factors = tuple(ref(i + 1, int(c)) for i, c in enumerate(name))
@@ -88,30 +87,43 @@ def switching_cost(name_bits: int, number_bits: int, direction: str) -> int:
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
-def _probe_digits(
-    expr: Expr,
+def _collapse_and_probe(
+    pb: PhonebookExpr,
     system: ReferenceSystem,
-    switches: SwitchState,
-    t: int,
-    first_index: int,
-    width: int,
-    trace: List[TraceStep],
+    key: str,
+    key_offset: int,
+    key_width: int,
+    probe_offset: int,
+    probe_width: int,
+    absent: type,
+    max_wait: int,
+    t_start: int,
 ) -> Tuple[str, int]:
-    """Ground/read/restore both wires of each digit; the wire whose grounding
-    zeroes the signal is the survivor's own."""
-    ops = 0
+    """Collapse the book onto the entry whose bits key_offset+1.. spell key,
+    then ground/read/restore both wires of each of the probe_width digits
+    after probe_offset: the wire whose grounding zeroes the signal is the
+    entry's own. Returns (probed digits, switch_ops)."""
+    if len(key) != key_width or any(c not in "01" for c in key):
+        raise PatternError(f"bad key {key!r} for {key_width} bits")
+    if system.num_bits != pb.spec.total_bits:
+        raise PatternError(
+            f"system has {system.num_bits} bits, book needs {pb.spec.total_bits}"
+        )
+    t = wait_for_live_clock(pb.expr, system, t_start, max_wait)
+    key_pattern = Pattern(tuple((key_offset + i + 1, int(c)) for i, c in enumerate(key)))
+    switches = ground_inverse(key_pattern, system.num_bits)
+    ops = len(switches.grounded)
+    if evaluate(pb.expr, system, t, switches).is_zero():
+        raise absent(f"{key} is not in the book")
     digits = []
-    for j in range(first_index, first_index + width):
+    for j in range(probe_offset + 1, probe_offset + probe_width + 1):
         zeroed = []
         for v in (0, 1):
             wire = WireId(j, v)
-            switches.ground(wire)
-            ops += 1
-            amp = evaluate(expr, system, t, switches)
-            trace.append(TraceStep(f"probe: grounded R{j}_{v}, read", amp))
-            switches.restore(wire)
-            if amp.is_zero():
+            ops += switches.ground(wire)
+            if evaluate(pb.expr, system, t, switches).is_zero():
                 zeroed.append(v)
+            switches.restore(wire)
         if len(zeroed) != 1:
             raise RuntimeError(
                 f"probe inconsistency at bit {j}: groundings zeroing signal = {zeroed}"
@@ -128,28 +140,8 @@ def lookup(
     t_start: int = 0,
 ) -> Tuple[str, int]:
     """Forward lookup: returns (number, switch_ops). Zero error probability."""
-    spec = pb.spec
-    if len(name) != spec.name_bits or any(c not in "01" for c in name):
-        raise PatternError(f"bad name {name!r} for {spec.name_bits} bits")
-    if system.num_bits != spec.total_bits:
-        raise PatternError(
-            f"system has {system.num_bits} bits, book needs {spec.total_bits}"
-        )
-    t = wait_for_live_clock(pb.expr, system, t_start, max_wait)
-    trace: List[TraceStep] = [TraceStep(f"live clock found at t={t}")]
-    switches = SwitchState()
-    ops = 0
-    for i, c in enumerate(name):
-        switches.ground(WireId(i + 1, 1 - int(c)))
-        ops += 1
-    amp = evaluate(pb.expr, system, t, switches)
-    trace.append(TraceStep(f"collapsed onto name {name}", amp))
-    if amp.is_zero():
-        raise NameAbsent(f"name {name} is not in the book")
-    digits, probe_ops = _probe_digits(
-        pb.expr, system, switches, t, spec.name_bits + 1, spec.number_bits, trace
-    )
-    return digits, ops + probe_ops
+    n, s = pb.spec.name_bits, pb.spec.number_bits
+    return _collapse_and_probe(pb, system, name, 0, n, n, s, NameAbsent, max_wait, t_start)
 
 
 def inverse_lookup(
@@ -160,30 +152,10 @@ def inverse_lookup(
     t_start: int = 0,
 ) -> Tuple[str, int]:
     """Inverse lookup on a one-to-one book: returns (name, switch_ops)."""
-    spec = pb.spec
-    if not spec.is_bijective():
+    if not pb.spec.is_bijective():
         raise NotBijective("inverse lookup needs distinct numbers")
-    if len(number) != spec.number_bits or any(c not in "01" for c in number):
-        raise PatternError(f"bad number {number!r} for {spec.number_bits} bits")
-    if system.num_bits != spec.total_bits:
-        raise PatternError(
-            f"system has {system.num_bits} bits, book needs {spec.total_bits}"
-        )
-    t = wait_for_live_clock(pb.expr, system, t_start, max_wait)
-    trace: List[TraceStep] = [TraceStep(f"live clock found at t={t}")]
-    switches = SwitchState()
-    ops = 0
-    for i, c in enumerate(number):
-        switches.ground(WireId(spec.name_bits + i + 1, 1 - int(c)))
-        ops += 1
-    amp = evaluate(pb.expr, system, t, switches)
-    trace.append(TraceStep(f"collapsed onto number {number}", amp))
-    if amp.is_zero():
-        raise NumberAbsent(f"number {number} is not in the book")
-    digits, probe_ops = _probe_digits(
-        pb.expr, system, switches, t, 1, spec.name_bits, trace
-    )
-    return digits, ops + probe_ops
+    n, s = pb.spec.name_bits, pb.spec.number_bits
+    return _collapse_and_probe(pb, system, number, n, s, 0, n, NumberAbsent, max_wait, t_start)
 
 
 def parse_phonebook(text: str) -> PhonebookSpec:

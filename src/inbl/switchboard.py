@@ -1,8 +1,9 @@
 """Two-state switches on the reference wires.
 
 Every wire is either Live (connected to its reference source) or Grounded
-(forced to exactly zero). Grounding is idempotent; the epoch counter ticks
-only on actual state changes, so memo caches can key on it.
+(forced to exactly zero). Grounding and restoring are idempotent and
+report whether they changed the state, so a protocol can count the switch
+operations it actually made.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .reference import WireId
 class SwitchState:
     def __init__(self):
         self._grounded: set = set()
-        self.epoch = 0
 
     def is_grounded(self, wire: WireId) -> bool:
         return wire in self._grounded
@@ -30,7 +30,6 @@ class SwitchState:
         if wire in self._grounded:
             return False
         self._grounded.add(wire)
-        self.epoch += 1
         return True
 
     def restore(self, wire: WireId) -> bool:
@@ -38,17 +37,14 @@ class SwitchState:
         if wire not in self._grounded:
             return False
         self._grounded.discard(wire)
-        self.epoch += 1
         return True
 
     def restore_all(self) -> None:
-        if self._grounded:
-            self._grounded.clear()
-            self.epoch += 1
+        self._grounded.clear()
 
     def __repr__(self) -> str:
         wires = sorted((w.bit_index, w.bit_value) for w in self._grounded)
-        return f"SwitchState(grounded={wires}, epoch={self.epoch})"
+        return f"SwitchState(grounded={wires})"
 
 
 def ground_inverse(pattern: Pattern, num_bits: int) -> SwitchState:

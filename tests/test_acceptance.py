@@ -186,11 +186,11 @@ def test_criterion_7_universe_properties():
     low = eval_array(build_product_string(Pattern.from_string("0" * M), M), system, 0, clocks)
     assert np.all(np.abs(low) == 2.0**-M)
     # exact dyadic spot checks of the same facts
-    bound = Dyadic(3**M, -M)
+    bound = Fraction(3, 2) ** M
     all_low = build_product_string(Pattern.from_string("0" * M), M)
     for t in range(200):
         v = evaluate(build_universe(M), system, t)
-        assert not v.is_zero() and abs(v) <= bound
+        assert not v.is_zero() and abs(v).as_fraction() <= bound
         assert abs(evaluate(all_low, system, t)) == Dyadic.pow2(-M)
 
 

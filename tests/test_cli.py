@@ -116,6 +116,21 @@ def test_inverse_lookup(capsys, book_file):
     assert report["switch_ops"] == 6
 
 
+@pytest.mark.parametrize("cmd, flag, key, result, cost", [
+    ("lookup", "--name", "110", "01011", 3 + 2 * 5),
+    ("inverse-lookup", "--number", "01011", "110", 5 + 2 * 3),
+])
+def test_lookup_unequal_widths(capsys, tmp_path, cmd, flag, key, result, cost):
+    book = tmp_path / "book35.txt"
+    book.write_text("names 3; numbers 5;\n001 -> 11100\n110 -> 01011\n011 -> 00001\n")
+    code, report = run_json(
+        capsys, [cmd, str(book), flag, key, "--seed", "3", "--oracle-check"]
+    )
+    assert code == 0
+    assert report["result"] == result == report["oracle_check"]["expected"]
+    assert report["switch_ops"] == cost == report["switching_cost"]
+
+
 def test_lookup_absent_name_errors(capsys, book_file):
     code = main(["lookup", book_file, "--name", "11", "--seed", "7"])
     assert code == 2
@@ -182,3 +197,29 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("bits 4;\nR1_0 + * R2_1\n")
     assert main(["search", str(bad), "--string", "1010"]) == 2
     assert main(["search", str(tmp_path / "missing.nbl"), "--string", "1"]) == 2
+
+
+def test_deeply_nested_file_exits_2(tmp_path, capsys):
+    # exit 1 means "absent", so no crash may end there
+    deep = tmp_path / "deep.nbl"
+    deep.write_text("(" * 2000 + "R1_0" + ")" * 2000 + "\n")
+    assert main(["search", str(deep), "--string", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_bad_flip_prob_exits_2(capsys, eq9_file):
+    assert main(["search", eq9_file, "--string", "1010", "--flip-prob", "1/0"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["speedup", "--bits", "4", "--flip-prob", "7/3"],
+    ["speedup", "--bits", "4", "--seed", "1"],
+    ["speedup", "--bits", "4", "--max-wait", "-5"],
+    ["zero-stats", "--bits", "1", "--max-wait", "5"],
+    ["crosscorr", "--strings", "10,01", "--max-wait", "5"],
+])
+def test_flags_a_subcommand_ignores_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from inbl.dsl import format_dsl, format_program, parse_dsl, parse_fragments, parse_program
+from inbl.dsl import format_dsl, parse_dsl, parse_fragments, parse_program
 from inbl.errors import ParseError
 from inbl.expr import Pattern, Product, Sum, build_odd, build_universe, ref
 from inbl.oracle import expand
@@ -88,12 +88,6 @@ def test_format_parse_fixed_point():
         assert format_dsl(reparsed) == text
         # and the expansion is untouched
         assert expand(reparsed, 5) == expand(expr, 5)
-
-
-def test_format_program_header():
-    assert format_program(ref(1, 0), 4) == "bits 4;\nR1_0\n"
-    expr, bits = parse_program(format_program(build_universe(2), 2))
-    assert bits == 2 and expr == build_universe(2)
 
 
 def test_parse_fragments():

@@ -1,12 +1,13 @@
+import gc
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from inbl.experiments import (
-    derive_trial_seed,
     eval_array,
     run_crosscorr,
     run_zero_stats,
@@ -111,13 +112,6 @@ def test_speedup_report_values():
     assert report["photon_bound"] == 10 * 1024
 
 
-def test_trial_seed_derivation():
-    seeds = {derive_trial_seed(42, i) for i in range(10_000)}
-    assert len(seeds) == 10_000
-    assert derive_trial_seed(42, 3) == derive_trial_seed(42, 3)
-    assert derive_trial_seed(42, 3) != derive_trial_seed(43, 3)
-
-
 def test_flip_prob_affects_dwell_times():
     # sticky signs: long zero runs of the symmetric 1-bit universe get longer
     fair = ReferenceSystem(1, RtwScheme.SYMMETRIC, master_seed=9)
@@ -127,3 +121,27 @@ def test_flip_prob_affects_dwell_times():
     runs_sticky = run_zero_stats(u, sticky, 200_000).waiting_time_histogram
     mean = lambda h: sum(k * c for k, c in h.items()) / max(1, sum(h.values()))
     assert mean(runs_sticky) > mean(runs_fair)
+
+
+def test_evaluators_release_their_memo_on_return():
+    # with the cycle collector off, only reference counting frees memory: a
+    # memo left in a reference cycle would stay allocated after the call
+    m, clocks = 4, 2**16
+    u = build_universe(m)
+    system = ReferenceSystem(m, master_seed=1)
+    eval_array(u, system, 0, 8)  # derive and cache the wire seeds first
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        values = eval_array(u, system, 0, clocks)
+        assert values.nbytes == 8 * clocks
+        del values
+        for t in range(1000):
+            evaluate(u, system, t)
+        held = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < 64 * 1024, held

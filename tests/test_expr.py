@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from inbl.expr import (
     build_odd,
     build_product_string,
     build_universe,
-    count_nodes,
     evaluate,
     iter_wires,
     ref,
@@ -74,10 +74,11 @@ def test_product_string_amplitude_all_positive_clock():
 
 def test_build_universe_structure():
     u = build_universe(3)
-    counts = count_nodes(u)
-    assert counts["sum"] == 3 and counts["product"] == 1
+    # M two-term sums, one per bit, joined by one product
+    assert [f.terms for f in u.factors] == [((1, ref(i, 0)), (1, ref(i, 1))) for i in (1, 2, 3)]
     # 2M-1 elementary operations: M two-term additions, M-1 product joins
-    assert counts["joins"] == 2 * 3 - 1
+    joins = sum(len(f.terms) - 1 for f in u.factors) + len(u.factors) - 1
+    assert joins == 2 * 3 - 1
     assert build_universe(1) == Product((Sum(((1, ref(1, 0)), (1, ref(1, 1)))),))
     with pytest.raises(ValueError):
         build_universe(0)
@@ -123,11 +124,11 @@ def test_universe_bound_and_liveness_asymmetric():
     M = 6
     system = ReferenceSystem(M, RtwScheme.ASYMMETRIC, master_seed=5)
     u = build_universe(M)
-    bound = Dyadic(3**M, -M)  # (3/2)**M
+    bound = Fraction(3, 2) ** M
     for t in range(2000):
         value = evaluate(u, system, t)
         assert not value.is_zero()
-        assert abs(value) <= bound
+        assert abs(value).as_fraction() <= bound
 
 
 def test_product_string_cross_correlation():

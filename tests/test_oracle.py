@@ -161,11 +161,6 @@ def test_oracle_limit():
     assert len(exp) == 1
 
 
-def test_dump_format():
-    exp = expand(parse_dsl(EQ9_TEXT), 4)
-    assert exp.dump() == "0010 1\n0110 1\n1010 1"
-
-
 def test_legal_bell_classes():
     cases = {
         "R1_0*R2_1 + R1_1*R2_0": BellClass.S01_PLUS_10,

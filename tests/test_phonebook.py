@@ -145,3 +145,23 @@ def test_parse_phonebook_file():
         parse_phonebook("names 2; numbers 2;\n01 => 10")
     with pytest.raises(ParseError):
         parse_phonebook("   \n# only comments\n")
+
+
+@pytest.mark.parametrize("n, s", [(3, 5), (5, 3)])
+def test_unequal_widths_both_directions(n, s):
+    # with N != S, a swapped offset or width in the shared routine shows
+    rng = random.Random(6)
+    size = 2 ** min(n, s)
+    names = rng.sample([format(x, f"0{n}b") for x in range(2**n)], size)
+    numbers = rng.sample([format(x, f"0{s}b") for x in range(2**s)], size)
+    pb = build_phonebook(PhonebookSpec(n, s, tuple(zip(names, numbers))))
+    system = ReferenceSystem(n + s, master_seed=7)
+    for name, number in zip(names, numbers):
+        assert lookup(pb, system, name) == (number, switching_cost(n, s, "forward"))
+        assert inverse_lookup(pb, system, number) == (name, switching_cost(n, s, "inverse"))
+    assert switching_cost(n, s, "forward") == n + 2 * s
+    assert switching_cost(n, s, "inverse") == s + 2 * n
+    with pytest.raises(PatternError):
+        lookup(pb, system, numbers[0])
+    with pytest.raises(PatternError):
+        inverse_lookup(pb, system, names[0])

@@ -35,13 +35,13 @@ def test_ground_inverse_fragment_and_empty():
     assert ground_inverse(Pattern(()), 4).grounded == frozenset()
 
 
-def test_switch_state_idempotent_epoch():
+def test_switch_state_idempotent():
     s = SwitchState()
     w = WireId(1, 0)
     assert s.ground(w) and not s.ground(w)
-    assert s.epoch == 1
+    assert s.grounded == frozenset({w})
     assert s.restore(w) and not s.restore(w)
-    assert s.epoch == 2
+    assert s.grounded == frozenset()
 
 
 def test_grounding_order_irrelevant(eq9):
