@@ -246,7 +246,12 @@ def format_dsl(expr: Expr) -> str:
         cache[key] = (0, text)
         return text
 
-    return fmt_sup(expr)
+    try:
+        return fmt_sup(expr)
+    finally:
+        # the helpers call each other through their closures; breaking the
+        # cycle frees the cache now
+        del min_bit, fmt_factor, fmt_term, fmt_sup
 
 
 def parse_fragments(text: str) -> Pattern:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .dyadic import Dyadic, ZERO
 from .errors import PatternError
@@ -149,21 +149,31 @@ def build_odd(num_bits: int) -> Sum:
 # --- structural helpers ---
 
 
-def iter_wires(expr: Expr) -> Iterator[WireId]:
-    """All wires referenced in the DAG (shared nodes visited once)."""
+def topological_order(expr: Expr) -> List[Expr]:
+    """The DAG's distinct nodes, each after all of its children, so the root
+    comes last. Iterative, so nesting depth is limited only by memory."""
+    order: List[Expr] = []
     seen = set()
-    stack = [expr]
+    stack = [(expr, False)]
     while stack:
-        node = stack.pop()
+        node, children_done = stack.pop()
+        if children_done:
+            order.append(node)
+            continue
         if id(node) in seen:
             continue
         seen.add(id(node))
-        if isinstance(node, Ref):
-            yield node.wire
-        elif isinstance(node, Sum):
-            stack.extend(term for _, term in node.terms)
+        stack.append((node, True))
+        if isinstance(node, Sum):
+            stack.extend((term, False) for _, term in node.terms)
         elif isinstance(node, Product):
-            stack.extend(node.factors)
+            stack.extend((factor, False) for factor in node.factors)
+    return order
+
+
+def iter_wires(expr: Expr) -> Iterator[WireId]:
+    """All wires referenced in the DAG (shared nodes visited once)."""
+    return (node.wire for node in topological_order(expr) if isinstance(node, Ref))
 
 
 def evaluate(

@@ -108,7 +108,10 @@ def expand(expr: Expr, num_bits: int, limit: int = DEFAULT_ORACLE_LIMIT) -> Expa
             acc = {m: c for m, c in merged.items() if c != 0}
         return acc
 
-    monomials = go(expr)
+    try:
+        monomials = go(expr)
+    finally:
+        del go  # go holds itself in its closure; breaking the cycle frees its tables now
     return Expansion(
         {_render(m, num_bits): c for m, c in monomials.items()},
         num_bits,

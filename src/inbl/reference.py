@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -74,20 +74,33 @@ def _draw(seed: int, t: int, salt: int) -> int:
     return mix64((seed + _GOLDEN * ((t << 1) | salt)) & _MASK64)
 
 
-def _mix64_np(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
+# Clocks per vectorized block: the few uint64 buffers a block needs stay in
+# cache, and memory stays O(block) however long the window is.
+BLOCK_CLOCKS = 1 << 15
+
+# counter offset of clock t0 + k from clock t0 on one stream, k < BLOCK_CLOCKS
+_COUNTER_STEPS = np.arange(BLOCK_CLOCKS, dtype=np.uint64)
+_COUNTER_STEPS *= np.uint64((2 * _GOLDEN) & _MASK64)
+
+
+def _draw_into(x: np.ndarray, tmp: np.ndarray, seed: int, t0: int, salt: int,
+               final_round: bool = True) -> None:
+    """x[k] = _draw(seed, t0 + k, salt) for every k < len(x), in place.
+
+    The final `x ^ (x >> 31)` round never changes bit 63, so callers that only
+    read the sign bit skip it with final_round=False.
+    """
+    n = len(x)
+    np.add(_COUNTER_STEPS[:n], np.uint64((seed + _GOLDEN * ((t0 << 1) | salt)) & _MASK64), out=x)
+    np.right_shift(x, np.uint64(30), out=tmp)
+    x ^= tmp
     x *= np.uint64(_MIX1)
-    x ^= x >> np.uint64(27)
+    np.right_shift(x, np.uint64(27), out=tmp)
+    x ^= tmp
     x *= np.uint64(_MIX2)
-    x ^= x >> np.uint64(31)
-    return x
-
-
-def _draw_np(seed: int, t0: int, n: int, salt: int) -> np.ndarray:
-    t = np.arange(t0, t0 + n, dtype=np.uint64)
-    counters = (np.uint64(seed) + np.uint64(_GOLDEN) * ((t << np.uint64(1)) | np.uint64(salt)))
-    return _mix64_np(counters)
+    if final_round:
+        np.right_shift(x, np.uint64(31), out=tmp)
+        x ^= tmp
 
 
 class ReferenceSystem:
@@ -122,6 +135,10 @@ class ReferenceSystem:
         self._seeds: Dict[WireId, int] = {}
         # parity cache per wire for flip_prob != 1/2: (last clock, parity)
         self._parity: Dict[WireId, Tuple[int, int]] = {}
+        # two uint64 draw buffers of BLOCK_CLOCKS entries, made on first use
+        # and reused by every sign_array call, so one system is not safe to
+        # share between threads
+        self._buffers: Optional[Tuple[np.ndarray, np.ndarray]] = None
         # the four possible values, interned so eval never reallocates them
         self._values = {
             (bv, sign): Dyadic(sign, scheme.magnitude_exp2(bv))
@@ -173,25 +190,60 @@ class ReferenceSystem:
         """Exact amplitude of the wire at clock t."""
         return self._values[(wire.bit_value, self.wire_sign(wire, t))]
 
-    # --- vectorized path (float64; exact for these magnitudes) ---
+    # --- vectorized path: whole windows of clocks, block by block ---
 
     def sign_array(self, wire: WireId, t0: int, n: int) -> np.ndarray:
-        """Signs over clocks [t0, t0+n); bit-identical to wire_sign."""
-        seed = self.wire_seed(wire)
-        if self._iid:
-            u = _draw_np(seed, t0, n, _SALT_SIGN)
-            return np.where((u >> np.uint64(63)).astype(bool), 1.0, -1.0)
-        s0 = 1.0 if _draw(seed, 0, _SALT_SIGN) >> 63 else -1.0
-        if self.flip_prob == 1:
-            flips = np.ones(t0 + n, dtype=np.int64)
-        else:
-            u = _draw_np(seed, 0, t0 + n, _SALT_FLIP)
-            flips = (u < np.uint64(self._flip_threshold)).astype(np.int64)
-        flips[0] = 0  # no flip into clock 0
-        parity = np.cumsum(flips) & 1
-        return s0 * np.where(parity[t0 : t0 + n] == 0, 1.0, -1.0)
+        """Signs (int8 +1/-1) over clocks [t0, t0+n); bit-identical to wire_sign.
 
-    def value_array(self, wire: WireId, t0: int, n: int) -> np.ndarray:
-        """Wire amplitudes over clocks [t0, t0+n) as exact float64."""
-        mag = 2.0 ** self.scheme.magnitude_exp2(wire.bit_value)
-        return self.sign_array(wire, t0, n) * mag
+        Draws are made in place on the system's two uint64 block buffers. For
+        flip_prob != 1/2 the flip parity is counted forward from the wire's
+        parity cache, as wire_sign does, and the cache is left at the
+        window's last clock.
+        """
+        if t0 < 0:
+            raise ValueError(f"clock must be >= 0, got {t0}")
+        seed = self.wire_seed(wire)
+        if self._buffers is None:
+            self._buffers = (np.empty(BLOCK_CLOCKS, np.uint64), np.empty(BLOCK_CLOCKS, np.uint64))
+        x, tmp = self._buffers
+        # bits[k] = 1 where the sign at clock t0 + k is +1
+        bits = np.empty(n, dtype=np.int8)
+        if self._iid:
+            for lo in range(0, n, BLOCK_CLOCKS):
+                m = min(BLOCK_CLOCKS, n - lo)
+                _draw_into(x[:m], tmp[:m], seed, t0 + lo, _SALT_SIGN, final_round=False)
+                np.right_shift(x[:m], np.uint64(63), out=tmp[:m])
+                bits[lo : lo + m] = tmp[:m]
+        elif n:
+            self._flip_bits(wire, seed, t0, bits, x, tmp)
+        bits <<= 1
+        bits -= 1
+        return bits
+
+    def _flip_bits(self, wire: WireId, seed: int, t0: int, bits: np.ndarray,
+                   x: np.ndarray, tmp: np.ndarray) -> None:
+        """Fill bits for the window at t0 with s0_bit XOR flip parity."""
+        n = len(bits)
+        s0_bit = _draw(seed, 0, _SALT_SIGN) >> 63
+        if self.flip_prob == 1:  # every clock flips: parity is t & 1
+            bits[0::2] = s0_bit ^ (t0 & 1)
+            bits[1::2] = s0_bit ^ (t0 & 1) ^ 1
+            return
+        last, parity = self._parity.get(wire, (0, 0))
+        if t0 < last:
+            last, parity = 0, 0
+        end = t0 + n  # clocks last+1 .. end-1 each draw one flip
+        if t0 == last:
+            bits[0] = s0_bit ^ parity
+        threshold = np.uint64(self._flip_threshold)
+        for lo in range(last + 1, end, BLOCK_CLOCKS):
+            m = min(BLOCK_CLOCKS, end - lo)
+            _draw_into(x[:m], tmp[:m], seed, lo, _SALT_FLIP)
+            running = np.bitwise_xor.accumulate(x[:m] < threshold)
+            running ^= bool(parity ^ s0_bit)
+            skip = max(0, t0 - lo)  # clocks of this block before the window
+            if skip < m:
+                bits[lo + skip - t0 : lo + m - t0] = running[skip:]
+            parity = int(running[-1]) ^ s0_bit
+        if end - 1 > last:
+            self._parity[wire] = (end - 1, parity)

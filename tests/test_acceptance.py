@@ -180,14 +180,15 @@ def test_criterion_7_universe_properties():
     system = ReferenceSystem(M, RtwScheme.ASYMMETRIC, master_seed=7)
     from inbl.experiments import eval_array
 
-    values = eval_array(build_universe(M), system, 0, clocks)
-    assert np.all(values != 0.0)
-    assert np.all(np.abs(values) <= 1.5**M)
-    low = eval_array(build_product_string(Pattern.from_string("0" * M), M), system, 0, clocks)
-    assert np.all(np.abs(low) == 2.0**-M)
+    values, exp2 = eval_array(build_universe(M), system, 0, clocks)
+    assert np.all(values != 0)
+    assert Fraction(int(np.abs(values).max())) * Fraction(2) ** exp2 <= Fraction(3, 2) ** M
+    all_low = build_product_string(Pattern.from_string("0" * M), M)
+    low, low_exp2 = eval_array(all_low, system, 0, clocks)
+    magnitudes = [Fraction(int(v)) * Fraction(2) ** low_exp2 for v in np.unique(np.abs(low))]
+    assert magnitudes == [Fraction(1, 2**M)]
     # exact dyadic spot checks of the same facts
     bound = Fraction(3, 2) ** M
-    all_low = build_product_string(Pattern.from_string("0" * M), M)
     for t in range(200):
         v = evaluate(build_universe(M), system, t)
         assert not v.is_zero() and abs(v).as_fraction() <= bound

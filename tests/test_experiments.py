@@ -13,8 +13,19 @@ from inbl.experiments import (
     run_zero_stats,
     speedup_report,
 )
-from inbl.expr import Pattern, build_product_string, build_universe, evaluate
-from inbl.reference import ReferenceSystem, RtwScheme
+from inbl.dsl import format_dsl
+from inbl.dyadic import Dyadic
+from inbl.expr import (
+    Pattern,
+    Product,
+    Sum,
+    build_product_string,
+    build_universe,
+    evaluate,
+    ref,
+)
+from inbl.oracle import expand
+from inbl.reference import ReferenceSystem, RtwScheme, WireId
 
 from conftest import random_canonical_expr, random_switches
 
@@ -30,9 +41,64 @@ def test_eval_array_matches_scalar_evaluator():
         )
         expr = random_canonical_expr(rng, m)
         switches = random_switches(rng, m) if rng.random() < 0.5 else None
-        arr = eval_array(expr, system, 5, 40, switches)
+        ints, exp2 = eval_array(expr, system, 5, 40, switches)
         for k, t in enumerate(range(5, 45)):
-            assert arr[k] == float(evaluate(expr, system, t, switches))
+            assert Dyadic(int(ints[k]), exp2) == evaluate(expr, system, t, switches)
+
+
+def test_eval_array_exact_where_float64_cancels():
+    # 2^60 + 1 - 2^60 is 0.0 in float64; the exact value is the R1_0 sign
+    system = ReferenceSystem(2, RtwScheme.SYMMETRIC, master_seed=12)
+    big = Product((ref(1, 1), ref(2, 1)))
+    e = Sum(((2**60, big), (1, ref(1, 0)), (-(2**60), big)))
+    ints, exp2 = eval_array(e, system, 0, 5000)
+    assert ints.dtype == np.int64 and exp2 == 0
+    assert list(ints) == [system.wire_sign(WireId(1, 0), t) for t in range(5000)]
+    assert run_zero_stats(e, system, 5000).zero_fraction == 0.0
+
+
+def test_eval_array_all_low_product_does_not_underflow():
+    # 2^-1100 is below the smallest float64 subnormal
+    m = 1100
+    system = ReferenceSystem(m, RtwScheme.ASYMMETRIC, master_seed=13)
+    low = build_product_string(Pattern.from_string("0" * m), m)
+    ints, exp2 = eval_array(low, system, 0, 300)
+    assert exp2 == -m
+    assert set(np.abs(ints).tolist()) == {1}
+    for t in (0, 1, 299):
+        assert Dyadic(int(ints[t]), exp2) == evaluate(low, system, t)
+
+
+def test_eval_array_wide_sum_takes_the_object_path():
+    system = ReferenceSystem(2, RtwScheme.ASYMMETRIC, master_seed=14)
+    e = Sum(((2**70, Product((ref(1, 1), ref(2, 1)))), (-3, ref(1, 0)), (1, ref(2, 0))))
+    ints, exp2 = eval_array(e, system, 7, 200)
+    assert ints.dtype == object
+    for k, t in enumerate(range(7, 207)):
+        assert Dyadic(int(ints[k]), exp2) == evaluate(e, system, t)
+
+
+def test_eval_array_deep_chain_without_recursion():
+    # 5,000 nested nodes built in code; each level is a Sum or a Product
+    depth = 5000
+    system = ReferenceSystem(2, RtwScheme.SYMMETRIC, master_seed=15)
+    flat, doubling = ref(1, 1), ref(1, 1)
+    for level in range(depth):
+        if level % 2:
+            flat = Product((flat, ref(2, 1)))
+            doubling = Product((doubling,))
+        else:
+            flat = Sum(((1, flat),))
+            doubling = Sum(((2, doubling),))
+    s11 = np.array([system.wire_sign(WireId(1, 1), t) for t in range(100)])
+    s21 = np.array([system.wire_sign(WireId(2, 1), t) for t in range(100)])
+    ints, exp2 = eval_array(flat, system, 0, 100)
+    # depth / 2 factors of R2_1 multiply R1_1
+    assert ints.dtype == np.int64 and exp2 == 0
+    assert np.array_equal(ints, s11 * s21 ** (depth // 2))
+    ints, exp2 = eval_array(doubling, system, 0, 100)
+    assert ints.dtype == object
+    assert [Dyadic(int(v), exp2) for v in ints] == [Dyadic(int(s) << (depth // 2)) for s in s11]
 
 
 def test_zero_stats_asymmetric_universe_never_zero():
@@ -125,21 +191,31 @@ def test_flip_prob_affects_dwell_times():
 
 def test_evaluators_release_their_memo_on_return():
     # with the cycle collector off, only reference counting frees memory: a
-    # memo left in a reference cycle would stay allocated after the call
+    # memo left in a reference cycle would stay allocated after the call.
+    # One warm-up call of each runs before the baseline, so that seeds are
+    # cached and the interpreter's free lists are filled.
     m, clocks = 4, 2**16
     u = build_universe(m)
+    u10 = build_universe(10)
     system = ReferenceSystem(m, master_seed=1)
-    eval_array(u, system, 0, 8)  # derive and cache the wire seeds first
     gc.collect()
     gc.disable()
     tracemalloc.start()
     try:
+        eval_array(u, system, 0, 8)
+        evaluate(u, system, 0)
+        expand(u, m)
+        format_dsl(u10)
         baseline = tracemalloc.get_traced_memory()[0]
-        values = eval_array(u, system, 0, clocks)
-        assert values.nbytes == 8 * clocks
-        del values
+        ints, _ = eval_array(u, system, 0, clocks)
+        assert ints.nbytes == 8 * clocks
+        del ints
         for t in range(1000):
             evaluate(u, system, t)
+        for _ in range(1000):
+            expand(u, m)
+        for _ in range(50):
+            format_dsl(u10)
         held = tracemalloc.get_traced_memory()[0] - baseline
     finally:
         tracemalloc.stop()

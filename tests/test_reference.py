@@ -6,7 +6,7 @@ import pytest
 
 from inbl.dyadic import Dyadic
 from inbl.errors import InvalidWireError
-from inbl.reference import ReferenceSystem, RtwScheme, WireId, derive_wire_seed
+from inbl.reference import BLOCK_CLOCKS, ReferenceSystem, RtwScheme, WireId, derive_wire_seed
 
 
 def test_wire_id_validation():
@@ -92,6 +92,26 @@ def test_scalar_matches_vectorized():
             arr = system.sign_array(w, 3, 40)
             scalars = [system.wire_sign(w, t) for t in range(3, 43)]
             assert list(arr) == scalars
+
+
+@pytest.mark.parametrize("flip", [Fraction(1, 2), Fraction(1, 4), Fraction(1, 1)])
+def test_sign_array_across_blocks_and_out_of_order(flip):
+    # windows spanning several blocks, unaligned starts, and starts that go
+    # backwards, which must restart the flip-parity count from clock 0
+    n = 2 * BLOCK_CLOCKS + 777
+    t_end = 5000 + n
+    w = WireId(2, 1)
+    scalar = ReferenceSystem(2, master_seed=17, flip_prob=flip)
+    expected = np.array([scalar.wire_sign(w, t) for t in range(t_end)], dtype=np.int8)
+    system = ReferenceSystem(2, master_seed=17, flip_prob=flip)
+    windows = [(5000, n), (123, 4000), (BLOCK_CLOCKS - 9, 20), (0, 1), (t_end - 3, 3),
+               (t_end - 1, 1), (0, BLOCK_CLOCKS + 1), (1, 0)]
+    for t0, length in windows:
+        signs = system.sign_array(w, t0, length)
+        assert signs.dtype == np.int8
+        assert np.array_equal(signs, expected[t0 : t0 + length]), (t0, length)
+        # scalar reads through the parity cache the window left behind
+        assert system.wire_sign(w, t0 + length // 2) == expected[t0 + length // 2]
 
 
 def test_flip_prob_one_alternates():
