@@ -53,6 +53,11 @@ class NumberAbsent(InblError):
     """Inverse phonebook lookup of a number that is not in the book."""
 
 
+class ProbeInconsistency(InblError):
+    """A phonebook probe found no single wire of a digit whose grounding
+    zeroes the collapsed signal."""
+
+
 class NotBijective(InblError):
     """Inverse lookup requested on a book with duplicate numbers."""
 

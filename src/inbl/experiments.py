@@ -5,22 +5,128 @@ These scan many clocks, so signals are evaluated over whole windows with
 numpy, block by block. Every amplitude is a dyadic rational, and the window
 evaluator keeps each node as exact integers scaled by a static power of two,
 so zero tests, run lengths and correlation sums are exact at every size.
+
+Each (expression, scheme) is compiled once into a cached program: node
+order, exponent floors, dtype, Sum weights and the nodes grouped by height.
+`eval_array` runs it node by node over blocks of clocks; `eval_configs` runs
+it height by height over many switch configurations at one clock, which is
+how a phonebook lookup reads all of its probes at once.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .expr import Expr, Ref, Sum, topological_order
-from .reference import BLOCK_CLOCKS, ReferenceSystem
+from .reference import BLOCK_CLOCKS, ReferenceSystem, RtwScheme, WireId
 from .switchboard import SwitchState
 
 _INT64_LIMIT = 1 << 63
+
+
+class _Program:
+    """Everything eval_array and eval_configs need of one (expr, scheme),
+    built once. It holds node indices and wires, never the nodes, so the
+    cache entry does not keep its expression alive.
+
+    Each node is held as integers scaled by a static exponent floor: a Ref's
+    wire exponent, the minimum over a Sum's terms, the total over a
+    Product's factors. dtype is int64 when the static magnitude bound of
+    every node fits in 63 bits, otherwise object (Python ints).
+    """
+
+    def __init__(self, expr: Expr, scheme: RtwScheme):
+        order = topological_order(expr)
+        index = {id(node): i for i, node in enumerate(order)}
+        floor: List[int] = []
+        bound: List[int] = []
+        height: List[int] = []
+        # per node: (kind, operand, children); kind is "wire", "sum" or "product"
+        plan: List[tuple] = []
+        for node in order:
+            if isinstance(node, Ref):
+                floor.append(scheme.magnitude_exp2(node.wire.bit_value))
+                bound.append(1)
+                height.append(0)
+                plan.append(("wire", node.wire, ()))
+                continue
+            if isinstance(node, Sum):
+                kids = [index[id(term)] for _, term in node.terms]
+                f = min(floor[j] for j in kids)
+                weights = [(j, coeff << (floor[j] - f)) for (coeff, _), j in zip(node.terms, kids)]
+                floor.append(f)
+                bound.append(sum(abs(w) * bound[j] for j, w in weights))
+                plan.append(("sum", weights, kids))
+            else:
+                kids = [index[id(factor)] for factor in node.factors]
+                floor.append(sum(floor[j] for j in kids))
+                bound.append(math.prod(bound[j] for j in kids))
+                plan.append(("product", kids, kids))
+            height.append(1 + max(height[j] for j in kids))
+        self.plan = plan
+        self.exp2 = floor[-1]
+        self.dtype = np.int64 if max(bound) < _INT64_LIMIT else object
+        # a child's block array is dropped after the last node that reads it
+        self.last_use = list(range(len(order)))
+        for i, (_, _, kids) in enumerate(plan):
+            for j in kids:
+                self.last_use[j] = i
+        refs = [i for i, (kind, _, _) in enumerate(plan) if kind == "wire"]
+        self.wires = list(dict.fromkeys(plan[i][1] for i in refs))
+        self.wire_index = {w: k for k, w in enumerate(self.wires)}
+        self.refs = np.array(refs, dtype=np.intp)
+        self.ref_wires = np.array([self.wire_index[plan[i][1]] for i in refs], dtype=np.intp)
+        self.levels = self._levels(plan, height)
+
+    def _levels(self, plan: List[tuple], height: List[int]) -> List[tuple]:
+        """Per height and kind: (targets, ufunc, flat children, reduceat
+        starts, weights or None). A level reads only lower levels."""
+        groups: Dict[Tuple[int, str], List[int]] = {}
+        for i, (kind, _, _) in enumerate(plan):
+            if kind != "wire":
+                groups.setdefault((height[i], kind), []).append(i)
+        levels = []
+        for (_, kind), targets in sorted(groups.items()):
+            flat: List[int] = []
+            starts: List[int] = []
+            weights: List[int] = []
+            for i in targets:
+                _, operand, kids = plan[i]
+                starts.append(len(flat))
+                flat.extend(kids)
+                if kind == "sum":
+                    weights.extend(w for _, w in operand)
+            ufunc = np.add if kind == "sum" else np.multiply
+            w = None
+            if any(x != 1 for x in weights):
+                w = np.array(weights, dtype=self.dtype)[:, None]
+            levels.append((np.array(targets, dtype=np.intp), ufunc,
+                           np.array(flat, dtype=np.intp), np.array(starts, dtype=np.intp), w))
+        return levels
+
+
+# id(expr) -> scheme -> program; an entry is dropped when its expression dies
+_PROGRAMS: Dict[int, Dict[RtwScheme, _Program]] = {}
+
+
+def _program(expr: Expr, scheme: RtwScheme) -> _Program:
+    """The cached program of expr under scheme, built on first use. Keyed by
+    identity: hashing a frozen dataclass DAG recurses over every path."""
+    key = id(expr)
+    by_scheme = _PROGRAMS.get(key)
+    if by_scheme is None:
+        by_scheme = _PROGRAMS[key] = {}
+        weakref.finalize(expr, _PROGRAMS.pop, key, None).atexit = False
+    program = by_scheme.get(scheme)
+    if program is None:
+        program = by_scheme[scheme] = _Program(expr, scheme)
+    return program
 
 
 def eval_array(
@@ -33,54 +139,26 @@ def eval_array(
     """Exact signal values over clocks [t_start, t_start + clocks).
 
     Returns (ints, exp2): the value at clock t_start + k is ints[k] * 2**exp2.
-    Each node is held as integers scaled by a static exponent floor: a Ref's
-    wire exponent, the minimum over a Sum's terms, the total over a
-    Product's factors. ints is int64 when the static magnitude bound of every
-    node fits in 63 bits, otherwise an object array of Python ints.
+    ints is int64 or object by the program's static bound (see _Program).
+    Nodes are evaluated one by one over blocks of clocks.
     """
-    order = topological_order(expr)
-    index = {id(node): i for i, node in enumerate(order)}
-    floor: List[int] = []
-    bound: List[int] = []
-    # per node: (kind, operand, children); kind is "wire", "zero", "sum" or "product"
-    plan: List[tuple] = []
-    for node in order:
-        if isinstance(node, Ref):
-            floor.append(system.scheme.magnitude_exp2(node.wire.bit_value))
-            bound.append(1)
-            grounded = switches is not None and switches.is_grounded(node.wire)
-            plan.append(("zero", None, ()) if grounded else ("wire", node.wire, ()))
-        elif isinstance(node, Sum):
-            kids = [index[id(term)] for _, term in node.terms]
-            f = min(floor[j] for j in kids)
-            weights = [(j, coeff << (floor[j] - f)) for (coeff, _), j in zip(node.terms, kids)]
-            floor.append(f)
-            bound.append(sum(abs(w) * bound[j] for j, w in weights))
-            plan.append(("sum", weights, kids))
-        else:
-            kids = [index[id(factor)] for factor in node.factors]
-            floor.append(sum(floor[j] for j in kids))
-            bound.append(math.prod(bound[j] for j in kids))
-            plan.append(("product", kids, kids))
-    dtype = np.int64 if max(bound) < _INT64_LIMIT else object
-    # a child's block array is dropped after the last node that reads it
-    last_use = list(range(len(order)))
-    for i, (_, _, kids) in enumerate(plan):
-        for j in kids:
-            last_use[j] = i
-    wires = {operand for kind, operand, _ in plan if kind == "wire"}
+    program = _program(expr, system.scheme)
+    plan, last_use, dtype = program.plan, program.last_use, program.dtype
+    grounded = set() if switches is None else {w for w in program.wires if switches.is_grounded(w)}
 
     ints = np.empty(clocks, dtype=dtype)
     for lo in range(0, clocks, BLOCK_CLOCKS):
         n = min(BLOCK_CLOCKS, clocks - lo)
-        signs = {w: system.sign_array(w, t_start + lo, n) for w in wires}
-        vals: List[Optional[np.ndarray]] = [None] * len(order)
+        zeros = np.zeros(n, dtype=np.int8)
+        signs = {
+            w: zeros if w in grounded else system.sign_array(w, t_start + lo, n)
+            for w in program.wires
+        }
+        vals: List[Optional[np.ndarray]] = [None] * len(plan)
         for i, (kind, operand, kids) in enumerate(plan):
             # wire reads stay int8; every arithmetic result has the chosen dtype
             if kind == "wire":
                 value = signs[operand]
-            elif kind == "zero":
-                value = np.zeros(n, dtype=np.int8)
             elif kind == "sum":
                 (j, w), rest = operand[0], operand[1:]
                 value = np.multiply(vals[j], w, dtype=dtype)
@@ -100,7 +178,39 @@ def eval_array(
                 if last_use[j] == i:
                     vals[j] = None
         ints[lo : lo + n] = vals[-1]
-    return ints, floor[-1]
+    return ints, program.exp2
+
+
+def eval_configs(
+    expr: Expr,
+    system: ReferenceSystem,
+    t: int,
+    grounded: Sequence[AbstractSet[WireId]],
+) -> Tuple[np.ndarray, int]:
+    """Exact signal values at clock t, one per switch configuration.
+
+    grounded[r] is the set of wires grounded in configuration r. Returns
+    (ints, exp2): configuration r reads ints[r] * 2**exp2, with the dtype
+    rule of eval_array. All configurations see the same wire draws, and
+    each height of the DAG is one gather and one reduceat over all rows.
+    """
+    program = _program(expr, system.scheme)
+    signs = np.array([system.wire_sign(w, t) for w in program.wires], dtype=np.int8)
+    # reads[k, r]: wire k's sign at t, or 0 where configuration r grounds it
+    reads = np.repeat(signs[:, None], len(grounded), axis=1)
+    for r, wires in enumerate(grounded):
+        for w in wires:
+            k = program.wire_index.get(w)
+            if k is not None:
+                reads[k, r] = 0
+    vals = np.empty((len(program.plan), len(grounded)), dtype=program.dtype)
+    vals[program.refs] = reads[program.ref_wires]
+    for targets, ufunc, flat, starts, weights in program.levels:
+        gathered = vals[flat]
+        if weights is not None:
+            gathered *= weights
+        vals[targets] = ufunc.reduceat(gathered, starts, axis=0)
+    return vals[-1], program.exp2
 
 
 @dataclass

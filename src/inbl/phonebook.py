@@ -6,6 +6,12 @@ onto the queried key's single entry by grounding the inverse wires of the
 key's side (the N name bits forward, the S number bits inverse), then probe
 the other side's wires one by one: grounding the survivor's own wire zeroes
 the signal, grounding the other wire of the same digit does nothing.
+
+Every reading of a lookup is taken at one frozen clock, so the switch
+actions are made first and each configuration they pass through is recorded;
+`experiments.eval_configs` then reads the un-grounded signal, the collapse
+and every probe in one exact call per clock, and the first clock where the
+un-grounded signal is nonzero is the one read.
 """
 
 from __future__ import annotations
@@ -16,15 +22,18 @@ from typing import Tuple
 
 from .errors import (
     DuplicateName,
+    MaxWaitExceeded,
     NameAbsent,
     NotBijective,
     NumberAbsent,
     ParseError,
     PatternError,
+    ProbeInconsistency,
 )
-from .expr import Expr, Pattern, Product, Sum, evaluate, ref
+from .experiments import eval_configs
+from .expr import Expr, Pattern, Product, Sum, ref
 from .reference import ReferenceSystem, WireId
-from .search import DEFAULT_MAX_WAIT, wait_for_live_clock
+from .search import DEFAULT_MAX_WAIT
 from .switchboard import ground_inverse
 
 
@@ -100,32 +109,43 @@ def _collapse_and_probe(
     t_start: int,
 ) -> Tuple[str, int]:
     """Collapse the book onto the entry whose bits key_offset+1.. spell key,
-    then ground/read/restore both wires of each of the probe_width digits
-    after probe_offset: the wire whose grounding zeroes the signal is the
-    entry's own. Returns (probed digits, switch_ops)."""
+    then ground/restore both wires of each of the probe_width digits after
+    probe_offset, and read every configuration at one live clock: the wire
+    whose grounding zeroes the signal is the entry's own. Returns (probed
+    digits, switch_ops)."""
     if len(key) != key_width or any(c not in "01" for c in key):
         raise PatternError(f"bad key {key!r} for {key_width} bits")
     if system.num_bits != pb.spec.total_bits:
         raise PatternError(
             f"system has {system.num_bits} bits, book needs {pb.spec.total_bits}"
         )
-    t = wait_for_live_clock(pb.expr, system, t_start, max_wait)
+    # configurations: row 0 un-grounded, row 1 the collapse, then one row
+    # per probed wire, each taken from real switch actions
     key_pattern = Pattern(tuple((key_offset + i + 1, int(c)) for i, c in enumerate(key)))
     switches = ground_inverse(key_pattern, system.num_bits)
     ops = len(switches.grounded)
-    if evaluate(pb.expr, system, t, switches).is_zero():
-        raise absent(f"{key} is not in the book")
-    digits = []
-    for j in range(probe_offset + 1, probe_offset + probe_width + 1):
-        zeroed = []
+    configs = [frozenset(), switches.grounded]
+    probe_bits = range(probe_offset + 1, probe_offset + probe_width + 1)
+    for j in probe_bits:
         for v in (0, 1):
             wire = WireId(j, v)
             ops += switches.ground(wire)
-            if evaluate(pb.expr, system, t, switches).is_zero():
-                zeroed.append(v)
+            configs.append(switches.grounded)
             switches.restore(wire)
+    # the wire draws freeze at the first clock where row 0 is nonzero
+    for t in range(t_start, t_start + max_wait + 1):
+        readings, _ = eval_configs(pb.expr, system, t, configs)
+        if readings[0] != 0:
+            break
+    else:
+        raise MaxWaitExceeded(t_start, max_wait)
+    if readings[1] == 0:
+        raise absent(f"{key} is not in the book")
+    digits = []
+    for k, j in enumerate(probe_bits):
+        zeroed = [v for v in (0, 1) if readings[2 + 2 * k + v] == 0]
         if len(zeroed) != 1:
-            raise RuntimeError(
+            raise ProbeInconsistency(
                 f"probe inconsistency at bit {j}: groundings zeroing signal = {zeroed}"
             )
         digits.append("01"[zeroed[0]])

@@ -137,6 +137,24 @@ def test_lookup_absent_name_errors(capsys, book_file):
     assert "error:" in capsys.readouterr().err
 
 
+def test_probe_inconsistency_exits_2_without_traceback(capsys, monkeypatch, book_file):
+    from inbl import phonebook
+
+    real_eval_configs = phonebook.eval_configs
+
+    def every_probe_zero(expr, system, t, grounded):
+        readings, exp2 = real_eval_configs(expr, system, t, grounded)
+        readings[2:] = 0
+        return readings, exp2
+
+    monkeypatch.setattr(phonebook, "eval_configs", every_probe_zero)
+    code = main(["lookup", book_file, "--name", "01", "--seed", "6"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: probe inconsistency at bit 3" in err
+    assert "Traceback" not in err
+
+
 def test_zero_stats_symmetric(capsys):
     code, report = run_json(
         capsys,

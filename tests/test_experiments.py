@@ -6,9 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from inbl import experiments
 from inbl.experiments import (
     eval_array,
+    eval_configs,
     run_crosscorr,
     run_zero_stats,
     speedup_report,
@@ -25,7 +29,9 @@ from inbl.expr import (
     ref,
 )
 from inbl.oracle import expand
+from inbl.phonebook import PhonebookSpec, build_phonebook, lookup
 from inbl.reference import ReferenceSystem, RtwScheme, WireId
+from inbl.switchboard import SwitchState
 
 from conftest import random_canonical_expr, random_switches
 
@@ -198,6 +204,9 @@ def test_evaluators_release_their_memo_on_return():
     u = build_universe(m)
     u10 = build_universe(10)
     system = ReferenceSystem(m, master_seed=1)
+    names = [format(x, "04b") for x in range(16)]
+    book = build_phonebook(PhonebookSpec(4, 4, tuple(zip(names, reversed(names)))))
+    book_system = ReferenceSystem(8, master_seed=2)
     gc.collect()
     gc.disable()
     tracemalloc.start()
@@ -206,6 +215,7 @@ def test_evaluators_release_their_memo_on_return():
         evaluate(u, system, 0)
         expand(u, m)
         format_dsl(u10)
+        lookup(book, book_system, names[0])
         baseline = tracemalloc.get_traced_memory()[0]
         ints, _ = eval_array(u, system, 0, clocks)
         assert ints.nbytes == 8 * clocks
@@ -216,8 +226,86 @@ def test_evaluators_release_their_memo_on_return():
             expand(u, m)
         for _ in range(50):
             format_dsl(u10)
+        for t in range(100):
+            lookup(book, book_system, names[t % 16], t_start=t)
         held = tracemalloc.get_traced_memory()[0] - baseline
     finally:
         tracemalloc.stop()
         gc.enable()
     assert held < 64 * 1024, held
+
+
+@st.composite
+def dags(draw):
+    """A random DAG over up to 4 noise-bits: every node may be shared by any
+    later one, coefficients may be negative or wide. With wide=True the root
+    carries a 2**70 coefficient, whose bound passes 2**63."""
+    m = draw(st.integers(1, 4))
+    nodes = [ref(i, v) for i in range(1, m + 1) for v in (0, 1)]
+    coeff = st.one_of(st.integers(-3, 3), st.integers(-(2**40), 2**40)).filter(bool)
+    for _ in range(draw(st.integers(1, 8))):
+        kids = draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=4))
+        if draw(st.booleans()):
+            nodes.append(Sum(tuple((draw(coeff), kid) for kid in kids)))
+        else:
+            nodes.append(Product(tuple(kids)))
+    wide = draw(st.booleans())
+    root = Sum(((2**70, nodes[-1]), (1, ref(1, 0)))) if wide else nodes[-1]
+    return m, root, wide
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dag=dags(),
+    scheme=st.sampled_from(RtwScheme),
+    seed=st.integers(0, 2**32),
+    t=st.integers(0, 500),
+    data=st.data(),
+)
+def test_eval_configs_matches_scalar_evaluator(dag, scheme, seed, t, data):
+    m, expr, wide = dag
+    wires = [WireId(i, v) for i in range(1, m + 1) for v in (0, 1)]
+    configs = data.draw(st.lists(st.frozensets(st.sampled_from(wires)), min_size=1, max_size=6))
+    system = ReferenceSystem(m, scheme, master_seed=seed)
+    ints, exp2 = eval_configs(expr, system, t, configs)
+    assert len(ints) == len(configs)
+    if wide:
+        assert ints.dtype == object
+    for r, grounded in enumerate(configs):
+        switches = SwitchState()
+        for wire in grounded:
+            switches.ground(wire)
+        assert Dyadic(int(ints[r]), exp2) == evaluate(expr, system, t, switches)
+
+
+def test_program_cache_entry_dies_with_its_expression():
+    system = ReferenceSystem(3, master_seed=16)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(experiments._PROGRAMS)
+        e = Sum(((1, Product((ref(1, 0), ref(2, 1)))), (3, ref(3, 0))))
+        key = id(e)
+        eval_configs(e, system, 0, [frozenset()])
+        eval_array(e, system, 0, 4)
+        assert experiments._program(e, system.scheme) is experiments._program(e, system.scheme)
+        assert len(experiments._PROGRAMS) == before + 1 and key in experiments._PROGRAMS
+        del e  # reference counting alone runs the finalizer
+        assert len(experiments._PROGRAMS) == before and key not in experiments._PROGRAMS
+    finally:
+        gc.enable()
+
+
+def test_program_cache_keeps_one_program_per_scheme():
+    # asymmetric low wires read +/-1/2, so the same product has floor -2
+    e = Product((ref(1, 0), ref(2, 0), ref(2, 1)))
+    asym = ReferenceSystem(2, RtwScheme.ASYMMETRIC, master_seed=17)
+    sym = ReferenceSystem(2, RtwScheme.SYMMETRIC, master_seed=17)
+    configs = [frozenset(), frozenset({WireId(2, 1)})]
+    asym_ints, asym_exp2 = eval_configs(e, asym, 3, configs)
+    sym_ints, sym_exp2 = eval_configs(e, sym, 3, configs)
+    assert (asym_exp2, sym_exp2) == (-2, 0)
+    assert set(experiments._PROGRAMS[id(e)]) == {RtwScheme.ASYMMETRIC, RtwScheme.SYMMETRIC}
+    assert list(asym_ints) == list(sym_ints)  # same seed, same signs
+    assert Dyadic(int(asym_ints[0]), asym_exp2) == evaluate(e, asym, 3)
+    assert asym_ints[1] == 0

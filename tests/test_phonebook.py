@@ -2,16 +2,21 @@ import random
 
 import pytest
 
+from inbl import phonebook
 from inbl.errors import (
     DuplicateName,
+    MaxWaitExceeded,
     NameAbsent,
     NotBijective,
     NumberAbsent,
     ParseError,
     PatternError,
+    ProbeInconsistency,
 )
+from inbl.expr import Product, Sum, evaluate, ref
 from inbl.oracle import expand
 from inbl.phonebook import (
+    PhonebookExpr,
     PhonebookSpec,
     build_phonebook,
     inverse_lookup,
@@ -19,7 +24,9 @@ from inbl.phonebook import (
     parse_phonebook,
     switching_cost,
 )
-from inbl.reference import ReferenceSystem
+from inbl.reference import ReferenceSystem, RtwScheme
+from inbl.search import wait_for_live_clock
+from inbl.switchboard import SwitchState
 
 
 def small_book():
@@ -165,3 +172,75 @@ def test_unequal_widths_both_directions(n, s):
         lookup(pb, system, numbers[0])
     with pytest.raises(PatternError):
         inverse_lookup(pb, system, names[0])
+
+
+@pytest.mark.parametrize("n, s", [(2, 2), (3, 5), (5, 3)])
+def test_switch_ops_count_real_ground_calls(monkeypatch, n, s):
+    grounds = []
+    real_ground = SwitchState.ground
+
+    def counted(self, wire):
+        grounds.append(wire)
+        return real_ground(self, wire)
+
+    monkeypatch.setattr(SwitchState, "ground", counted)
+    rng = random.Random(8)
+    size = 2 ** min(n, s)
+    names = rng.sample([format(x, f"0{n}b") for x in range(2**n)], size)
+    numbers = rng.sample([format(x, f"0{s}b") for x in range(2**s)], size)
+    pb = build_phonebook(PhonebookSpec(n, s, tuple(zip(names, numbers))))
+    system = ReferenceSystem(n + s, master_seed=9)
+    for call, key, direction in ((lookup, names[1], "forward"),
+                                 (inverse_lookup, numbers[1], "inverse")):
+        del grounds[:]
+        _, ops = call(pb, system, key)
+        assert len(grounds) == ops == switching_cost(n, s, direction)
+
+
+def _dead_clock(pb, system):
+    """The first clock where the book's un-grounded signal reads zero."""
+    return next(t for t in range(1000) if evaluate(pb.expr, system, t).is_zero())
+
+
+def test_lookup_waits_past_a_dead_clock(monkeypatch):
+    # symmetric: two +/-1 entry products cancel at about half the clocks
+    pb = build_phonebook(small_book())
+    system = ReferenceSystem(4, RtwScheme.SYMMETRIC, master_seed=10)
+    dead = _dead_clock(pb, system)
+    live = wait_for_live_clock(pb.expr, system, dead)
+    assert live > dead
+    read = []
+    real_eval_configs = phonebook.eval_configs
+
+    def recorded(expr, system, t, grounded):
+        read.append(t)
+        return real_eval_configs(expr, system, t, grounded)
+
+    monkeypatch.setattr(phonebook, "eval_configs", recorded)
+    assert lookup(pb, system, "01", t_start=dead) == ("10", 6)
+    assert read[-1] == live
+    del read[:]
+    assert inverse_lookup(pb, system, "11", t_start=dead) == ("10", 6)
+    assert read[-1] == live
+    with pytest.raises(MaxWaitExceeded):
+        lookup(pb, system, "01", max_wait=0, t_start=dead)
+    with pytest.raises(MaxWaitExceeded):
+        inverse_lookup(pb, system, "11", max_wait=live - dead - 1, t_start=dead)
+    with pytest.raises(NameAbsent):
+        lookup(pb, system, "11", t_start=dead)
+    with pytest.raises(NumberAbsent):
+        inverse_lookup(pb, system, "00", t_start=dead)
+
+
+@pytest.mark.parametrize("expr", [
+    # two numbers under one name: neither wire of bit 2 zeroes the signal
+    Sum(((1, Product((ref(1, 0), ref(2, 0)))), (1, Product((ref(1, 0), ref(2, 1)))))),
+    # a term holding both wires of bit 2: either one zeroes the signal
+    Sum(((1, Product((ref(1, 0), ref(2, 0), ref(2, 1)))),)),
+])
+def test_probe_inconsistency_is_typed(expr):
+    # asymmetric wires keep R2_0 + R2_1 away from zero, so the collapse is live
+    pb = PhonebookExpr(expr, PhonebookSpec(1, 1, (("0", "0"),)))
+    system = ReferenceSystem(2, RtwScheme.ASYMMETRIC, master_seed=11)
+    with pytest.raises(ProbeInconsistency, match="at bit 2"):
+        lookup(pb, system, "0")
