@@ -9,8 +9,9 @@ so zero tests, run lengths and correlation sums are exact at every size.
 Each (expression, scheme) is compiled once into a cached program: node
 order, exponent floors, dtype, Sum weights and the nodes grouped by height.
 `eval_array` runs it node by node over blocks of clocks; `eval_configs` runs
-it height by height over many switch configurations at one clock, which is
-how a phonebook lookup reads all of its probes at once.
+it height by height over switch configurations x a window of clocks, which
+is how the searches and the phonebook read the un-grounded signal, the
+collapse and the probes of a whole window at once.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ class _Program:
         floor: List[int] = []
         bound: List[int] = []
         height: List[int] = []
-        # per node: (kind, operand, children); kind is "wire", "sum" or "product"
+        # per node: (kind, operand, children); kind is "wire" (operand: its
+        # row in self.wires, set below), "sum" or "product"
         plan: List[tuple] = []
         for node in order:
             if isinstance(node, Ref):
@@ -78,11 +80,17 @@ class _Program:
             for j in kids:
                 self.last_use[j] = i
         refs = [i for i, (kind, _, _) in enumerate(plan) if kind == "wire"]
-        self.wires = list(dict.fromkeys(plan[i][1] for i in refs))
-        self.wire_index = {w: k for k, w in enumerate(self.wires)}
+        self.wires = list({plan[i][1].tag: plan[i][1] for i in refs}.values())
+        # wire tag -> row of the wire in sign_rows(self.wires, ...)
+        self.wire_index = {w.tag: k for k, w in enumerate(self.wires)}
+        for i in refs:
+            plan[i] = ("wire", self.wire_index[plan[i][1].tag], ())
         self.refs = np.array(refs, dtype=np.intp)
-        self.ref_wires = np.array([self.wire_index[plan[i][1]] for i in refs], dtype=np.intp)
+        self.ref_wires = np.array([plan[i][1] for i in refs], dtype=np.intp)
         self.levels = self._levels(plan, height)
+        # rows of the tallest matrix eval_configs makes: the nodes, or the
+        # children a level gathers
+        self.width = max([len(plan)] + [len(flat) for _, _, flat, _, _ in self.levels])
 
     def _levels(self, plan: List[tuple], height: List[int]) -> List[tuple]:
         """Per height and kind: (targets, ufunc, flat children, reduceat
@@ -144,16 +152,14 @@ def eval_array(
     """
     program = _program(expr, system.scheme)
     plan, last_use, dtype = program.plan, program.last_use, program.dtype
-    grounded = set() if switches is None else {w for w in program.wires if switches.is_grounded(w)}
+    grounded = [] if switches is None else [
+        k for k, w in enumerate(program.wires) if switches.is_grounded(w)]
 
     ints = np.empty(clocks, dtype=dtype)
     for lo in range(0, clocks, BLOCK_CLOCKS):
         n = min(BLOCK_CLOCKS, clocks - lo)
-        zeros = np.zeros(n, dtype=np.int8)
-        signs = {
-            w: zeros if w in grounded else system.sign_array(w, t_start + lo, n)
-            for w in program.wires
-        }
+        signs = system.sign_rows(program.wires, t_start + lo, n)
+        signs[grounded] = 0
         vals: List[Optional[np.ndarray]] = [None] * len(plan)
         for i, (kind, operand, kids) in enumerate(plan):
             # wire reads stay int8; every arithmetic result has the chosen dtype
@@ -184,33 +190,44 @@ def eval_array(
 def eval_configs(
     expr: Expr,
     system: ReferenceSystem,
-    t: int,
+    t0: int,
+    clocks: int,
     grounded: Sequence[AbstractSet[WireId]],
 ) -> Tuple[np.ndarray, int]:
-    """Exact signal values at clock t, one per switch configuration.
+    """Exact signal values over clocks [t0, t0 + clocks), one row per switch
+    configuration.
 
     grounded[r] is the set of wires grounded in configuration r. Returns
-    (ints, exp2): configuration r reads ints[r] * 2**exp2, with the dtype
-    rule of eval_array. All configurations see the same wire draws, and
-    each height of the DAG is one gather and one reduceat over all rows.
+    (ints, exp2): configuration r reads ints[r, k] * 2**exp2 at clock t0 + k,
+    with the dtype rule of eval_array. All configurations see the same wire
+    draws, and each height of the DAG is one gather and one reduceat over a
+    nodes x (configurations * clocks) matrix. Clocks are taken in spans that
+    keep the tallest such matrix within BLOCK_CLOCKS entries.
     """
     program = _program(expr, system.scheme)
-    signs = np.array([system.wire_sign(w, t) for w in program.wires], dtype=np.int8)
-    # reads[k, r]: wire k's sign at t, or 0 where configuration r grounds it
-    reads = np.repeat(signs[:, None], len(grounded), axis=1)
-    for r, wires in enumerate(grounded):
-        for w in wires:
-            k = program.wire_index.get(w)
-            if k is not None:
-                reads[k, r] = 0
-    vals = np.empty((len(program.plan), len(grounded)), dtype=program.dtype)
-    vals[program.refs] = reads[program.ref_wires]
-    for targets, ufunc, flat, starts, weights in program.levels:
-        gathered = vals[flat]
-        if weights is not None:
-            gathered *= weights
-        vals[targets] = ufunc.reduceat(gathered, starts, axis=0)
-    return vals[-1], program.exp2
+    configs = len(grounded)
+    # live[k, r] = 0 where configuration r grounds wire k
+    live = np.ones((len(program.wires), configs), dtype=np.int8)
+    index = program.wire_index
+    cut = [(k, r) for r, wires in enumerate(grounded) for w in wires
+           if (k := index.get(w.tag)) is not None]
+    if cut:
+        live[tuple(zip(*cut))] = 0
+    ints = np.empty((configs, clocks), dtype=program.dtype)
+    span = max(1, BLOCK_CLOCKS // (program.width * max(configs, 1)))
+    for lo in range(0, clocks, span):
+        n = min(span, clocks - lo)
+        signs = system.sign_rows(program.wires, t0 + lo, n)
+        vals = np.empty((len(program.plan), configs * n), dtype=program.dtype)
+        reads = signs[:, None, :] * live[:, :, None]  # wires x configurations x clocks
+        vals[program.refs] = reads[program.ref_wires].reshape(-1, configs * n)
+        for targets, ufunc, flat, starts, weights in program.levels:
+            gathered = vals[flat]
+            if weights is not None:
+                gathered *= weights
+            vals[targets] = ufunc.reduceat(gathered, starts, axis=0)
+        ints[:, lo : lo + n] = vals[-1].reshape(configs, n)
+    return ints, program.exp2
 
 
 @dataclass

@@ -184,17 +184,13 @@ def evaluate(
 ) -> Dyadic:
     """Exact amplitude of the superposition at clock t.
 
-    Grounded wires read as exactly zero; a product short-circuits on the
-    first zero factor. Shared subgraphs are evaluated once per call (the
-    clock and switch configuration are fixed for the call's duration).
+    Grounded wires read as exactly zero. Each distinct node is evaluated once
+    per call, children first, over expr's topological order, so nesting depth
+    is limited only by memory (the clock and switch configuration are fixed
+    for the call's duration).
     """
-    memo: Dict[int, Dyadic] = {}
-
-    def go(node: Expr) -> Dyadic:
-        key = id(node)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
+    values: Dict[int, Dyadic] = {}
+    for node in topological_order(expr):
         if isinstance(node, Ref):
             if switches is not None and switches.is_grounded(node.wire):
                 value = ZERO
@@ -203,17 +199,12 @@ def evaluate(
         elif isinstance(node, Sum):
             value = ZERO
             for coeff, term in node.terms:
-                value = value + coeff * go(term)
+                value = value + coeff * values[id(term)]
         else:
-            value = go(node.factors[0])
+            value = values[id(node.factors[0])]
             for factor in node.factors[1:]:
                 if value.is_zero():
                     break
-                value = value * go(factor)
-        memo[key] = value
-        return value
-
-    try:
-        return go(expr)
-    finally:
-        del go  # go holds itself in its closure; breaking the cycle frees memo now
+                value = value * values[id(factor)]
+        values[id(node)] = value
+    return values[id(expr)]

@@ -9,9 +9,9 @@ the signal, grounding the other wire of the same digit does nothing.
 
 Every reading of a lookup is taken at one frozen clock, so the switch
 actions are made first and each configuration they pass through is recorded;
-`experiments.eval_configs` then reads the un-grounded signal, the collapse
-and every probe in one exact call per clock, and the first clock where the
-un-grounded signal is nonzero is the one read.
+`search.wait_for_live_clock` then reads the un-grounded signal, the collapse
+and every probe in one exact call per window of clocks, and the first clock
+where the un-grounded signal is nonzero is the one read.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Tuple
 
 from .errors import (
     DuplicateName,
-    MaxWaitExceeded,
     NameAbsent,
     NotBijective,
     NumberAbsent,
@@ -30,10 +29,9 @@ from .errors import (
     PatternError,
     ProbeInconsistency,
 )
-from .experiments import eval_configs
 from .expr import Expr, Pattern, Product, Sum, ref
 from .reference import ReferenceSystem, WireId
-from .search import DEFAULT_MAX_WAIT
+from .search import DEFAULT_MAX_WAIT, wait_for_live_clock
 from .switchboard import ground_inverse
 
 
@@ -119,12 +117,13 @@ def _collapse_and_probe(
         raise PatternError(
             f"system has {system.num_bits} bits, book needs {pb.spec.total_bits}"
         )
-    # configurations: row 0 un-grounded, row 1 the collapse, then one row
-    # per probed wire, each taken from real switch actions
+    # grounded configurations: the collapse, then one per probed wire, each
+    # taken from real switch actions; the scan reads them as rows 1, 2, ...
+    # after the un-grounded row 0
     key_pattern = Pattern(tuple((key_offset + i + 1, int(c)) for i, c in enumerate(key)))
     switches = ground_inverse(key_pattern, system.num_bits)
     ops = len(switches.grounded)
-    configs = [frozenset(), switches.grounded]
+    configs = [switches.grounded]
     probe_bits = range(probe_offset + 1, probe_offset + probe_width + 1)
     for j in probe_bits:
         for v in (0, 1):
@@ -133,12 +132,7 @@ def _collapse_and_probe(
             configs.append(switches.grounded)
             switches.restore(wire)
     # the wire draws freeze at the first clock where row 0 is nonzero
-    for t in range(t_start, t_start + max_wait + 1):
-        readings, _ = eval_configs(pb.expr, system, t, configs)
-        if readings[0] != 0:
-            break
-    else:
-        raise MaxWaitExceeded(t_start, max_wait)
+    readings = wait_for_live_clock(pb.expr, system, t_start, max_wait, configs).readings[:, 0]
     if readings[1] == 0:
         raise absent(f"{key} is not in the book")
     digits = []

@@ -8,10 +8,10 @@ be replayed or sampled out of order without stepping hidden state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,12 +42,16 @@ class WireId:
 
     bit_index: int  # 1-based
     bit_value: int  # 0 or 1
+    # (bit_index << 1) | bit_value: an int key, cheaper to hash than the
+    # dataclass, for the per-wire tables of the hot paths
+    tag: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.bit_index < 1:
             raise InvalidWireError(f"bit_index must be >= 1, got {self.bit_index}")
         if self.bit_value not in (0, 1):
             raise InvalidWireError(f"bit_value must be 0 or 1, got {self.bit_value}")
+        object.__setattr__(self, "tag", (self.bit_index << 1) | self.bit_value)
 
 
 class RtwScheme(Enum):
@@ -65,8 +69,7 @@ class RtwScheme(Enum):
 
 def derive_wire_seed(master_seed: int, wire: WireId) -> int:
     """Per-wire stream seed; injective over wires for a fixed master seed."""
-    tag = (wire.bit_index << 1) | wire.bit_value
-    return mix64(mix64(master_seed ^ _GOLDEN) ^ tag)
+    return mix64(mix64(master_seed ^ _GOLDEN) ^ wire.tag)
 
 
 def _draw(seed: int, t: int, salt: int) -> int:
@@ -75,7 +78,8 @@ def _draw(seed: int, t: int, salt: int) -> int:
 
 
 # Clocks per vectorized block: the few uint64 buffers a block needs stay in
-# cache, and memory stays O(block) however long the window is.
+# cache, and memory stays O(block) however long the window is. A block of
+# several wires holds rows x clocks <= BLOCK_CLOCKS draws.
 BLOCK_CLOCKS = 1 << 15
 
 # counter offset of clock t0 + k from clock t0 on one stream, k < BLOCK_CLOCKS
@@ -83,15 +87,21 @@ _COUNTER_STEPS = np.arange(BLOCK_CLOCKS, dtype=np.uint64)
 _COUNTER_STEPS *= np.uint64((2 * _GOLDEN) & _MASK64)
 
 
-def _draw_into(x: np.ndarray, tmp: np.ndarray, seed: int, t0: int, salt: int,
+def _counters(seeds: Sequence[int], t0: int, salt: int) -> np.ndarray:
+    """Column of each stream's counter at clock t0, the start of a block."""
+    step = _GOLDEN * ((t0 << 1) | salt)
+    return np.array([(s + step) & _MASK64 for s in seeds], dtype=np.uint64)[:, None]
+
+
+def _draw_into(x: np.ndarray, tmp: np.ndarray, start: np.ndarray,
                final_round: bool = True) -> None:
-    """x[k] = _draw(seed, t0 + k, salt) for every k < len(x), in place.
+    """x[r, k] = the draw at counter start[r] plus k clocks, in place; row r
+    then holds _draw(seed_r, t0 + k, salt) for start = _counters(seeds, t0, salt).
 
     The final `x ^ (x >> 31)` round never changes bit 63, so callers that only
     read the sign bit skip it with final_round=False.
     """
-    n = len(x)
-    np.add(_COUNTER_STEPS[:n], np.uint64((seed + _GOLDEN * ((t0 << 1) | salt)) & _MASK64), out=x)
+    np.add(_COUNTER_STEPS[: x.shape[1]], start, out=x)
     np.right_shift(x, np.uint64(30), out=tmp)
     x ^= tmp
     x *= np.uint64(_MIX1)
@@ -109,8 +119,10 @@ class ReferenceSystem:
     flip_prob is the per-clock probability that a wire's sign flips from its
     predecessor. At the default 1/2, successive signs are independent fair
     coin flips and every clock is addressable in O(1); other flip
-    probabilities fall back to counting flip parity from clock 0 (cached
-    forward, so monotone scans stay O(1) amortized).
+    probabilities count flips from a per-wire anchor (the last clock
+    counted and the sign there), forward or backward, whichever of the
+    anchor and clock 0 is nearer, so scans that move forward or step back a
+    little stay O(distance).
     """
 
     def __init__(
@@ -132,11 +144,12 @@ class ReferenceSystem:
         self._iid = flip_prob == Fraction(1, 2)
         # flip threshold on a 64-bit uniform draw
         self._flip_threshold = (flip_prob.numerator << 64) // flip_prob.denominator
-        self._seeds: Dict[WireId, int] = {}
-        # parity cache per wire for flip_prob != 1/2: (last clock, parity)
-        self._parity: Dict[WireId, Tuple[int, int]] = {}
+        # per wire tag: the stream seed, and for flip_prob != 1/2 the anchor
+        # (anchor clock, sign bit there), where sign bit 1 means +1
+        self._seeds: Dict[int, int] = {}
+        self._anchors: Dict[int, Tuple[int, int]] = {}
         # two uint64 draw buffers of BLOCK_CLOCKS entries, made on first use
-        # and reused by every sign_array call, so one system is not safe to
+        # and reused by every sign_rows call, so one system is not safe to
         # share between threads
         self._buffers: Optional[Tuple[np.ndarray, np.ndarray]] = None
         # the four possible values, interned so eval never reallocates them
@@ -158,11 +171,10 @@ class ReferenceSystem:
             )
 
     def wire_seed(self, wire: WireId) -> int:
-        s = self._seeds.get(wire)
+        s = self._seeds.get(wire.tag)
         if s is None:
             self.check_wire(wire)
-            s = derive_wire_seed(self.master_seed, wire)
-            self._seeds[wire] = s
+            s = self._seeds[wire.tag] = derive_wire_seed(self.master_seed, wire)
         return s
 
     def wire_sign(self, wire: WireId, t: int) -> int:
@@ -172,19 +184,25 @@ class ReferenceSystem:
         seed = self.wire_seed(wire)
         if self._iid:
             return 1 if _draw(seed, t, _SALT_SIGN) >> 63 else -1
-        s0 = 1 if _draw(seed, 0, _SALT_SIGN) >> 63 else -1
-        return s0 if self._flip_parity(wire, seed, t) == 0 else -s0
+        return 1 if self._sign_bit(wire, seed, t) else -1
 
-    def _flip_parity(self, wire: WireId, seed: int, t: int) -> int:
-        last, parity = self._parity.get(wire, (0, 0))
-        if t < last:
-            last, parity = 0, 0
-        for k in range(last + 1, t + 1):
+    def _start(self, wire: WireId, seed: int, t: int) -> Tuple[int, int]:
+        """Where to count the sign at clock t from, as (clock, sign bit
+        there): the wire's anchor, unless clock 0 is nearer."""
+        anchor = self._anchors.get(wire.tag)
+        if anchor is None or anchor[0] - t >= t:
+            return 0, _draw(seed, 0, _SALT_SIGN) >> 63
+        return anchor
+
+    def _sign_bit(self, wire: WireId, seed: int, t: int) -> int:
+        # the sign bit at t is the anchor's XOR the flips between the two
+        a, bit = self._start(wire, seed, t)
+        for k in range(min(a, t) + 1, max(a, t) + 1):
             if _draw(seed, k, _SALT_FLIP) < self._flip_threshold:
-                parity ^= 1
-        if t > last:
-            self._parity[wire] = (t, parity)
-        return parity
+                bit ^= 1
+        if t > a:
+            self._anchors[wire.tag] = (t, bit)
+        return bit
 
     def wire_value(self, wire: WireId, t: int) -> Dyadic:
         """Exact amplitude of the wire at clock t."""
@@ -193,57 +211,103 @@ class ReferenceSystem:
     # --- vectorized path: whole windows of clocks, block by block ---
 
     def sign_array(self, wire: WireId, t0: int, n: int) -> np.ndarray:
-        """Signs (int8 +1/-1) over clocks [t0, t0+n); bit-identical to wire_sign.
+        """Signs (int8 +1/-1) over clocks [t0, t0+n); bit-identical to wire_sign."""
+        return self.sign_rows([wire], t0, n)[0]
 
-        Draws are made in place on the system's two uint64 block buffers. For
-        flip_prob != 1/2 the flip parity is counted forward from the wire's
-        parity cache, as wire_sign does, and the cache is left at the
-        window's last clock.
+    def sign_rows(self, wires: Sequence[WireId], t0: int, n: int) -> np.ndarray:
+        """Signs (int8 +1/-1) of distinct wires over clocks [t0, t0+n): row r
+        is wires[r], bit-identical to wire_sign.
+
+        Every draw is a pure function of its (wire, clock) counter, so a block
+        of rows x clocks is one numpy pass, made in place on the system's two
+        uint64 buffers of BLOCK_CLOCKS entries. For flip_prob != 1/2 the wires
+        whose anchors sit at the same clock are counted together, and each
+        anchor is left at the last clock counted.
         """
         if t0 < 0:
             raise ValueError(f"clock must be >= 0, got {t0}")
-        seed = self.wire_seed(wire)
+        seeds = [self.wire_seed(w) for w in wires]
         if self._buffers is None:
             self._buffers = (np.empty(BLOCK_CLOCKS, np.uint64), np.empty(BLOCK_CLOCKS, np.uint64))
-        x, tmp = self._buffers
-        # bits[k] = 1 where the sign at clock t0 + k is +1
-        bits = np.empty(n, dtype=np.int8)
-        if self._iid:
-            for lo in range(0, n, BLOCK_CLOCKS):
-                m = min(BLOCK_CLOCKS, n - lo)
-                _draw_into(x[:m], tmp[:m], seed, t0 + lo, _SALT_SIGN, final_round=False)
-                np.right_shift(x[:m], np.uint64(63), out=tmp[:m])
-                bits[lo : lo + m] = tmp[:m]
-        elif n:
-            self._flip_bits(wire, seed, t0, bits, x, tmp)
+        # bits[r, k] = 1 where wire r's sign at clock t0 + k is +1
+        bits = np.empty((len(wires), n), dtype=np.int8)
+        if n == 0:
+            pass
+        elif self._iid:
+            self._fair_bits(seeds, t0, bits)
+        elif self.flip_prob == 1:  # every clock flips: the sign bit at t is s0 ^ (t & 1)
+            s0 = np.array([_draw(s, 0, _SALT_SIGN) >> 63 for s in seeds], dtype=np.int8)
+            bits[:, 0::2] = (s0 ^ (t0 & 1))[:, None]
+            bits[:, 1::2] = (s0 ^ (t0 & 1) ^ 1)[:, None]
+        else:
+            # rows counted from the same clock share one pass
+            starts = [self._start(w, s, t0) for w, s in zip(wires, seeds)]
+            groups: Dict[int, List[int]] = {}
+            for r, (clock, _) in enumerate(starts):
+                groups.setdefault(clock, []).append(r)
+            for rows in groups.values():
+                for i in range(0, len(rows), BLOCK_CLOCKS):
+                    part = rows[i : i + BLOCK_CLOCKS]
+                    bits[part] = self._flip_bits(
+                        [wires[r] for r in part], [seeds[r] for r in part],
+                        [starts[r][1] for r in part], starts[part[0]][0], t0, n)
         bits <<= 1
         bits -= 1
         return bits
 
-    def _flip_bits(self, wire: WireId, seed: int, t0: int, bits: np.ndarray,
-                   x: np.ndarray, tmp: np.ndarray) -> None:
-        """Fill bits for the window at t0 with s0_bit XOR flip parity."""
-        n = len(bits)
-        s0_bit = _draw(seed, 0, _SALT_SIGN) >> 63
-        if self.flip_prob == 1:  # every clock flips: parity is t & 1
-            bits[0::2] = s0_bit ^ (t0 & 1)
-            bits[1::2] = s0_bit ^ (t0 & 1) ^ 1
-            return
-        last, parity = self._parity.get(wire, (0, 0))
-        if t0 < last:
-            last, parity = 0, 0
-        end = t0 + n  # clocks last+1 .. end-1 each draw one flip
-        if t0 == last:
-            bits[0] = s0_bit ^ parity
+    def _fair_bits(self, seeds: List[int], t0: int, bits: np.ndarray) -> None:
+        """Fill bits with the sign bits at flip_prob 1/2: bit 63 of each draw."""
+        rows, n = bits.shape
+        x, tmp = self._buffers
+        m = min(n, BLOCK_CLOCKS)
+        g = BLOCK_CLOCKS // m
+        for lo in range(0, n, m):
+            k = min(m, n - lo)
+            for r in range(0, rows, g):
+                h = min(g, rows - r)
+                xv, tv = x[: h * k].reshape(h, k), tmp[: h * k].reshape(h, k)
+                _draw_into(xv, tv, _counters(seeds[r : r + h], t0 + lo, _SALT_SIGN),
+                           final_round=False)
+                np.right_shift(xv, np.uint64(63), out=tv)
+                bits[r : r + h, lo : lo + k] = tv
+
+    def _flip_bits(self, wires: Sequence[WireId], seeds: List[int], start_bits: List[int],
+                   a: int, t0: int, n: int) -> np.ndarray:
+        """Sign bits over [t0, t0+n) of at most BLOCK_CLOCKS wires, counted
+        from clock a, where their sign bits are start_bits (see _start).
+
+        Flips are counted over (start, hi] as a parity relative to the start
+        clock; the window's bits are written relative and the sign bits at
+        the start are XORed in last. From an anchor before t0 the start is
+        the anchor. Walking back from an anchor after t0, the start is t0,
+        and its sign bits are the anchor's XOR the parity up to the anchor.
+        """
+        rows = len(wires)
+        bits = np.empty((rows, n), dtype=np.int8)
+        end = t0 + n - 1
+        start, hi = (a, end) if a <= t0 else (t0, max(a, end))
+        if t0 == start:
+            bits[:, 0] = 0
+        x, tmp = self._buffers
         threshold = np.uint64(self._flip_threshold)
-        for lo in range(last + 1, end, BLOCK_CLOCKS):
-            m = min(BLOCK_CLOCKS, end - lo)
-            _draw_into(x[:m], tmp[:m], seed, lo, _SALT_FLIP)
-            running = np.bitwise_xor.accumulate(x[:m] < threshold)
-            running ^= bool(parity ^ s0_bit)
-            skip = max(0, t0 - lo)  # clocks of this block before the window
-            if skip < m:
-                bits[lo + skip - t0 : lo + m - t0] = running[skip:]
-            parity = int(running[-1]) ^ s0_bit
-        if end - 1 > last:
-            self._parity[wire] = (end - 1, parity)
+        parity = np.zeros(rows, dtype=bool)  # relative parity at the last clock drawn
+        at_anchor = parity
+        m = BLOCK_CLOCKS // rows
+        for lo in range(start + 1, hi + 1, m):
+            k = min(m, hi + 1 - lo)
+            xv, tv = x[: rows * k].reshape(rows, k), tmp[: rows * k].reshape(rows, k)
+            _draw_into(xv, tv, _counters(seeds, lo, _SALT_FLIP))
+            running = np.bitwise_xor.accumulate(xv < threshold, axis=1)
+            running ^= parity[:, None]
+            parity = running[:, -1]
+            w0, w1 = max(lo, t0), min(lo + k - 1, end)  # window clocks in this block
+            if w0 <= w1:
+                bits[:, w0 - t0 : w1 - t0 + 1] = running[:, w0 - lo : w1 - lo + 1]
+            if lo <= a < lo + k:
+                at_anchor = running[:, a - lo]
+        start_bits = np.array(start_bits, dtype=bool) ^ at_anchor
+        bits ^= start_bits[:, None]
+        if hi > a:
+            for w, bit in zip(wires, start_bits ^ parity):
+                self._anchors[w.tag] = (hi, int(bit))
+        return bits

@@ -5,18 +5,30 @@ that disagrees with the pattern; reading the remaining signal at a clock
 where the original superposition is nonzero is a deterministic membership
 measurement. Fragment searches observe several clocks and carry an explicit
 error bound on negative verdicts.
+
+The searches make their switch actions first and then read with
+`wait_for_live_clock`, which scans windows of clocks that double from the
+number of clocks the search reads (one, or tau for a fragment search) up to
+BLOCK_CLOCKS. Each window is one exact `eval_configs` call over the
+un-grounded signal and the grounded configurations, so the live clock and
+the readings after it come from the same call; a fragment search makes at
+most one more call for the tau reads past the window's end. Amplitudes
+become `Dyadic` values only in the reported outcome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import AbstractSet, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .dyadic import Dyadic
 from .errors import DeadClock, IllegalClass, MaxWaitExceeded
+from .experiments import eval_configs
 from .expr import Expr, Pattern, evaluate
-from .reference import ReferenceSystem, WireId
+from .reference import BLOCK_CLOCKS, ReferenceSystem, WireId
 from .switchboard import SwitchState, ground_inverse
 
 DEFAULT_MAX_WAIT = 10_000
@@ -81,16 +93,45 @@ class SearchOutcome:
         }
 
 
+class LiveClock(int):
+    """The live clock a scan found, carrying that window's readings from it
+    on: configuration r reads readings[r, k] * 2**exp2 at clock self + k,
+    row 0 being the un-grounded signal."""
+
+    def __new__(cls, t: int, readings: np.ndarray, exp2: int) -> "LiveClock":
+        clock = super().__new__(cls, t)
+        clock.readings = readings
+        clock.exp2 = exp2
+        return clock
+
+
 def wait_for_live_clock(
     expr: Expr,
     system: ReferenceSystem,
     t_start: int = 0,
     max_wait: int = DEFAULT_MAX_WAIT,
-) -> int:
-    """Smallest t >= t_start where the un-grounded superposition is nonzero."""
-    for t in range(t_start, t_start + max_wait + 1):
-        if not evaluate(expr, system, t).is_zero():
-            return t
+    grounded: Sequence[AbstractSet[WireId]] = (),
+    reads: int = 1,
+) -> LiveClock:
+    """Smallest t >= t_start where the un-grounded superposition is nonzero.
+
+    Scans windows that double from `reads` clocks (the clocks the caller
+    reads from the live clock on) up to BLOCK_CLOCKS, clipped at
+    t_start + max_wait; each window reads the un-grounded signal and every
+    configuration in grounded at once, and the returned clock carries them.
+    """
+    configs = [frozenset(), *grounded]
+    end = t_start + max_wait + 1
+    t0, width = t_start, min(max(reads, 1), BLOCK_CLOCKS)
+    while t0 < end:
+        n = min(width, end - t0)
+        ints, exp2 = eval_configs(expr, system, t0, n, configs)
+        live = ints[0].nonzero()[0]
+        if len(live):
+            k = int(live[0])
+            return LiveClock(t0 + k, ints[:, k:], exp2)
+        t0 += n
+        width = min(2 * width, BLOCK_CLOCKS)
     raise MaxWaitExceeded(t_start, max_wait)
 
 
@@ -123,15 +164,17 @@ def full_string_search(
     """
     if not pattern.is_full(system.num_bits):
         raise ValueError(f"full_string_search needs a full pattern, got {pattern}")
-    t = wait_for_live_clock(expr, system, t_start, max_wait)
-    trace = [TraceStep(f"live clock found at t={t}")]
     switches = ground_inverse(pattern, system.num_bits)
-    trace.append(TraceStep(f"grounded inverse wires of {pattern}"))
-    amp = evaluate(expr, system, t, switches)
-    trace.append(TraceStep("read superposition", amp))
-    verdict = Verdict.ABSENT if amp.is_zero() else Verdict.PRESENT
+    live = wait_for_live_clock(expr, system, t_start, max_wait, [switches.grounded])
+    t = int(live)
+    amp = Dyadic(int(live.readings[1, 0]), live.exp2)
+    trace = [
+        TraceStep(f"live clock found at t={t}"),
+        TraceStep(f"grounded inverse wires of {pattern}"),
+        TraceStep("read superposition", amp),
+    ]
     return SearchOutcome(
-        verdict=verdict,
+        verdict=Verdict.ABSENT if amp.is_zero() else Verdict.PRESENT,
         switch_ops=len(pattern),
         clocks_waited=t - t_start,
         clocks_observed=1,
@@ -157,30 +200,33 @@ def fragment_search(
     """
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
-    t = wait_for_live_clock(expr, system, t_start, max_wait)
-    trace = [TraceStep(f"live clock found at t={t}")]
     switches = ground_inverse(pattern, system.num_bits)
-    trace.append(TraceStep(f"grounded inverse wires of {pattern}"))
-    for k in range(tau):
-        amp = evaluate(expr, system, t + k, switches)
-        trace.append(TraceStep(f"read at t={t + k}", amp))
-        if not amp.is_zero():
-            return SearchOutcome(
-                verdict=Verdict.PRESENT,
-                switch_ops=len(pattern),
-                clocks_waited=t - t_start,
-                clocks_observed=k + 1,
-                trace=trace,
-                witness_clock=t + k,
-                amplitude=amp,
-            )
+    live = wait_for_live_clock(expr, system, t_start, max_wait, [switches.grounded], tau)
+    t = int(live)
+    reads = live.readings[1, :tau]
+    hits = reads.nonzero()[0]
+    if len(reads) < tau and not len(hits):
+        more, _ = eval_configs(expr, system, t + len(reads), tau - len(reads), [switches.grounded])
+        reads = np.concatenate((reads, more[0]))
+        hits = reads.nonzero()[0]
+    observed = int(hits[0]) + 1 if len(hits) else tau
+    trace = [
+        TraceStep(f"live clock found at t={t}"),
+        TraceStep(f"grounded inverse wires of {pattern}"),
+    ]
+    trace.extend(
+        TraceStep(f"read at t={t + k}", Dyadic(int(reads[k]), live.exp2)) for k in range(observed)
+    )
+    present = len(hits) > 0
     return SearchOutcome(
-        verdict=Verdict.ABSENT_BOUNDED,
+        verdict=Verdict.PRESENT if present else Verdict.ABSENT_BOUNDED,
         switch_ops=len(pattern),
         clocks_waited=t - t_start,
-        clocks_observed=tau,
+        clocks_observed=observed,
         trace=trace,
-        epsilon=Dyadic.pow2(-tau),
+        witness_clock=t + observed - 1 if present else None,
+        amplitude=trace[-1].amplitude if present else None,
+        epsilon=None if present else Dyadic.pow2(-tau),
     )
 
 

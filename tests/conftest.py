@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from inbl.expr import Expr, Pattern, Product, Sum, build_product_string, ref
 from inbl.reference import ReferenceSystem, WireId
@@ -86,3 +87,22 @@ def random_switches(rng: random.Random, num_bits: int, p: float = 0.25) -> Switc
 
 def make_system(num_bits, **kwargs) -> ReferenceSystem:
     return ReferenceSystem(num_bits, **kwargs)
+
+
+@st.composite
+def dags(draw):
+    """A random DAG over up to 4 noise-bits: every node may be shared by any
+    later one, coefficients may be negative or wide. With wide=True the root
+    carries a 2**70 coefficient, whose bound passes 2**63."""
+    m = draw(st.integers(1, 4))
+    nodes = [ref(i, v) for i in range(1, m + 1) for v in (0, 1)]
+    coeff = st.one_of(st.integers(-3, 3), st.integers(-(2**40), 2**40)).filter(bool)
+    for _ in range(draw(st.integers(1, 8))):
+        kids = draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=4))
+        if draw(st.booleans()):
+            nodes.append(Sum(tuple((draw(coeff), kid) for kid in kids)))
+        else:
+            nodes.append(Product(tuple(kids)))
+    wide = draw(st.booleans())
+    root = Sum(((2**70, nodes[-1]), (1, ref(1, 0)))) if wide else nodes[-1]
+    return m, root, wide

@@ -138,16 +138,16 @@ def test_lookup_absent_name_errors(capsys, book_file):
 
 
 def test_probe_inconsistency_exits_2_without_traceback(capsys, monkeypatch, book_file):
-    from inbl import phonebook
+    from inbl import search
 
-    real_eval_configs = phonebook.eval_configs
+    real_eval_configs = search.eval_configs
 
-    def every_probe_zero(expr, system, t, grounded):
-        readings, exp2 = real_eval_configs(expr, system, t, grounded)
+    def every_probe_zero(expr, system, t0, clocks, grounded):
+        readings, exp2 = real_eval_configs(expr, system, t0, clocks, grounded)
         readings[2:] = 0
         return readings, exp2
 
-    monkeypatch.setattr(phonebook, "eval_configs", every_probe_zero)
+    monkeypatch.setattr(search, "eval_configs", every_probe_zero)
     code = main(["lookup", book_file, "--name", "01", "--seed", "6"])
     err = capsys.readouterr().err
     assert code == 2

@@ -30,10 +30,10 @@ from inbl.expr import (
 )
 from inbl.oracle import expand
 from inbl.phonebook import PhonebookSpec, build_phonebook, lookup
-from inbl.reference import ReferenceSystem, RtwScheme, WireId
+from inbl.reference import BLOCK_CLOCKS, ReferenceSystem, RtwScheme, WireId
 from inbl.switchboard import SwitchState
 
-from conftest import random_canonical_expr, random_switches
+from conftest import dags, random_canonical_expr, random_switches, sum_of_strings
 
 
 def test_eval_array_matches_scalar_evaluator():
@@ -235,47 +235,49 @@ def test_evaluators_release_their_memo_on_return():
     assert held < 64 * 1024, held
 
 
-@st.composite
-def dags(draw):
-    """A random DAG over up to 4 noise-bits: every node may be shared by any
-    later one, coefficients may be negative or wide. With wide=True the root
-    carries a 2**70 coefficient, whose bound passes 2**63."""
-    m = draw(st.integers(1, 4))
-    nodes = [ref(i, v) for i in range(1, m + 1) for v in (0, 1)]
-    coeff = st.one_of(st.integers(-3, 3), st.integers(-(2**40), 2**40)).filter(bool)
-    for _ in range(draw(st.integers(1, 8))):
-        kids = draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=4))
-        if draw(st.booleans()):
-            nodes.append(Sum(tuple((draw(coeff), kid) for kid in kids)))
-        else:
-            nodes.append(Product(tuple(kids)))
-    wide = draw(st.booleans())
-    root = Sum(((2**70, nodes[-1]), (1, ref(1, 0)))) if wide else nodes[-1]
-    return m, root, wide
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     dag=dags(),
     scheme=st.sampled_from(RtwScheme),
     seed=st.integers(0, 2**32),
     t=st.integers(0, 500),
+    clocks=st.integers(1, 5),
     data=st.data(),
 )
-def test_eval_configs_matches_scalar_evaluator(dag, scheme, seed, t, data):
+def test_eval_configs_matches_scalar_evaluator(dag, scheme, seed, t, clocks, data):
     m, expr, wide = dag
     wires = [WireId(i, v) for i in range(1, m + 1) for v in (0, 1)]
     configs = data.draw(st.lists(st.frozensets(st.sampled_from(wires)), min_size=1, max_size=6))
     system = ReferenceSystem(m, scheme, master_seed=seed)
-    ints, exp2 = eval_configs(expr, system, t, configs)
-    assert len(ints) == len(configs)
+    ints, exp2 = eval_configs(expr, system, t, clocks, configs)
+    assert ints.shape == (len(configs), clocks)
     if wide:
         assert ints.dtype == object
     for r, grounded in enumerate(configs):
         switches = SwitchState()
         for wire in grounded:
             switches.ground(wire)
-        assert Dyadic(int(ints[r]), exp2) == evaluate(expr, system, t, switches)
+        for k in range(clocks):
+            assert Dyadic(int(ints[r, k]), exp2) == evaluate(expr, system, t + k, switches)
+
+
+def test_eval_configs_window_in_spans_matches_eval_array():
+    # 256 full 8-bit strings: the product level gathers 2,048 children, so a
+    # window of 300 clocks over 3 configurations is taken in spans of 5 clocks
+    m = 8
+    expr = sum_of_strings([format(x, "08b") for x in range(256)], m)
+    system = ReferenceSystem(m, RtwScheme.ASYMMETRIC, master_seed=18, flip_prob=Fraction(1, 4))
+    configs = [frozenset(), frozenset({WireId(1, 0)}), frozenset({WireId(2, 1), WireId(5, 0)})]
+    assert experiments._program(expr, system.scheme).width * len(configs) > BLOCK_CLOCKS // 300
+    ints, exp2 = eval_configs(expr, system, 1000, 300, configs)
+    for r, grounded in enumerate(configs):
+        switches = SwitchState()
+        for wire in grounded:
+            switches.ground(wire)
+        row, row_exp2 = eval_array(expr, system, 1000, 300, switches)
+        assert row_exp2 == exp2 and np.array_equal(ints[r], row)
+    # the asymmetric universe never cancels; grounding changes what it reads
+    assert np.all(ints[0] != 0) and not np.array_equal(ints[0], ints[1])
 
 
 def test_program_cache_entry_dies_with_its_expression():
@@ -286,7 +288,7 @@ def test_program_cache_entry_dies_with_its_expression():
         before = len(experiments._PROGRAMS)
         e = Sum(((1, Product((ref(1, 0), ref(2, 1)))), (3, ref(3, 0))))
         key = id(e)
-        eval_configs(e, system, 0, [frozenset()])
+        eval_configs(e, system, 0, 1, [frozenset()])
         eval_array(e, system, 0, 4)
         assert experiments._program(e, system.scheme) is experiments._program(e, system.scheme)
         assert len(experiments._PROGRAMS) == before + 1 and key in experiments._PROGRAMS
@@ -302,10 +304,10 @@ def test_program_cache_keeps_one_program_per_scheme():
     asym = ReferenceSystem(2, RtwScheme.ASYMMETRIC, master_seed=17)
     sym = ReferenceSystem(2, RtwScheme.SYMMETRIC, master_seed=17)
     configs = [frozenset(), frozenset({WireId(2, 1)})]
-    asym_ints, asym_exp2 = eval_configs(e, asym, 3, configs)
-    sym_ints, sym_exp2 = eval_configs(e, sym, 3, configs)
+    asym_ints, asym_exp2 = eval_configs(e, asym, 3, 1, configs)
+    sym_ints, sym_exp2 = eval_configs(e, sym, 3, 1, configs)
     assert (asym_exp2, sym_exp2) == (-2, 0)
     assert set(experiments._PROGRAMS[id(e)]) == {RtwScheme.ASYMMETRIC, RtwScheme.SYMMETRIC}
-    assert list(asym_ints) == list(sym_ints)  # same seed, same signs
-    assert Dyadic(int(asym_ints[0]), asym_exp2) == evaluate(e, asym, 3)
-    assert asym_ints[1] == 0
+    assert asym_ints.tolist() == sym_ints.tolist()  # same seed, same signs
+    assert Dyadic(int(asym_ints[0, 0]), asym_exp2) == evaluate(e, asym, 3)
+    assert asym_ints[1, 0] == 0

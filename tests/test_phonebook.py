@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from inbl import phonebook
+from inbl import phonebook, search
 from inbl.errors import (
     DuplicateName,
     MaxWaitExceeded,
@@ -209,19 +209,21 @@ def test_lookup_waits_past_a_dead_clock(monkeypatch):
     dead = _dead_clock(pb, system)
     live = wait_for_live_clock(pb.expr, system, dead)
     assert live > dead
-    read = []
-    real_eval_configs = phonebook.eval_configs
+    windows = []
+    real_eval_configs = search.eval_configs
 
-    def recorded(expr, system, t, grounded):
-        read.append(t)
-        return real_eval_configs(expr, system, t, grounded)
+    def recorded(expr, system, t0, clocks, grounded):
+        windows.append((t0, clocks))
+        return real_eval_configs(expr, system, t0, clocks, grounded)
 
-    monkeypatch.setattr(phonebook, "eval_configs", recorded)
-    assert lookup(pb, system, "01", t_start=dead) == ("10", 6)
-    assert read[-1] == live
-    del read[:]
-    assert inverse_lookup(pb, system, "11", t_start=dead) == ("10", 6)
-    assert read[-1] == live
+    monkeypatch.setattr(search, "eval_configs", recorded)
+    for call, key in ((lookup, "01"), (inverse_lookup, "11")):
+        del windows[:]
+        assert call(pb, system, key, t_start=dead) == ("10", 6)
+        # the scan starts at t_start, and its last window holds the live clock
+        assert windows[0][0] == dead
+        t0, clocks = windows[-1]
+        assert t0 <= live < t0 + clocks
     with pytest.raises(MaxWaitExceeded):
         lookup(pb, system, "01", max_wait=0, t_start=dead)
     with pytest.raises(MaxWaitExceeded):

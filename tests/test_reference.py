@@ -152,3 +152,76 @@ def test_flip_prob_validation():
         ReferenceSystem(1, flip_prob=Fraction(3, 2))
     with pytest.raises(InvalidWireError):
         ReferenceSystem(0)
+
+
+@pytest.mark.parametrize("flip", [Fraction(1, 2), Fraction(1, 4), Fraction(1, 100), Fraction(1, 1)])
+def test_sign_rows_match_wire_sign(flip):
+    # several wires at once: windows spanning more than one block, unaligned
+    # and backward starts, and wires whose anchors sit at different clocks
+    n = 2 * BLOCK_CLOCKS + 777
+    t_end = 3000 + n
+    scalar = ReferenceSystem(3, master_seed=23, flip_prob=flip)
+    wires = list(scalar.wires())
+    expected = np.array([[scalar.wire_sign(w, t) for t in range(t_end)] for w in wires],
+                        dtype=np.int8)
+    system = ReferenceSystem(3, master_seed=23, flip_prob=flip)
+    windows = [(3000, n), (123, 4000), (BLOCK_CLOCKS - 9, 20), (t_end - 5, 5), (0, 1),
+               (t_end - 40, 30), (17, BLOCK_CLOCKS + 1), (5, 0)]
+    for t0, length in windows:
+        signs = system.sign_rows(wires, t0, length)
+        assert signs.dtype == np.int8 and signs.shape == (len(wires), length)
+        assert np.array_equal(signs, expected[:, t0 : t0 + length]), (t0, length)
+    # move single anchors apart, then read all wires again: each group of
+    # wires counted from one clock gets its own pass
+    system.wire_sign(wires[0], t_end - 1)
+    system.sign_array(wires[1], 40, 3)
+    system.sign_rows(wires[2:4], 2000, 100)
+    for t0, length in ((1990, 50), (30, 60), (t_end - 700, 700)):
+        signs = system.sign_rows(wires[::-1], t0, length)
+        assert np.array_equal(signs, expected[::-1, t0 : t0 + length]), (t0, length)
+        for k, w in enumerate(wires):
+            assert system.wire_sign(w, t0 + k) == expected[k, t0 + k]
+
+
+def test_backward_reads_cost_their_distance(monkeypatch):
+    from inbl import reference
+
+    flip = Fraction(1, 100)
+    far = 5 * BLOCK_CLOCKS
+    w = WireId(1, 1)
+    fresh = ReferenceSystem(1, master_seed=24, flip_prob=flip)
+    expected = fresh.sign_array(w, 0, far + 1)
+    system = ReferenceSystem(1, master_seed=24, flip_prob=flip)
+    system.sign_array(w, 0, far)  # anchor at far - 1
+    system.wire_sign(w, far)  # anchor at far
+    drawn, scalar_draws = [], []
+    real_draw_into, real_draw = reference._draw_into, reference._draw
+
+    def counting_draw_into(x, tmp, start, final_round=True):
+        drawn.append(x.size)
+        return real_draw_into(x, tmp, start, final_round)
+
+    def counting_draw(seed, t, salt):
+        scalar_draws.append(t)
+        return real_draw(seed, t, salt)
+
+    monkeypatch.setattr(reference, "_draw_into", counting_draw_into)
+    monkeypatch.setattr(reference, "_draw", counting_draw)
+    # a window 100 clocks behind the anchor walks back 100 clocks
+    assert np.array_equal(system.sign_array(w, far - 100, 50), expected[far - 100 : far - 50])
+    assert sum(drawn) == 100 and not scalar_draws
+    # so does a scalar read
+    assert system.wire_sign(w, far - 10) == expected[far - 10]
+    assert len(scalar_draws) == 10 and sum(drawn) == 100
+    # a read nearer to clock 0 than to the anchor counts from clock 0
+    del drawn[:], scalar_draws[:]
+    assert np.array_equal(system.sign_array(w, 20, 5), expected[20:25])
+    assert sum(drawn) == 24
+    del drawn[:], scalar_draws[:]
+    assert system.wire_sign(w, 30) == expected[30]
+    assert len(scalar_draws) <= 31
+    # re-reading the whole window from clock 0 draws it once, not twice
+    system.sign_array(w, 0, far)
+    del drawn[:], scalar_draws[:]
+    assert np.array_equal(system.sign_array(w, 0, far), expected[:far])
+    assert sum(drawn) == far - 1

@@ -1,15 +1,28 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inbl.dsl import parse_dsl
 from inbl.dyadic import Dyadic
 from inbl.errors import DeadClock, IllegalClass, MaxWaitExceeded
-from inbl.expr import Pattern, Sum, build_product_string, build_universe, evaluate, ref
+from inbl.expr import (
+    Pattern,
+    Product,
+    Sum,
+    build_product_string,
+    build_universe,
+    evaluate,
+    ref,
+)
 from inbl.oracle import expand, legal_bell_class, member, surviving
 from inbl.reference import ReferenceSystem, RtwScheme, WireId
 from inbl.search import (
     BellClass,
+    SearchOutcome,
+    TraceStep,
     Verdict,
     collapse_measure,
     entangle_discriminate,
@@ -19,7 +32,7 @@ from inbl.search import (
 )
 from inbl.switchboard import SwitchState, ground_inverse
 
-from conftest import EQ12_TEXT, EQ9_TEXT, sum_of_strings
+from conftest import EQ12_TEXT, EQ9_TEXT, dags, sum_of_strings
 
 
 def test_ground_inverse_full_pattern():
@@ -231,3 +244,157 @@ def test_outcome_serialization(eq9):
     assert blob["verdict"] == "present"
     assert blob["amplitude"]["mantissa"] == str(out.amplitude.mantissa)
     assert isinstance(blob["trace"], list) and blob["trace"]
+
+
+def scalar_search(expr, system, pattern, tau, max_wait, t_start):
+    """Reference for the windowed searches: one scalar evaluate per clock
+    waited and per clock read. tau=None is a full-string search."""
+    for t in range(t_start, t_start + max_wait + 1):
+        if not evaluate(expr, system, t).is_zero():
+            break
+    else:
+        raise MaxWaitExceeded(t_start, max_wait)
+    trace = [TraceStep(f"live clock found at t={t}")]
+    switches = ground_inverse(pattern, system.num_bits)
+    trace.append(TraceStep(f"grounded inverse wires of {pattern}"))
+    outcome = dict(switch_ops=len(pattern), clocks_waited=t - t_start, trace=trace)
+    if tau is None:
+        amp = evaluate(expr, system, t, switches)
+        trace.append(TraceStep("read superposition", amp))
+        return SearchOutcome(
+            verdict=Verdict.ABSENT if amp.is_zero() else Verdict.PRESENT,
+            clocks_observed=1, witness_clock=None if amp.is_zero() else t, amplitude=amp,
+            **outcome,
+        )
+    for k in range(tau):
+        amp = evaluate(expr, system, t + k, switches)
+        trace.append(TraceStep(f"read at t={t + k}", amp))
+        if not amp.is_zero():
+            return SearchOutcome(verdict=Verdict.PRESENT, clocks_observed=k + 1,
+                                 witness_clock=t + k, amplitude=amp, **outcome)
+    return SearchOutcome(verdict=Verdict.ABSENT_BOUNDED, clocks_observed=tau,
+                         epsilon=Dyadic.pow2(-tau), **outcome)
+
+
+def windowed_search(expr, system, pattern, tau, max_wait, t_start):
+    if tau is None:
+        return full_string_search(expr, system, pattern, max_wait, t_start)
+    return fragment_search(expr, system, pattern, tau, max_wait, t_start)
+
+
+def same_result(expr, make_system, pattern, tau, max_wait, t_start):
+    """Both searches on fresh systems: equal to_json(), or both raise
+    MaxWaitExceeded. Returns the outcome, or None when no clock was live."""
+    try:
+        want = scalar_search(expr, make_system(), pattern, tau, max_wait, t_start)
+    except MaxWaitExceeded:
+        with pytest.raises(MaxWaitExceeded):
+            windowed_search(expr, make_system(), pattern, tau, max_wait, t_start)
+        return None
+    got = windowed_search(expr, make_system(), pattern, tau, max_wait, t_start)
+    assert got.to_json() == want.to_json()
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dag=dags(),
+    scheme=st.sampled_from(RtwScheme),
+    flip=st.sampled_from([Fraction(1, 2), Fraction(1, 100), Fraction(1)]),
+    seed=st.integers(0, 2**32),
+    t_start=st.integers(0, 300),
+    max_wait=st.integers(0, 40),
+    tau=st.one_of(st.none(), st.integers(1, 20)),
+    data=st.data(),
+)
+def test_windowed_searches_match_scalar_reference(
+    dag, scheme, flip, seed, t_start, max_wait, tau, data
+):
+    m, expr, _ = dag
+    if tau is None:
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+        pattern = Pattern(tuple(enumerate(bits, start=1)))
+    else:
+        assigned = data.draw(st.dictionaries(st.integers(1, m), st.integers(0, 1)))
+        pattern = Pattern.fragments(assigned)
+    make_system = lambda: ReferenceSystem(m, scheme, master_seed=seed, flip_prob=flip)
+    got = same_result(expr, make_system, pattern, tau, max_wait, t_start)
+    if got is None or got.clocks_waited == 0:
+        return
+    # live at exactly t_start + max_wait, and one clock short of it
+    waited = got.clocks_waited
+    assert same_result(expr, make_system, pattern, tau, waited, t_start).clocks_waited == waited
+    assert same_result(expr, make_system, pattern, tau, waited - 1, t_start) is None
+
+
+@pytest.mark.parametrize("flip", [Fraction(1, 2), Fraction(1, 100)])
+def test_windowed_searches_match_reference_on_long_waits(flip):
+    # symmetric 3-bit strings cancel pairwise for long runs at flip 1/100, so
+    # the doubling windows grow; a 2**70 coefficient takes the object path
+    a = build_product_string(Pattern.from_string("010"), 3)
+    b = build_product_string(Pattern.from_string("100"), 3)
+    exprs = [Sum(((1, a), (1, b))), Sum(((2**70, a), (2**70, b)))]
+    present, absent = Pattern.fragments({1: 0, 3: 0}), Pattern.fragments({3: 1})
+    queries = [(Pattern.from_string("010"), None), (Pattern.from_string("110"), None),
+               (present, 1), (present, 40), (absent, 40)]
+    for expr in exprs:
+        for t_start in (0, 5, 900):
+            make_system = lambda: ReferenceSystem(
+                3, RtwScheme.SYMMETRIC, master_seed=19, flip_prob=flip)
+            for pattern, tau in queries:
+                got = same_result(expr, make_system, pattern, tau, 5000, t_start)
+                waited = got.clocks_waited
+                if waited:
+                    same_result(expr, make_system, pattern, tau, waited, t_start)
+                    assert same_result(expr, make_system, pattern, tau, waited - 1, t_start) is None
+
+
+@pytest.mark.parametrize("flip", [Fraction(1, 2), Fraction(1, 100)])
+def test_windowed_searches_match_reference_at_every_offset(flip):
+    # the symmetric signal has dead runs (0000 + 1000 cancels), and its
+    # fragment survivors 0011 and 0101 cancel at live clocks too, so starting
+    # at every clock puts the live clock and the first nonzero read at every
+    # offset within the scan's windows, and past the window's end
+    expr = sum_of_strings(["0011", "0101", "0000", "1000"], 4)
+    queries = [(Pattern.from_string("0101"), None), (Pattern.fragments({4: 1}), 3),
+               (Pattern.fragments({4: 1}), 16)]
+    make_system = lambda: ReferenceSystem(4, RtwScheme.SYMMETRIC, master_seed=22, flip_prob=flip)
+    waits = set()
+    for t_start in range(300):
+        for pattern, tau in queries:
+            waits.add(same_result(expr, make_system, pattern, tau, 5000, t_start).clocks_waited)
+    assert max(waits) >= (32 if flip == Fraction(1, 100) else 4)
+
+
+def test_live_clock_carries_the_window_readings():
+    expr = sum_of_strings(["0110", "1010"], 4)
+    system = ReferenceSystem(4, RtwScheme.SYMMETRIC, master_seed=20)
+    collapse = ground_inverse(Pattern.from_string("0110"), 4)
+    live = wait_for_live_clock(expr, system, 3, 1000, [collapse.grounded])
+    assert live == next(t for t in range(3, 1000) if not evaluate(expr, system, t).is_zero())
+    assert live.readings.shape[0] == 2 and live.readings.shape[1] >= 1
+    for k in range(live.readings.shape[1]):
+        assert Dyadic(int(live.readings[0, k]), live.exp2) == evaluate(expr, system, live + k)
+        assert Dyadic(int(live.readings[1, k]), live.exp2) == evaluate(
+            expr, system, live + k, collapse)
+
+
+def test_searches_on_a_deep_chain_without_recursion():
+    # 5,000 nested nodes: R1_1 times 2,500 factors of R2_1, under 2,500 sums
+    depth = 5000
+    chain = ref(1, 1)
+    for level in range(depth):
+        chain = Product((chain, ref(2, 1))) if level % 2 else Sum(((1, chain),))
+    system = ReferenceSystem(2, RtwScheme.SYMMETRIC, master_seed=21)
+    for t in range(3):
+        expected = system.wire_sign(WireId(1, 1), t) * system.wire_sign(WireId(2, 1), t) ** 2500
+        assert evaluate(chain, system, t) == Dyadic(expected)
+    make_system = lambda: ReferenceSystem(2, RtwScheme.SYMMETRIC, master_seed=21)
+    out = same_result(chain, make_system, Pattern.from_string("11"), None, 10, 0)
+    assert out.verdict is Verdict.PRESENT
+    out = same_result(chain, make_system, Pattern.from_string("01"), None, 10, 0)
+    assert out.verdict is Verdict.ABSENT
+    out = same_result(chain, make_system, Pattern.fragments({2: 1}), 4, 10, 0)
+    assert out.verdict is Verdict.PRESENT
+    out = same_result(chain, make_system, Pattern.fragments({2: 0}), 4, 10, 0)
+    assert out.verdict is Verdict.ABSENT_BOUNDED
