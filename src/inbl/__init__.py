@@ -36,7 +36,6 @@ from .search import (
     BellClass,
     SearchOutcome,
     Verdict,
-    collapse_measure,
     entangle_discriminate,
     fragment_search,
     full_string_search,
@@ -68,7 +67,6 @@ __all__ = [
     "build_phonebook",
     "build_product_string",
     "build_universe",
-    "collapse_measure",
     "derive_wire_seed",
     "entangle_discriminate",
     "eval_via_expansion",

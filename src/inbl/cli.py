@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Tuple
 
 from . import experiments, oracle, phonebook
 from .dsl import parse_fragments, parse_program
@@ -113,8 +113,7 @@ def _base_report(args, parameters: dict) -> dict:
     return report
 
 
-def _cmd_search(args) -> int:
-    started = time.monotonic()
+def _cmd_search(args) -> Tuple[dict, int]:
     expr, bits = _load_expr(args.file)
     system = _make_system(args, bits)
     if args.string:
@@ -155,15 +154,10 @@ def _cmd_search(args) -> int:
         # an oracle-confirmed empty survivor set upgrades a bounded verdict
         if outcome.verdict is Verdict.ABSENT_BOUNDED and len(survivors) == 0:
             report["oracle_check"]["certified_absent"] = True
-        if not agrees:
-            _emit(report, args, started)
-            return EXIT_ERROR
-    _emit(report, args, started)
-    return EXIT_OK if outcome.present else EXIT_ABSENT
+    return report, EXIT_OK if outcome.present else EXIT_ABSENT
 
 
-def _cmd_entangle(args) -> int:
-    started = time.monotonic()
+def _cmd_entangle(args) -> Tuple[dict, int]:
     expr, bits = _load_expr(args.file, num_bits=2)
     system = _make_system(args, 2)
     bell, trace = entangle_discriminate(
@@ -188,15 +182,10 @@ def _cmd_entangle(args) -> int:
             "bell_class": None if expected is None else expected.value,
             "agrees": expected is bell,
         }
-        if expected is not bell:
-            _emit(report, args, started)
-            return EXIT_ERROR
-    _emit(report, args, started)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def _cmd_lookup(args) -> int:
-    started = time.monotonic()
+def _cmd_lookup(args) -> Tuple[dict, int]:
     with open(args.file, "r", encoding="utf-8") as fh:
         spec = phonebook.parse_phonebook(fh.read())
     pb = phonebook.build_phonebook(spec)
@@ -215,15 +204,10 @@ def _cmd_lookup(args) -> int:
     if args.oracle_check:
         expected = book[key]
         report["oracle_check"] = {"expected": expected, "agrees": expected == result}
-        if expected != result:
-            _emit(report, args, started)
-            return EXIT_ERROR
-    _emit(report, args, started)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def _cmd_zero_stats(args) -> int:
-    started = time.monotonic()
+def _cmd_zero_stats(args) -> Tuple[dict, int]:
     if args.expr:
         expr, bits = _load_expr(args.expr)
     else:
@@ -242,12 +226,10 @@ def _cmd_zero_stats(args) -> int:
     report["zero_stats"] = stats.to_json()
     slope = stats.histogram_slope()
     report["zero_stats"]["histogram_log_slope"] = slope
-    _emit(report, args, started)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def _cmd_crosscorr(args) -> int:
-    started = time.monotonic()
+def _cmd_crosscorr(args) -> Tuple[dict, int]:
     if args.strings:
         strings = [s.strip() for s in args.strings.split(",")]
         if len(strings) != 2:
@@ -275,18 +257,15 @@ def _cmd_crosscorr(args) -> int:
     )
     report["estimate"] = estimate
     report["bound_5_over_sqrt_T"] = 5.0 / args.clocks**0.5
-    _emit(report, args, started)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def _cmd_speedup(args) -> int:
-    started = time.monotonic()
+def _cmd_speedup(args) -> Tuple[dict, int]:
     report = _base_report(args, {"bits": args.bits})
     report["speedup"] = experiments.speedup_report(
         args.bits, args.name_bits, args.number_bits
     )
-    _emit(report, args, started)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,6 +331,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args._argv = list(argv) if argv is not None else sys.argv[1:]
+    started = time.monotonic()
     handlers = {
         "search": _cmd_search,
         "entangle": _cmd_entangle,
@@ -362,7 +342,10 @@ def main(argv=None) -> int:
         "speedup": _cmd_speedup,
     }
     try:
-        return handlers[args.cmd](args)
+        report, code = handlers[args.cmd](args)
+        _emit(report, args, started)
+        # a verdict the oracle contradicts is an error, whatever it was
+        return EXIT_ERROR if report.get("oracle_check", {}).get("agrees") is False else code
     except (InblError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -33,10 +33,6 @@ class MaxWaitExceeded(InblError):
         self.max_wait = max_wait
 
 
-class DeadClock(InblError):
-    """A measurement was requested at a clock where the superposition is zero."""
-
-
 class IllegalClass(InblError):
     """An entanglement trace is inconsistent with every legal two-bit class."""
 

@@ -10,8 +10,9 @@ Each (expression, scheme) is compiled once into a cached program: node
 order, exponent floors, dtype, Sum weights and the nodes grouped by height.
 `eval_array` runs it node by node over blocks of clocks; `eval_configs` runs
 it height by height over switch configurations x a window of clocks, which
-is how the searches and the phonebook read the un-grounded signal, the
-collapse and the probes of a whole window at once.
+is how every protocol (the searches, entangle discrimination and the
+phonebook) reads the un-grounded signal, the collapse and the probes of a
+whole window at once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 
 from .expr import Expr, Ref, Sum, topological_order
 from .reference import BLOCK_CLOCKS, ReferenceSystem, RtwScheme, WireId
-from .switchboard import SwitchState
 
 _INT64_LIMIT = 1 << 63
 
@@ -142,7 +142,6 @@ def eval_array(
     system: ReferenceSystem,
     t_start: int,
     clocks: int,
-    switches: Optional[SwitchState] = None,
 ) -> Tuple[np.ndarray, int]:
     """Exact signal values over clocks [t_start, t_start + clocks).
 
@@ -152,14 +151,11 @@ def eval_array(
     """
     program = _program(expr, system.scheme)
     plan, last_use, dtype = program.plan, program.last_use, program.dtype
-    grounded = [] if switches is None else [
-        k for k, w in enumerate(program.wires) if switches.is_grounded(w)]
 
     ints = np.empty(clocks, dtype=dtype)
     for lo in range(0, clocks, BLOCK_CLOCKS):
         n = min(BLOCK_CLOCKS, clocks - lo)
         signs = system.sign_rows(program.wires, t_start + lo, n)
-        signs[grounded] = 0
         vals: List[Optional[np.ndarray]] = [None] * len(plan)
         for i, (kind, operand, kids) in enumerate(plan):
             # wire reads stay int8; every arithmetic result has the chosen dtype
@@ -314,8 +310,9 @@ def speedup_report(
     formulas, not re-derived), photon_bound = M * 2**M; optional phonebook
     switching costs when name/number widths are given.
     """
-    if num_bits < 1:
-        raise ValueError(f"num_bits must be >= 1, got {num_bits}")
+    if not 1 <= num_bits <= 1023:
+        # 2**1024 / M**1.5 overflows the float grover_ratio_value
+        raise ValueError(f"num_bits must be between 1 and 1023, got {num_bits}")
     classical = Fraction(2**num_bits, num_bits)
     report = {
         "num_bits": num_bits,

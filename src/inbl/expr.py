@@ -184,10 +184,12 @@ def evaluate(
 ) -> Dyadic:
     """Exact amplitude of the superposition at clock t.
 
-    Grounded wires read as exactly zero. Each distinct node is evaluated once
-    per call, children first, over expr's topological order, so nesting depth
-    is limited only by memory (the clock and switch configuration are fixed
-    for the call's duration).
+    The scalar reference evaluator: no protocol calls it (they all read
+    through `experiments.eval_configs`); tests compare the window evaluators
+    against it. Grounded wires read as exactly zero. Each distinct node is
+    evaluated once per call, children first, over expr's topological order,
+    so nesting depth is limited only by memory (the clock and switch
+    configuration are fixed for the call's duration).
     """
     values: Dict[int, Dyadic] = {}
     for node in topological_order(expr):

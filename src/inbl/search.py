@@ -12,8 +12,11 @@ number of clocks the search reads (one, or tau for a fragment search) up to
 BLOCK_CLOCKS. Each window is one exact `eval_configs` call over the
 un-grounded signal and the grounded configurations, so the live clock and
 the readings after it come from the same call; a fragment search makes at
-most one more call for the tau reads past the window's end. Amplitudes
-become `Dyadic` values only in the reported outcome.
+most one more call for the tau reads past the window's end. Entangle
+discrimination reads the same way: its four probe configurations are
+recorded from real switch actions and read with the un-grounded signal in
+the live-clock window. Amplitudes become `Dyadic` values only in the
+reported outcome.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from typing import AbstractSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dyadic import Dyadic
-from .errors import DeadClock, IllegalClass, MaxWaitExceeded
+from .errors import IllegalClass, MaxWaitExceeded
 from .experiments import eval_configs
-from .expr import Expr, Pattern, evaluate
+from .expr import Expr, Pattern
 from .reference import BLOCK_CLOCKS, ReferenceSystem, WireId
 from .switchboard import SwitchState, ground_inverse
 
@@ -135,20 +138,6 @@ def wait_for_live_clock(
     raise MaxWaitExceeded(t_start, max_wait)
 
 
-def collapse_measure(
-    expr: Expr, system: ReferenceSystem, pattern: Pattern, t: int
-) -> Dyadic:
-    """Ground the pattern's inverse wires and read the surviving amplitude.
-
-    Requires a live clock: the un-grounded signal must be nonzero at t,
-    otherwise the zero reading would prove nothing.
-    """
-    if evaluate(expr, system, t).is_zero():
-        raise DeadClock(f"superposition amplitude is zero at clock {t}")
-    switches = ground_inverse(pattern, system.num_bits)
-    return evaluate(expr, system, t, switches)
-
-
 def full_string_search(
     expr: Expr,
     system: ReferenceSystem,
@@ -175,7 +164,7 @@ def full_string_search(
     ]
     return SearchOutcome(
         verdict=Verdict.ABSENT if amp.is_zero() else Verdict.PRESENT,
-        switch_ops=len(pattern),
+        switch_ops=len(switches.grounded),
         clocks_waited=t - t_start,
         clocks_observed=1,
         trace=trace,
@@ -220,7 +209,7 @@ def fragment_search(
     present = len(hits) > 0
     return SearchOutcome(
         verdict=Verdict.PRESENT if present else Verdict.ABSENT_BOUNDED,
-        switch_ops=len(pattern),
+        switch_ops=len(switches.grounded),
         clocks_waited=t - t_start,
         clocks_observed=observed,
         trace=trace,
@@ -248,31 +237,35 @@ def entangle_discriminate(
         raise ValueError("entanglement discrimination is defined for 2 noise-bits")
     if probe_partner_value not in (0, 1):
         raise ValueError("probe_partner_value must be 0 or 1")
-    t = wait_for_live_clock(expr, system, t_start, max_wait)
-    trace = [TraceStep(f"live clock found at t={t}")]
-
-    def probe_side(bit1_value: int) -> Optional[int]:
-        # does a string with bit 1 == bit1_value exist, and if so, which
-        # bit-2 value is entangled with it?
-        switches = SwitchState()
-        switches.ground(WireId(1, 1 - bit1_value))
-        amp = evaluate(expr, system, t, switches)
-        trace.append(TraceStep(f"grounded R{1}_{1 - bit1_value}, read", amp))
-        if amp.is_zero():
-            return None
-        switches.ground(WireId(2, probe_partner_value))
-        amp2 = evaluate(expr, system, t, switches)
-        trace.append(TraceStep(f"also grounded R{2}_{probe_partner_value}, read", amp2))
-        if amp2.is_zero():
-            partner = probe_partner_value
-        else:
-            partner = 1 - probe_partner_value
-        switches.restore_all()
+    # the switch actions come first: per bit-1 value v, ground R1_(1-v) and
+    # then R2_p, recording each configuration; the scan reads all four at
+    # the live clock as rows 1-4, after the un-grounded row 0
+    partner_wire = WireId(2, probe_partner_value)
+    switches = SwitchState()
+    configs = []
+    for bit1_value in (0, 1):
+        side_wire = WireId(1, 1 - bit1_value)
+        switches.ground(side_wire)
+        configs.append(switches.grounded)
+        switches.ground(partner_wire)
+        configs.append(switches.grounded)
+        switches.restore(partner_wire)
+        switches.restore(side_wire)
+    live = wait_for_live_clock(expr, system, t_start, max_wait, configs)
+    reads = [Dyadic(int(x), live.exp2) for x in live.readings[1:5, 0]]
+    trace = [TraceStep(f"live clock found at t={int(live)}")]
+    # per bit-1 value: does a string with that value exist, and if so, which
+    # bit-2 value is entangled with it?
+    found: List[Optional[int]] = []
+    for bit1_value in (0, 1):
+        side, both = reads[2 * bit1_value : 2 * bit1_value + 2]
+        trace.append(TraceStep(f"grounded R1_{1 - bit1_value}, read", side))
+        if side.is_zero():
+            found.append(None)
+            continue
+        trace.append(TraceStep(f"also grounded R2_{probe_partner_value}, read", both))
         trace.append(TraceStep("restored all wires"))
-        return partner
-
-    found0 = probe_side(0)
-    found1 = probe_side(1)
+        found.append(probe_partner_value if both.is_zero() else 1 - probe_partner_value)
     classes = {
         (1, 0): BellClass.S01_PLUS_10,
         (0, 1): BellClass.S00_PLUS_11,
@@ -281,9 +274,9 @@ def entangle_discriminate(
         (None, 0): BellClass.S10,
         (None, 1): BellClass.S11,
     }
-    cls = classes.get((found0, found1))
+    cls = classes.get(tuple(found))
     if cls is None:
         raise IllegalClass(
-            f"probe trace (bit1=0 -> {found0}, bit1=1 -> {found1}) matches no legal class"
+            f"probe trace (bit1=0 -> {found[0]}, bit1=1 -> {found[1]}) matches no legal class"
         )
     return cls, trace

@@ -39,9 +39,6 @@ class SwitchState:
         self._grounded.discard(wire)
         return True
 
-    def restore_all(self) -> None:
-        self._grounded.clear()
-
     def __repr__(self) -> str:
         wires = sorted((w.bit_index, w.bit_value) for w in self._grounded)
         return f"SwitchState(grounded={wires})"

@@ -185,6 +185,14 @@ def test_speedup(capsys):
     assert report["speedup"]["phonebook_forward_ops"] == 24
 
 
+def test_speedup_bits_limit(capsys):
+    code, report = run_json(capsys, ["speedup", "--bits", "1023"])
+    assert code == 0 and report["speedup"]["num_bits"] == 1023
+    assert main(["speedup", "--bits", "1024"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_reports_reproducible_modulo_duration(capsys, eq9_file):
     argv = ["search", eq9_file, "--string", "0010", "--seed", "11", "--oracle-check"]
     _, a = run_json(capsys, argv)

@@ -33,7 +33,7 @@ from inbl.phonebook import PhonebookSpec, build_phonebook, lookup
 from inbl.reference import BLOCK_CLOCKS, ReferenceSystem, RtwScheme, WireId
 from inbl.switchboard import SwitchState
 
-from conftest import dags, random_canonical_expr, random_switches, sum_of_strings
+from conftest import dags, random_canonical_expr, sum_of_strings
 
 
 def test_eval_array_matches_scalar_evaluator():
@@ -46,10 +46,9 @@ def test_eval_array_matches_scalar_evaluator():
             master_seed=trial,
         )
         expr = random_canonical_expr(rng, m)
-        switches = random_switches(rng, m) if rng.random() < 0.5 else None
-        ints, exp2 = eval_array(expr, system, 5, 40, switches)
+        ints, exp2 = eval_array(expr, system, 5, 40)
         for k, t in enumerate(range(5, 45)):
-            assert Dyadic(int(ints[k]), exp2) == evaluate(expr, system, t, switches)
+            assert Dyadic(int(ints[k]), exp2) == evaluate(expr, system, t)
 
 
 def test_eval_array_exact_where_float64_cancels():
@@ -270,12 +269,14 @@ def test_eval_configs_window_in_spans_matches_eval_array():
     configs = [frozenset(), frozenset({WireId(1, 0)}), frozenset({WireId(2, 1), WireId(5, 0)})]
     assert experiments._program(expr, system.scheme).width * len(configs) > BLOCK_CLOCKS // 300
     ints, exp2 = eval_configs(expr, system, 1000, 300, configs)
-    for r, grounded in enumerate(configs):
+    row, row_exp2 = eval_array(expr, system, 1000, 300)
+    assert row_exp2 == exp2 and np.array_equal(ints[0], row)
+    for r, grounded in enumerate(configs[1:], start=1):
         switches = SwitchState()
         for wire in grounded:
             switches.ground(wire)
-        row, row_exp2 = eval_array(expr, system, 1000, 300, switches)
-        assert row_exp2 == exp2 and np.array_equal(ints[r], row)
+        for k in range(300):
+            assert Dyadic(int(ints[r, k]), exp2) == evaluate(expr, system, 1000 + k, switches)
     # the asymmetric universe never cancels; grounding changes what it reads
     assert np.all(ints[0] != 0) and not np.array_equal(ints[0], ints[1])
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from inbl.dsl import parse_dsl
 from inbl.dyadic import Dyadic
-from inbl.errors import DeadClock, IllegalClass, MaxWaitExceeded
+from inbl.errors import IllegalClass, MaxWaitExceeded
 from inbl.expr import (
     Pattern,
     Product,
@@ -18,13 +19,13 @@ from inbl.expr import (
     ref,
 )
 from inbl.oracle import expand, legal_bell_class, member, surviving
+from inbl.phonebook import PhonebookSpec, build_phonebook, inverse_lookup, lookup
 from inbl.reference import ReferenceSystem, RtwScheme, WireId
 from inbl.search import (
     BellClass,
     SearchOutcome,
     TraceStep,
     Verdict,
-    collapse_measure,
     entangle_discriminate,
     fragment_search,
     full_string_search,
@@ -32,7 +33,7 @@ from inbl.search import (
 )
 from inbl.switchboard import SwitchState, ground_inverse
 
-from conftest import EQ12_TEXT, EQ9_TEXT, dags, sum_of_strings
+from conftest import EQ7_TEXT, EQ12_TEXT, EQ9_TEXT, dags, sum_of_strings
 
 
 def test_ground_inverse_full_pattern():
@@ -101,25 +102,16 @@ def test_wait_for_live_clock_dead_superposition():
 
 def test_collapse_measure_eq9(eq9):
     system = ReferenceSystem(4, master_seed=5)
-    t = wait_for_live_clock(eq9, system, 0, 1000)
-    hit = collapse_measure(eq9, system, Pattern.from_string("1010"), t)
+    hit = full_string_search(eq9, system, Pattern.from_string("1010"))
+    t = hit.witness_clock
     expected = evaluate(build_product_string(Pattern.from_string("1010"), 4), system, t)
-    assert hit == expected and not hit.is_zero()
-    assert collapse_measure(eq9, system, Pattern.from_string("1111"), t).is_zero()
-
-
-def test_collapse_measure_dead_clock():
-    p = build_product_string(Pattern.from_string("10"), 2)
-    dead = Sum(((1, p), (-1, p)))
-    system = ReferenceSystem(2, master_seed=6)
-    with pytest.raises(DeadClock):
-        collapse_measure(dead, system, Pattern.from_string("10"), 0)
+    assert hit.amplitude == expected and not hit.amplitude.is_zero()
+    assert full_string_search(eq9, system, Pattern.from_string("1111")).amplitude.is_zero()
 
 
 def test_collapse_magnitude_is_pow2_of_low_count(eq9):
     system = ReferenceSystem(4, master_seed=7)
-    t = wait_for_live_clock(eq9, system, 0, 1000)
-    amp = collapse_measure(eq9, system, Pattern.from_string("0010"), t)
+    amp = full_string_search(eq9, system, Pattern.from_string("0010")).amplitude
     # three Low bits -> magnitude 2**-3
     assert abs(amp) == Dyadic.pow2(-3)
 
@@ -276,6 +268,87 @@ def scalar_search(expr, system, pattern, tau, max_wait, t_start):
                          epsilon=Dyadic.pow2(-tau), **outcome)
 
 
+BELL_BY_PROBES = {
+    (1, 0): BellClass.S01_PLUS_10,
+    (0, 1): BellClass.S00_PLUS_11,
+    (0, None): BellClass.S00,
+    (1, None): BellClass.S01,
+    (None, 0): BellClass.S10,
+    (None, 1): BellClass.S11,
+}
+
+
+def scalar_entangle(expr, system, max_wait, t_start, probe_partner_value):
+    """Reference for entangle_discriminate: a scalar wait, then one scalar
+    evaluate per probe at the live clock."""
+    for t in range(t_start, t_start + max_wait + 1):
+        if not evaluate(expr, system, t).is_zero():
+            break
+    else:
+        raise MaxWaitExceeded(t_start, max_wait)
+    trace = [TraceStep(f"live clock found at t={t}")]
+
+    def probe_side(bit1_value):
+        switches = SwitchState()
+        switches.ground(WireId(1, 1 - bit1_value))
+        amp = evaluate(expr, system, t, switches)
+        trace.append(TraceStep(f"grounded R1_{1 - bit1_value}, read", amp))
+        if amp.is_zero():
+            return None
+        switches.ground(WireId(2, probe_partner_value))
+        amp2 = evaluate(expr, system, t, switches)
+        trace.append(TraceStep(f"also grounded R2_{probe_partner_value}, read", amp2))
+        trace.append(TraceStep("restored all wires"))
+        return probe_partner_value if amp2.is_zero() else 1 - probe_partner_value
+
+    found0 = probe_side(0)
+    found1 = probe_side(1)
+    cls = BELL_BY_PROBES.get((found0, found1))
+    if cls is None:
+        raise IllegalClass(
+            f"probe trace (bit1=0 -> {found0}, bit1=1 -> {found1}) matches no legal class"
+        )
+    return cls, trace
+
+
+def entangle_result(run, expr, system, max_wait, t_start, partner):
+    """(class, trace as JSON), or (exception type, message)."""
+    try:
+        cls, trace = run(expr, system, max_wait, t_start, partner)
+    except (IllegalClass, MaxWaitExceeded) as exc:
+        return type(exc), str(exc)
+    return cls, [step.to_json() for step in trace]
+
+
+two_bit_terms = st.lists(
+    st.tuples(st.sampled_from(["00", "01", "10", "11"]), st.sampled_from([-2, -1, 1, 3])),
+    min_size=1, max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    terms=st.one_of(
+        st.sampled_from(list(BELL_STRINGS)).map(lambda cls: [(s, 1) for s in BELL_STRINGS[cls]]),
+        st.sampled_from(["00", "01", "10", "11"]).map(lambda s: [(s, 1), (s, -1)]),
+        two_bit_terms,
+    ),
+    scheme=st.sampled_from(RtwScheme),
+    flip=st.sampled_from([Fraction(1, 2), Fraction(1, 100), Fraction(1)]),
+    seed=st.integers(0, 2**32),
+    t_start=st.integers(0, 300),
+    max_wait=st.integers(0, 40),
+    partner=st.sampled_from([0, 1]),
+)
+def test_entangle_matches_scalar_reference(terms, scheme, flip, seed, t_start, max_wait, partner):
+    # legal classes, illegal sums, dead signals (p - p) and repeated terms
+    expr = Sum(tuple((c, build_product_string(Pattern.from_string(s), 2)) for s, c in terms))
+    make_system = lambda: ReferenceSystem(2, scheme, master_seed=seed, flip_prob=flip)
+    want = entangle_result(scalar_entangle, expr, make_system(), max_wait, t_start, partner)
+    got = entangle_result(entangle_discriminate, expr, make_system(), max_wait, t_start, partner)
+    assert got == want
+
+
 def windowed_search(expr, system, pattern, tau, max_wait, t_start):
     if tau is None:
         return full_string_search(expr, system, pattern, max_wait, t_start)
@@ -398,3 +471,41 @@ def test_searches_on_a_deep_chain_without_recursion():
     assert out.verdict is Verdict.PRESENT
     out = same_result(chain, make_system, Pattern.fragments({2: 0}), 4, 10, 0)
     assert out.verdict is Verdict.ABSENT_BOUNDED
+
+
+def test_searches_count_real_ground_calls(monkeypatch, eq12):
+    grounds = []
+    real_ground = SwitchState.ground
+
+    def counted(self, wire):
+        grounds.append(wire)
+        return real_ground(self, wire)
+
+    monkeypatch.setattr(SwitchState, "ground", counted)
+    system = ReferenceSystem(4, master_seed=24)
+    for pattern, tau in ((Pattern.from_string("0010"), None), (Pattern.from_string("1111"), None),
+                         (Pattern.fragments({1: 0, 4: 0}), 8), (Pattern(()), 4)):
+        del grounds[:]
+        out = windowed_search(eq12, system, pattern, tau, 1000, 0)
+        assert out.switch_ops == len(grounds) == len(pattern)
+
+
+def test_protocols_never_call_the_scalar_evaluator(monkeypatch, eq9):
+    # patch every binding of the name in the package, not only inbl.expr's
+    real = evaluate
+
+    def scalar_read(*args, **kwargs):
+        raise AssertionError("a protocol read through the scalar evaluate")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "inbl" and getattr(module, "evaluate", None) is real:
+            monkeypatch.setattr(module, "evaluate", scalar_read)
+    system = ReferenceSystem(4, master_seed=25)
+    assert full_string_search(eq9, system, Pattern.from_string("1010")).present
+    assert fragment_search(eq9, system, Pattern.fragments({1: 0}), tau=4).present
+    cls, _ = entangle_discriminate(parse_dsl(EQ7_TEXT), ReferenceSystem(2, master_seed=25))
+    assert cls is BellClass.S01_PLUS_10
+    pb = build_phonebook(PhonebookSpec(2, 2, (("01", "10"), ("10", "11"))))
+    book_system = ReferenceSystem(4, master_seed=25)
+    assert lookup(pb, book_system, "01")[0] == "10"
+    assert inverse_lookup(pb, book_system, "11")[0] == "10"
