@@ -11,6 +11,7 @@ Exit codes: 0 on Present/success, 1 on Absent, 2 on errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -268,7 +269,11 @@ def _cmd_speedup(args) -> Tuple[dict, int]:
     return report, EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call (not at import:
+    that would add its build to every start-up) and shared by every later
+    `main` call; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="inbl",
         description="Instantaneous noise-based logic: collapse search simulator",

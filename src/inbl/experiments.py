@@ -308,11 +308,16 @@ def speedup_report(
 
     classical_ratio = 2**M / M, grover_ratio = 2**M / M**1.5 (quoted
     formulas, not re-derived), photon_bound = M * 2**M; optional phonebook
-    switching costs when name/number widths are given.
+    switching costs when both name/number widths are given (each >= 1).
     """
     if not 1 <= num_bits <= 1023:
         # 2**1024 / M**1.5 overflows the float grover_ratio_value
         raise ValueError(f"num_bits must be between 1 and 1023, got {num_bits}")
+    if (name_bits is None) != (number_bits is None):
+        raise ValueError(
+            f"phonebook costs need both name_bits and number_bits or neither, "
+            f"got name_bits={name_bits}, number_bits={number_bits}"
+        )
     classical = Fraction(2**num_bits, num_bits)
     report = {
         "num_bits": num_bits,
@@ -323,7 +328,7 @@ def speedup_report(
         "grover_ratio_value": 2**num_bits / num_bits**1.5,
         "photon_bound": num_bits * 2**num_bits,
     }
-    if name_bits is not None and number_bits is not None:
+    if name_bits is not None:
         from .phonebook import switching_cost
 
         report["phonebook_forward_ops"] = switching_cost(name_bits, number_bits, "forward")

@@ -122,7 +122,10 @@ def wait_for_live_clock(
     reads from the live clock on) up to BLOCK_CLOCKS, clipped at
     t_start + max_wait; each window reads the un-grounded signal and every
     configuration in grounded at once, and the returned clock carries them.
+    max_wait must be >= 0; with 0, t_start itself must be live.
     """
+    if max_wait < 0:
+        raise ValueError(f"max_wait must be >= 0, got {max_wait}")
     configs = [frozenset(), *grounded]
     end = t_start + max_wait + 1
     t0, width = t_start, min(max(reads, 1), BLOCK_CLOCKS)

@@ -1,7 +1,12 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import inbl
 from inbl.cli import main
 
 from conftest import EQ12_TEXT, EQ7_TEXT, EQ9_TEXT
@@ -249,3 +254,100 @@ def test_flags_a_subcommand_ignores_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_speedup_lone_phonebook_width_exits_2(capsys):
+    for widths in (["--name-bits", "3"], ["--number-bits", "3"], ["--name-bits", "0"]):
+        assert main(["speedup", "--bits", "4", *widths]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: phonebook costs need both") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd", ["search", "entangle", "lookup", "inverse-lookup"])
+def test_negative_max_wait_exits_2(capsys, cmd, eq9_file, eq7_file, book_file):
+    argv = {
+        "search": ["search", eq9_file, "--string", "1010"],
+        "entangle": ["entangle", eq7_file],
+        "lookup": ["lookup", book_file, "--name", "01"],
+        "inverse-lookup": ["inverse-lookup", book_file, "--number", "11"],
+    }[cmd]
+    assert main(argv + ["--max-wait", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_wait must be >= 0, got -1\n"
+
+
+def test_parser_is_built_once(capsys, monkeypatch, eq9_file, eq12_file, eq7_file, book_file):
+    main(["speedup", "--bits", "4"])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the parser was rebuilt")
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", refuse)
+    for argv in (
+        ["search", eq9_file, "--string", "1010", "--seed", "1"],
+        ["search", eq12_file, "--fragments", "1=0,2=0,4=0", "--tau", "8", "--seed", "2"],
+        ["entangle", eq7_file, "--seed", "4"],
+        ["lookup", book_file, "--name", "01", "--seed", "6"],
+        ["inverse-lookup", book_file, "--number", "11", "--seed", "6"],
+        ["zero-stats", "--bits", "1", "--clocks", "1000"],
+        ["crosscorr", "--strings", "10,01", "--clocks", "1000"],
+        ["speedup", "--bits", "4", "--name-bits", "2", "--number-bits", "2"],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 0, argv
+        assert json.loads(capsys.readouterr().out)["subcommand"] == argv[0]
+
+
+def test_no_state_leaks_between_calls(capsys, monkeypatch, eq9_file):
+    monkeypatch.setenv("INBL_SEED", "77")
+    _, first = run_json(
+        capsys, ["search", eq9_file, "--string", "1010", "--oracle-check", "--seed", "5"]
+    )
+    assert first["seed"] == 5 and first["oracle_check"]["agrees"] is True
+    _, second = run_json(capsys, ["search", eq9_file, "--string", "1010"])
+    assert "oracle_check" not in second
+    assert second["seed"] == 77
+    assert second["command"] == ["search", eq9_file, "--string", "1010"]
+    # $INBL_SEED is read at call time, not when the parser was built
+    monkeypatch.setenv("INBL_SEED", "78")
+    assert run_json(capsys, ["search", eq9_file, "--string", "1010"])[1]["seed"] == 78
+
+
+def test_rejected_argv_leaves_no_trace(capsys, eq9_file):
+    argv = ["search", eq9_file, "--string", "0010", "--seed", "11"]
+    _, alone = run_json(capsys, argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["search", eq9_file, "--string", "0010", "--oracle-check", "--seed", "3",
+              "--tau", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    _, after = run_json(capsys, argv)
+    alone.pop("duration_s")
+    after.pop("duration_s")
+    assert after == alone
+
+
+def test_import_builds_no_parser():
+    # the build belongs to the first main call, not to every start-up
+    script = (
+        "import argparse\n"
+        "calls = []\n"
+        "real = argparse._ActionsContainer.add_argument\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    calls.append(args)\n"
+        "    return real(self, *args, **kwargs)\n"
+        "argparse._ActionsContainer.add_argument = counted\n"
+        "import inbl.cli\n"
+        "after_import = len(calls)\n"
+        "for _ in range(2):\n"
+        "    inbl.cli.main(['speedup', '--bits', '4', '--out', %r])\n"
+        "    print(after_import, len(calls))\n"
+    ) % os.devnull
+    src = os.path.dirname(os.path.dirname(inbl.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    (zero, built), (_, again) = (map(int, line.split()) for line in done.stdout.splitlines())
+    assert zero == 0 and built > 0 and again == built

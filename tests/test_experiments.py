@@ -183,6 +183,18 @@ def test_speedup_report_values():
     assert report["photon_bound"] == 10 * 1024
 
 
+def test_speedup_report_takes_both_phonebook_widths_or_neither():
+    both = speedup_report(4, 3, 5)
+    assert (both["phonebook_forward_ops"], both["phonebook_inverse_ops"]) == (13, 11)
+    assert "phonebook_forward_ops" not in speedup_report(4)
+    for name_bits, number_bits in ((3, None), (None, 5), (0, None)):
+        with pytest.raises(ValueError, match="both name_bits and number_bits or neither"):
+            speedup_report(4, name_bits, number_bits)
+    for name_bits, number_bits in ((0, 5), (3, 0), (-1, 5)):
+        with pytest.raises(ValueError, match=">= 1"):
+            speedup_report(4, name_bits, number_bits)
+
+
 def test_flip_prob_affects_dwell_times():
     # sticky signs: long zero runs of the symmetric 1-bit universe get longer
     fair = ReferenceSystem(1, RtwScheme.SYMMETRIC, master_seed=9)

@@ -88,6 +88,17 @@ def test_lookup_absent_name():
         lookup(pb, system, "11")
 
 
+def test_negative_max_wait_is_rejected():
+    pb = build_phonebook(small_book())
+    system = ReferenceSystem(4, master_seed=2)
+    for call, key in ((lookup, "01"), (inverse_lookup, "11")):
+        with pytest.raises(ValueError, match="max_wait must be >= 0, got -1"):
+            call(pb, system, key, max_wait=-1)
+    # max_wait 0 reads t_start alone, and this book is live at clock 0
+    assert lookup(pb, system, "01", max_wait=0) == ("10", 6)
+    assert inverse_lookup(pb, system, "11", max_wait=0) == ("10", 6)
+
+
 def test_inverse_lookup_small_book():
     pb = build_phonebook(small_book())
     system = ReferenceSystem(4, master_seed=4)

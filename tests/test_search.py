@@ -92,6 +92,24 @@ def test_wait_for_live_clock_geometric_mean():
     assert abs(mean_extra - 1.0) < 0.05
 
 
+def test_negative_max_wait_is_rejected_by_every_protocol():
+    expr = parse_dsl(EQ9_TEXT)
+    system = ReferenceSystem(4, master_seed=1)
+    bell = ReferenceSystem(2, master_seed=1)
+    runs = [
+        lambda w: wait_for_live_clock(expr, system, 0, w),
+        lambda w: full_string_search(expr, system, Pattern.from_string("1010"), max_wait=w),
+        lambda w: fragment_search(expr, system, Pattern(((1, 0),)), tau=3, max_wait=w),
+        lambda w: entangle_discriminate(parse_dsl(EQ7_TEXT), bell, max_wait=w),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="max_wait must be >= 0, got -1"):
+            run(-1)
+    # max_wait 0 reads t_start alone, and this signal is live at clock 0
+    assert int(wait_for_live_clock(expr, system, 0, 0)) == 0
+    assert full_string_search(expr, system, Pattern.from_string("1010"), max_wait=0).present
+
+
 def test_wait_for_live_clock_dead_superposition():
     p = build_product_string(Pattern.from_string("10"), 2)
     dead = Sum(((1, p), (-1, p)))
