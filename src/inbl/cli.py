@@ -59,11 +59,15 @@ def _add_system_flags(p: argparse.ArgumentParser, waits_for_live_clock: bool) ->
 
 
 def _make_system(args, num_bits: int) -> ReferenceSystem:
+    try:
+        flip_prob = Fraction(args.flip_prob)
+    except ZeroDivisionError:
+        raise ValueError(f"flip_prob must be in (0, 1], got {args.flip_prob}") from None
     return ReferenceSystem(
         num_bits,
         RtwScheme(args.scheme),
         master_seed=_seed(args),
-        flip_prob=Fraction(args.flip_prob),
+        flip_prob=flip_prob,
     )
 
 

@@ -11,7 +11,11 @@ Grammar (whitespace-insensitive, `#` starts a line comment):
 
 Bare builtins (no argument) take the declared system size. The formatter
 emits a canonical form: product factors ascending by lowest bit index,
-sum terms in lexicographic order.
+sum terms in lexicographic order, a coefficient c as |c| repeated terms.
+
+Neither pass recurses: the parser is one loop over the tokens with an
+explicit stack of open parentheses, and the formatter is one pass over the
+DAG's topological order, so nesting depth is limited only by memory.
 """
 
 from __future__ import annotations
@@ -30,148 +34,123 @@ from .expr import (
     build_odd,
     build_universe,
     ref,
+    topological_order,
 )
 
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<comment>\#[^\n]*)
-  | (?P<ref>R(?P<refidx>\d+)_(?P<refval>[01]))
+  | (?P<ref>R\d+_[01])
   | (?P<name>[A-Za-z]+)
   | (?P<int>\d+)
   | (?P<sym>[+\-*();])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 _BUILTINS = {"U": build_universe, "EVEN": build_even, "ODD": build_odd}
 
+# A token is (kind, text, offset); a symbol's kind is its text.
+_Token = Tuple[str, str, int]
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col", "data")
 
-    def __init__(self, kind, text, line, col, data=None):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-        self.data = data
+def _error(text: str, offset: int, message: str) -> ParseError:
+    """ParseError at the 1-based line and column of text[offset]."""
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
 def _tokenize(text: str) -> List[_Token]:
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        raw = m.group(0)
-        if kind == "ref":
-            tokens.append(
-                _Token("ref", raw, line, col, (int(m.group("refidx")), int(m.group("refval"))))
-            )
-        elif kind == "sym":
-            tokens.append(_Token(raw, raw, line, col))
-        elif kind in ("name", "int"):
-            tokens.append(_Token(kind, raw, line, col))
-        # whitespace and comments are skipped, but still advance line/col
-        newlines = raw.count("\n")
-        if newlines:
-            line += newlines
-            col = len(raw) - raw.rfind("\n")
-        else:
-            col += len(raw)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+    for m in _TOKEN_RE.finditer(text):
+        kind, raw = m.lastgroup, m.group()
+        if kind == "bad":
+            raise _error(text, m.start(), f"unexpected character {raw!r}")
+        if kind not in ("ws", "comment"):
+            tokens.append((raw if kind == "sym" else kind, raw, m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: List[_Token], bits: Optional[int]):
-        self.tokens = tokens
-        self.pos = 0
-        self.bits = bits
+def _expect(text: str, tok: _Token, kind: str) -> None:
+    if tok[0] != kind:
+        raise _error(text, tok[2], f"expected {kind!r}, found {tok[1] or 'end of input'!r}")
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _sum(terms: List[Tuple[int, Expr]]) -> Expr:
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    return Sum(tuple(terms))
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
-        return self.advance()
 
-    def parse_superposition(self) -> Expr:
-        terms: List[Tuple[int, Expr]] = []
-        sign = 1
-        if self.peek().kind == "-":
-            self.advance()
-            sign = -1
-        terms.append((sign, self.parse_term()))
-        while self.peek().kind in ("+", "-"):
-            sign = 1 if self.advance().kind == "+" else -1
-            terms.append((sign, self.parse_term()))
-        if len(terms) == 1 and terms[0][0] == 1:
-            return terms[0][1]
-        return Sum(tuple(terms))
-
-    def parse_term(self) -> Expr:
-        factors = [self.parse_factor()]
-        while self.peek().kind == "*":
-            self.advance()
-            factors.append(self.parse_factor())
-        if len(factors) == 1:
-            return factors[0]
-        return Product(tuple(factors))
-
-    def parse_factor(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "ref":
-            self.advance()
-            idx, val = tok.data
-            if self.bits is not None and idx > self.bits:
-                raise ParseError(
-                    f"bit index {idx} exceeds declared size {self.bits}", tok.line, tok.col
-                )
-            return ref(idx, val)
-        if tok.kind == "(":
-            self.advance()
-            inner = self.parse_superposition()
-            self.expect(")")
-            return inner
-        if tok.kind == "name":
-            self.advance()
-            builder = _BUILTINS.get(tok.text)
+def _parse(text: str, tokens: List[_Token], pos: int, bits: Optional[int]) -> Expr:
+    """One loop over the tokens from pos; an explicit stack holds, for each
+    open '(', the enclosing superposition's terms, its open term's factors
+    and that term's sign."""
+    stack: List[Tuple[List[Tuple[int, Expr]], List[Expr], int]] = []
+    terms: List[Tuple[int, Expr]] = []
+    factors: List[Expr] = []
+    sign = 1
+    while True:
+        kind, raw, offset = tokens[pos]
+        pos += 1
+        if kind == "-" and sign == 1 and not (terms or factors):
+            sign = -1  # the one leading '-' a superposition may have
+            continue
+        if kind == "(":
+            stack.append((terms, factors, sign))
+            terms, factors, sign = [], [], 1
+            continue
+        if kind == "ref":
+            idx, val = map(int, raw[1:].split("_"))
+            if bits is not None and idx > bits:
+                raise _error(text, offset, f"bit index {idx} exceeds declared size {bits}")
+            factor = ref(idx, val)
+        elif kind == "name":
+            builder = _BUILTINS.get(raw)
             if builder is None:
-                raise ParseError(f"unknown builtin {tok.text!r}", tok.line, tok.col)
-            if self.peek().kind == "(":
-                self.advance()
-                arg_tok = self.expect("int")
-                arg = int(arg_tok.text)
-                self.expect(")")
-                if self.bits is not None and arg > self.bits:
-                    raise ParseError(
-                        f"builtin size {arg} exceeds declared size {self.bits}",
-                        arg_tok.line, arg_tok.col,
-                    )
-            elif self.bits is not None:
-                arg = self.bits
+                raise _error(text, offset, f"unknown builtin {raw!r}")
+            if tokens[pos][0] == "(":
+                arg_tok = tokens[pos + 1]
+                _expect(text, arg_tok, "int")
+                _expect(text, tokens[pos + 2], ")")
+                pos += 3
+                arg = int(arg_tok[1])
+                if bits is not None and arg > bits:
+                    raise _error(text, arg_tok[2],
+                                 f"builtin size {arg} exceeds declared size {bits}")
+            elif bits is not None:
+                arg = bits
             else:
-                raise ParseError(
-                    f"bare {tok.text} needs a 'bits M;' header or an explicit size",
-                    tok.line, tok.col,
-                )
-            return builder(arg)
-        raise ParseError(f"expected a factor, found {tok.text or 'end of input'!r}",
-                         tok.line, tok.col)
+                raise _error(text, offset,
+                             f"bare {raw} needs a 'bits M;' header or an explicit size")
+            factor = builder(arg)
+        else:
+            raise _error(text, offset, f"expected a factor, found {raw or 'end of input'!r}")
+        # the factor is complete; each ')' after it closes a superposition,
+        # which becomes a factor of the enclosing term
+        while True:
+            factors.append(factor)
+            kind, raw, offset = tokens[pos]
+            if kind == "*":
+                pos += 1
+                break
+            terms.append((sign, factors[0] if len(factors) == 1 else Product(tuple(factors))))
+            factors = []
+            if kind in ("+", "-"):
+                sign = 1 if kind == "+" else -1
+                pos += 1
+                break
+            if not stack:
+                if kind != "eof":
+                    raise _error(text, offset, f"unexpected trailing input {raw!r}")
+                return _sum(terms)
+            _expect(text, tokens[pos], ")")
+            pos += 1
+            factor = _sum(terms)
+            terms, factors, sign = stack.pop()
 
 
 def parse_program(text: str) -> Tuple[Expr, Optional[int]]:
@@ -179,20 +158,14 @@ def parse_program(text: str) -> Tuple[Expr, Optional[int]]:
     tokens = _tokenize(text)
     bits = None
     start = 0
-    if tokens and tokens[0].kind == "name" and tokens[0].text == "bits":
-        if len(tokens) < 3 or tokens[1].kind != "int" or tokens[2].kind != ";":
-            raise ParseError("malformed 'bits M;' header", tokens[0].line, tokens[0].col)
-        bits = int(tokens[1].text)
+    if tokens[0][:2] == ("name", "bits"):
+        if len(tokens) < 3 or tokens[1][0] != "int" or tokens[2][0] != ";":
+            raise _error(text, tokens[0][2], "malformed 'bits M;' header")
+        bits = int(tokens[1][1])
         if bits < 1:
-            raise ParseError("declared size must be >= 1", tokens[1].line, tokens[1].col)
+            raise _error(text, tokens[1][2], "declared size must be >= 1")
         start = 3
-    parser = _Parser(tokens[start:], bits)
-    expr = parser.parse_superposition()
-    trailing = parser.peek()
-    if trailing.kind != "eof":
-        raise ParseError(f"unexpected trailing input {trailing.text!r}",
-                         trailing.line, trailing.col)
-    return expr, bits
+    return _parse(text, tokens, start, bits), bits
 
 
 def parse_dsl(text: str) -> Expr:
@@ -201,57 +174,38 @@ def parse_dsl(text: str) -> Expr:
 
 
 def format_dsl(expr: Expr) -> str:
-    """Canonical text form; parse(format(e)) expands to the same superposition."""
-    cache: Dict[int, Tuple[int, str]] = {}
+    """Canonical text form; parse(format(e)) expands to the same superposition.
 
-    def min_bit(node: Expr) -> int:
+    One pass over expr's topological order keeps (lowest bit, text) per
+    node. A Sum is parenthesized as a factor or a term, a Product as a
+    factor only; the root needs neither."""
+    done: Dict[int, Tuple[int, str]] = {}
+    for node in topological_order(expr):
         if isinstance(node, Ref):
-            return node.wire.bit_index
-        if isinstance(node, Sum):
-            return min(min_bit(t) for _, t in node.terms)
-        return min(min_bit(f) for f in node.factors)
-
-    def fmt_factor(node: Expr) -> str:
-        if isinstance(node, Ref):
-            return f"R{node.wire.bit_index}_{node.wire.bit_value}"
-        return "(" + fmt_sup(node) + ")" if isinstance(node, Sum) else "(" + fmt_term(node) + ")"
-
-    def fmt_term(node: Expr) -> str:
-        if isinstance(node, Product):
-            keyed = sorted((min_bit(f), fmt_factor(f)) for f in node.factors)
-            return "*".join(txt for _, txt in keyed)
-        return fmt_factor(node)
-
-    def fmt_sup(node: Expr) -> str:
-        key = id(node)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit[1]
-        if isinstance(node, Sum):
-            pieces: List[Tuple[str, int]] = []
+            entry = (node.wire.bit_index, f"R{node.wire.bit_index}_{node.wire.bit_value}")
+        elif isinstance(node, Sum):
+            lows = []
+            pieces: List[Tuple[str, bool]] = []
             for coeff, term in node.terms:
-                txt = fmt_term(term)
-                sign = 1 if coeff > 0 else -1
-                pieces.extend((txt, sign) for _ in range(abs(coeff)))
+                low, txt = done[id(term)]
+                lows.append(low)
+                if isinstance(term, Sum):
+                    txt = f"({txt})"
+                # the grammar has no coefficients: a term repeats |coeff| times
+                pieces.extend([(txt, coeff > 0)] * abs(coeff))
             pieces.sort()
-            out = []
-            for i, (txt, sign) in enumerate(pieces):
-                if i == 0:
-                    out.append(("-" if sign < 0 else "") + txt)
-                else:
-                    out.append(("- " if sign < 0 else "+ ") + txt)
-            text = " ".join(out)
+            out = [("" if pieces[0][1] else "-") + pieces[0][0]]
+            out.extend(("+ " if positive else "- ") + txt for txt, positive in pieces[1:])
+            entry = (min(lows), " ".join(out))
         else:
-            text = fmt_term(node)
-        cache[key] = (0, text)
-        return text
-
-    try:
-        return fmt_sup(expr)
-    finally:
-        # the helpers call each other through their closures; breaking the
-        # cycle frees the cache now
-        del min_bit, fmt_factor, fmt_term, fmt_sup
+            keyed = []
+            for factor in node.factors:
+                low, txt = done[id(factor)]
+                keyed.append((low, txt if isinstance(factor, Ref) else f"({txt})"))
+            keyed.sort()
+            entry = (keyed[0][0], "*".join(txt for _, txt in keyed))
+        done[id(node)] = entry
+    return done[id(expr)][1]
 
 
 def parse_fragments(text: str) -> Pattern:

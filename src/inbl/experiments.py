@@ -278,17 +278,17 @@ def run_crosscorr(
     t_start: int = 0,
 ) -> float:
     """Empirical cross-correlation (1/T) sum a*b, normalized by the signals'
-    root-mean-square amplitudes. Identical signals give exactly 1.0."""
+    root-mean-square amplitudes. Signals equal over the window give exactly 1.0."""
     if clocks < 1:
         raise ValueError(f"clocks must be >= 1, got {clocks}")
-    a, _ = eval_array(expr_a, system, t_start, clocks)
-    b, _ = eval_array(expr_b, system, t_start, clocks)
+    a, exp2_a = eval_array(expr_a, system, t_start, clocks)
+    b, exp2_b = eval_array(expr_b, system, t_start, clocks)
     # the 2**exp2 scales cancel in the normalized ratio
     norm_a = math.sqrt(_dot(a, a) / clocks)
     norm_b = math.sqrt(_dot(b, b) / clocks)
     if norm_a == 0.0 or norm_b == 0.0:
         raise ValueError("cross-correlation of a zero-variance signal")
-    if expr_a is expr_b or expr_a == expr_b:
+    if exp2_a == exp2_b and np.array_equal(a, b):
         return 1.0
     return (_dot(a, b) / clocks) / (norm_a * norm_b)
 

@@ -1,7 +1,9 @@
 """Brute-force expansion oracle: ground truth for every protocol.
 
 Expands an expression DAG into its explicit product-string/coefficient
-table by distributing products over sums symbolically. Intentionally
+table by distributing products over sums symbolically, in one pass over
+the DAG's topological order with one table per distinct node (no
+recursion, so nesting depth is limited only by memory). Intentionally
 exponential; a hard size cap fails loudly instead of thrashing.
 """
 
@@ -11,7 +13,7 @@ from typing import Dict, Optional, Tuple
 
 from .dyadic import Dyadic, ZERO
 from .errors import OracleLimitExceeded
-from .expr import Expr, Pattern, Product, Ref, Sum
+from .expr import Expr, Pattern, Ref, Sum, topological_order
 from .reference import ReferenceSystem, WireId
 from .search import BellClass
 from .switchboard import SwitchState
@@ -66,54 +68,49 @@ def expand(expr: Expr, num_bits: int, limit: int = DEFAULT_ORACLE_LIMIT) -> Expa
             f"expansion over {num_bits} bits exceeds the cap of {limit}"
         )
     noncanonical = False
-
-    def go(node: Expr) -> Dict[_Monomial, int]:
-        nonlocal noncanonical
+    tables: Dict[int, Dict[_Monomial, int]] = {}
+    for node in topological_order(expr):
         if isinstance(node, Ref):
             w = node.wire
             if w.bit_index > num_bits:
                 raise ValueError(
                     f"wire bit_index {w.bit_index} exceeds num_bits {num_bits}"
                 )
-            return {((w.bit_index, w.bit_value),): 1}
-        if isinstance(node, Sum):
+            table = {((w.bit_index, w.bit_value),): 1}
+        elif isinstance(node, Sum):
             acc: Dict[_Monomial, int] = {}
             for coeff, term in node.terms:
-                for mono, c in go(term).items():
+                for mono, c in tables[id(term)].items():
                     acc[mono] = acc.get(mono, 0) + coeff * c
-            return {m: c for m, c in acc.items() if c != 0}
-        # Product: fold pairwise symbolic multiplication
-        acc = go(node.factors[0])
-        for factor in node.factors[1:]:
-            rhs = go(factor)
-            merged: Dict[_Monomial, int] = {}
-            for mono_a, ca in acc.items():
-                da = dict(mono_a)
-                for mono_b, cb in rhs.items():
-                    d = dict(da)
-                    dead = False
-                    for idx, val in mono_b:
-                        prev = d.get(idx)
-                        if prev is None:
-                            d[idx] = val
-                        else:
-                            noncanonical = True
-                            if prev != val:
-                                dead = True
-                                break
-                    if dead:
-                        continue
-                    key = tuple(sorted(d.items()))
-                    merged[key] = merged.get(key, 0) + ca * cb
-            acc = {m: c for m, c in merged.items() if c != 0}
-        return acc
-
-    try:
-        monomials = go(expr)
-    finally:
-        del go  # go holds itself in its closure; breaking the cycle frees its tables now
+            table = {m: c for m, c in acc.items() if c != 0}
+        else:
+            # Product: fold pairwise symbolic multiplication
+            table = tables[id(node.factors[0])]
+            for factor in node.factors[1:]:
+                rhs = tables[id(factor)]
+                merged: Dict[_Monomial, int] = {}
+                for mono_a, ca in table.items():
+                    da = dict(mono_a)
+                    for mono_b, cb in rhs.items():
+                        d = dict(da)
+                        dead = False
+                        for idx, val in mono_b:
+                            prev = d.get(idx)
+                            if prev is None:
+                                d[idx] = val
+                            else:
+                                noncanonical = True
+                                if prev != val:
+                                    dead = True
+                                    break
+                        if dead:
+                            continue
+                        key = tuple(sorted(d.items()))
+                        merged[key] = merged.get(key, 0) + ca * cb
+                table = {m: c for m, c in merged.items() if c != 0}
+        tables[id(node)] = table
     return Expansion(
-        {_render(m, num_bits): c for m, c in monomials.items()},
+        {_render(m, num_bits): c for m, c in tables[id(expr)].items()},
         num_bits,
         noncanonical,
     )
@@ -151,27 +148,19 @@ def eval_via_expansion(
     switches: Optional[SwitchState] = None,
 ) -> Dyadic:
     """Ground-truth signal value: sum of coefficient * wire-value products."""
-    wire_cache: Dict[Tuple[int, str], Dyadic] = {}
-
-    def wire_val(idx: int, ch: str) -> Dyadic:
-        key = (idx, ch)
-        v = wire_cache.get(key)
-        if v is None:
-            wire = WireId(idx, int(ch))
-            if switches is not None and switches.is_grounded(wire):
-                v = ZERO
-            else:
-                v = system.wire_value(wire, t)
-            wire_cache[key] = v
-        return v
-
+    wire_cache: Dict[Tuple[int, str], Dyadic] = {}  # each wire is read at most once
     total = ZERO
     for key, coeff in expansion.entries.items():
         value = Dyadic(coeff)
         for i, ch in enumerate(key):
             if ch == "-":
                 continue
-            value = value * wire_val(i + 1, ch)
+            v = wire_cache.get((i, ch))
+            if v is None:
+                wire = WireId(i + 1, int(ch))
+                grounded = switches is not None and switches.is_grounded(wire)
+                v = wire_cache[(i, ch)] = ZERO if grounded else system.wire_value(wire, t)
+            value = value * v
             if value.is_zero():
                 break
         total = total + value

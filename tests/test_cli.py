@@ -230,17 +230,29 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["search", str(tmp_path / "missing.nbl"), "--string", "1"]) == 2
 
 
-def test_deeply_nested_file_exits_2(tmp_path, capsys):
-    # exit 1 means "absent", so no crash may end there
+def test_deeply_nested_file_reports_like_its_flat_form(tmp_path, capsys):
+    flat = tmp_path / "flat.nbl"
+    flat.write_text(f"bits 4;\n{EQ9_TEXT}\n")
     deep = tmp_path / "deep.nbl"
-    deep.write_text("(" * 2000 + "R1_0" + ")" * 2000 + "\n")
-    assert main(["search", str(deep), "--string", "1"]) == 2
-    assert "error:" in capsys.readouterr().err
+    deep.write_text("bits 4;\n" + "(" * 10_000 + EQ9_TEXT + ")" * 10_000 + "\n")
+    for string, want in (("1010", 0), ("1111", 1)):
+        reports = []
+        for path in (deep, flat):
+            code, report = run_json(
+                capsys, ["search", str(path), "--string", string, "--oracle-check", "--seed", "1"]
+            )
+            assert code == want
+            del report["duration_s"], report["parameters"]["file"]
+            report["command"].remove(str(path))
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["oracle_check"]["agrees"]
 
 
 def test_bad_flip_prob_exits_2(capsys, eq9_file):
     assert main(["search", eq9_file, "--string", "1010", "--flip-prob", "1/0"]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inbl.dsl import format_dsl, parse_dsl, parse_fragments, parse_program
 from inbl.errors import ParseError
 from inbl.expr import Pattern, Product, Sum, build_odd, build_universe, ref
-from inbl.oracle import expand
+from inbl.oracle import Expansion, expand
 
 from conftest import EQ9_TEXT, random_canonical_expr
 
@@ -88,6 +90,44 @@ def test_format_parse_fixed_point():
         assert format_dsl(reparsed) == text
         # and the expansion is untouched
         assert expand(reparsed, 5) == expand(expr, 5)
+
+
+def test_deep_chain_round_trip_without_recursion():
+    # 5,000 nested nodes built in code; each level is a Sum or a Product
+    chain = ref(1, 1)
+    for level in range(5000):
+        chain = Product((chain, ref(2, 1))) if level % 2 else Sum(((1, chain),))
+    expr, bits = parse_program(format_dsl(chain))
+    assert bits is None
+    assert expand(expr, 2) == expand(chain, 2) == Expansion({"11": 1}, 2)
+    text = format_dsl(expr)
+    # parsing drops the one-term Sums; the 2,500 Products stay nested
+    assert text.count("(") == 2499
+    assert format_dsl(parse_dsl(text)) == text
+
+
+# ints carry a space so that adjacent ones never merge into one huge size
+_SOUP = ["R1_0", "R2_1", "R12_1", "U", "EVEN", "ODD", "bits", "0 ", "2 ", "3 ",
+         "+", "-", "*", "(", ")", ";", "# note\n", "\n", " ", "@"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_SOUP), max_size=16))
+def test_token_soup_parses_or_fails_inside_the_text(soup):
+    text = "".join(soup)
+    try:
+        expr = parse_dsl(text)
+    except ParseError as err:
+        lines = text.split("\n")
+        assert 1 <= err.line <= len(lines)
+        assert 1 <= err.column <= len(lines[err.line - 1]) + 1
+        return
+    except ValueError as err:
+        # a builtin of size 0 is rejected by its builder, which has no position
+        assert str(err) == "num_bits must be >= 1, got 0"
+        return
+    canonical = format_dsl(expr)
+    assert format_dsl(parse_dsl(canonical)) == canonical
 
 
 def test_parse_fragments():

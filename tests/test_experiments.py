@@ -140,6 +140,15 @@ def test_crosscorr_self_is_one():
     system = ReferenceSystem(4, master_seed=5)
     e = build_product_string(Pattern.from_string("1010"), 4)
     assert run_crosscorr(e, e, system, 10_000) == 1.0
+    # two equal chains built apart, deeper than a recursive == can compare
+    chains = []
+    for _ in range(2):
+        chain = e
+        for _ in range(3000):
+            chain = Sum(((1, chain),))
+        chains.append(chain)
+    assert chains[0] is not chains[1]
+    assert run_crosscorr(*chains, system, 10_000) == 1.0
 
 
 def test_crosscorr_distinct_strings_bounded():
