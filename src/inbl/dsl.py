@@ -118,6 +118,8 @@ def _parse(text: str, tokens: List[_Token], pos: int, bits: Optional[int]) -> Ex
                 _expect(text, tokens[pos + 2], ")")
                 pos += 3
                 arg = int(arg_tok[1])
+                if arg < 1:
+                    raise _error(text, arg_tok[2], f"builtin size must be >= 1, got {arg}")
                 if bits is not None and arg > bits:
                     raise _error(text, arg_tok[2],
                                  f"builtin size {arg} exceeds declared size {bits}")

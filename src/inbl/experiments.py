@@ -6,13 +6,16 @@ numpy, block by block. Every amplitude is a dyadic rational, and the window
 evaluator keeps each node as exact integers scaled by a static power of two,
 so zero tests, run lengths and correlation sums are exact at every size.
 
-Each (expression, scheme) is compiled once into a cached program: node
-order, exponent floors, dtype, Sum weights and the nodes grouped by height.
-`eval_array` runs it node by node over blocks of clocks; `eval_configs` runs
-it height by height over switch configurations x a window of clocks, which
-is how every protocol (the searches, entangle discrimination and the
-phonebook) reads the un-grounded signal, the collapse and the probes of a
-whole window at once.
+Each (expression, scheme) is compiled once into a cached program: wire
+rows, exponent floors, dtype, and the Sums and Products grouped into levels
+of one height, kind and arity, each holding its children in arity-major
+order. `eval_array` runs it node by node over blocks of clocks. A
+`ConfigReader` runs it level by level over switch configurations x a window
+of clocks, one gather and one reduce per level, which is how every protocol
+(the searches, entangle discrimination and the phonebook) reads the
+un-grounded signal, the collapse and the probes of a whole window at once;
+a scan prepares its reader once (program, seed column, grounded wire rows,
+span) and reads every window from it. `eval_configs` is the one-shot read.
 """
 
 from __future__ import annotations
@@ -39,84 +42,95 @@ class _Program:
     Each node is held as integers scaled by a static exponent floor: a Ref's
     wire exponent, the minimum over a Sum's terms, the total over a
     Product's factors. dtype is int64 when the static magnitude bound of
-    every node fits in 63 bits, otherwise object (Python ints).
+    every node fits in 63 bits, otherwise object (Python ints). Every bound
+    is at least 1 and covers each partial sum and product of its node, so
+    the terms of a node may be combined in any order.
+
+    Nodes are numbered wires first, one row per distinct wire in
+    self.wires, then the Sums and Products grouped by (height, kind, arity),
+    each group a contiguous range of rows that reads only lower groups.
     """
 
     def __init__(self, expr: Expr, scheme: RtwScheme):
         order = topological_order(expr)
-        index = {id(node): i for i, node in enumerate(order)}
+        position = {id(node): i for i, node in enumerate(order)}
+        self.wires: List[WireId] = []
+        # wire tag -> row
+        wire_row: Dict[int, int] = {}
         floor: List[int] = []
         bound: List[int] = []
         height: List[int] = []
-        # per node: (kind, operand, children); kind is "wire" (operand: its
-        # row in self.wires, set below), "sum" or "product"
-        plan: List[tuple] = []
+        # per position: a wire's row, or (kind, children's positions, weights)
+        nodes: List[object] = []
         for node in order:
             if isinstance(node, Ref):
                 floor.append(scheme.magnitude_exp2(node.wire.bit_value))
                 bound.append(1)
                 height.append(0)
-                plan.append(("wire", node.wire, ()))
+                if node.wire.tag not in wire_row:
+                    wire_row[node.wire.tag] = len(self.wires)
+                    self.wires.append(node.wire)
+                nodes.append(wire_row[node.wire.tag])
                 continue
             if isinstance(node, Sum):
-                kids = [index[id(term)] for _, term in node.terms]
+                kids = [position[id(term)] for _, term in node.terms]
                 f = min(floor[j] for j in kids)
-                weights = [(j, coeff << (floor[j] - f)) for (coeff, _), j in zip(node.terms, kids)]
+                weights = [coeff << (floor[j] - f) for (coeff, _), j in zip(node.terms, kids)]
                 floor.append(f)
-                bound.append(sum(abs(w) * bound[j] for j, w in weights))
-                plan.append(("sum", weights, kids))
+                bound.append(sum(abs(w) * bound[j] for j, w in zip(kids, weights)))
+                nodes.append(("sum", kids, weights))
             else:
-                kids = [index[id(factor)] for factor in node.factors]
+                kids = [position[id(factor)] for factor in node.factors]
                 floor.append(sum(floor[j] for j in kids))
                 bound.append(math.prod(bound[j] for j in kids))
-                plan.append(("product", kids, kids))
+                nodes.append(("product", kids, None))
             height.append(1 + max(height[j] for j in kids))
-        self.plan = plan
         self.exp2 = floor[-1]
         self.dtype = np.int64 if max(bound) < _INT64_LIMIT else object
+        self.wire_row = wire_row
+        # the stream seeds of self.wires per system, as ReferenceSystem.seed_column
+        self.seeds: "weakref.WeakKeyDictionary[ReferenceSystem, np.ndarray]" = (
+            weakref.WeakKeyDictionary())
+
+        groups: Dict[Tuple[int, str, int], List[int]] = {}
+        for i, node in enumerate(nodes):
+            if isinstance(node, tuple):
+                groups.setdefault((height[i], node[0], len(node[1])), []).append(i)
+        # topological position -> row; a group's children sit in lower groups
+        row = {i: node for i, node in enumerate(nodes) if isinstance(node, int)}
+        self.nodes = len(self.wires)
+        # per group: (first row, end row, ufunc, arity, the children in
+        # arity-major order (child j of every target, j = 0..arity-1), Sum
+        # weights shaped (arity, targets, 1) or None when all are 1)
+        self.levels = []
+        # per Sum or Product row, in row order, for eval_array's node loop:
+        # (kind, [(child row, weight)] or child rows, child rows)
+        self.plan: List[tuple] = []
+        for (_, kind, arity), targets in sorted(groups.items()):
+            first = self.nodes
+            self.nodes += len(targets)
+            row.update((i, first + k) for k, i in enumerate(targets))
+            kids = [[row[j] for j in nodes[i][1]] for i in targets]
+            flat = np.array(kids, dtype=np.intp).T.reshape(-1)
+            weights = None
+            if kind == "sum":
+                table = [nodes[i][2] for i in targets]
+                if any(w != 1 for ws in table for w in ws):
+                    weights = np.array(table, dtype=self.dtype).T[:, :, None].copy()
+                self.plan.extend(("sum", list(zip(k, w)), k) for k, w in zip(kids, table))
+            else:
+                self.plan.extend(("product", k, k) for k in kids)
+            ufunc = np.add if kind == "sum" else np.multiply
+            self.levels.append((first, self.nodes, ufunc, arity, flat, weights))
+        self.root = row[len(order) - 1]
         # a child's block array is dropped after the last node that reads it
-        self.last_use = list(range(len(order)))
-        for i, (_, _, kids) in enumerate(plan):
+        self.last_use = list(range(self.nodes))
+        for i, (_, _, kids) in enumerate(self.plan, start=len(self.wires)):
             for j in kids:
                 self.last_use[j] = i
-        refs = [i for i, (kind, _, _) in enumerate(plan) if kind == "wire"]
-        self.wires = list({plan[i][1].tag: plan[i][1] for i in refs}.values())
-        # wire tag -> row of the wire in sign_rows(self.wires, ...)
-        self.wire_index = {w.tag: k for k, w in enumerate(self.wires)}
-        for i in refs:
-            plan[i] = ("wire", self.wire_index[plan[i][1].tag], ())
-        self.refs = np.array(refs, dtype=np.intp)
-        self.ref_wires = np.array([plan[i][1] for i in refs], dtype=np.intp)
-        self.levels = self._levels(plan, height)
         # rows of the tallest matrix eval_configs makes: the nodes, or the
         # children a level gathers
-        self.width = max([len(plan)] + [len(flat) for _, _, flat, _, _ in self.levels])
-
-    def _levels(self, plan: List[tuple], height: List[int]) -> List[tuple]:
-        """Per height and kind: (targets, ufunc, flat children, reduceat
-        starts, weights or None). A level reads only lower levels."""
-        groups: Dict[Tuple[int, str], List[int]] = {}
-        for i, (kind, _, _) in enumerate(plan):
-            if kind != "wire":
-                groups.setdefault((height[i], kind), []).append(i)
-        levels = []
-        for (_, kind), targets in sorted(groups.items()):
-            flat: List[int] = []
-            starts: List[int] = []
-            weights: List[int] = []
-            for i in targets:
-                _, operand, kids = plan[i]
-                starts.append(len(flat))
-                flat.extend(kids)
-                if kind == "sum":
-                    weights.extend(w for _, w in operand)
-            ufunc = np.add if kind == "sum" else np.multiply
-            w = None
-            if any(x != 1 for x in weights):
-                w = np.array(weights, dtype=self.dtype)[:, None]
-            levels.append((np.array(targets, dtype=np.intp), ufunc,
-                           np.array(flat, dtype=np.intp), np.array(starts, dtype=np.intp), w))
-        return levels
+        self.width = max([self.nodes] + [len(level[4]) for level in self.levels])
 
 
 # id(expr) -> scheme -> program; an entry is dropped when its expression dies
@@ -137,6 +151,15 @@ def _program(expr: Expr, scheme: RtwScheme) -> _Program:
     return program
 
 
+def _seed_column(program: _Program, system: ReferenceSystem) -> np.ndarray:
+    """The stream seeds of the program's wires on system, kept with the
+    program for as long as both live."""
+    seeds = program.seeds.get(system)
+    if seeds is None:
+        seeds = program.seeds[system] = system.seed_column(program.wires)
+    return seeds
+
+
 def eval_array(
     expr: Expr,
     system: ReferenceSystem,
@@ -151,17 +174,18 @@ def eval_array(
     """
     program = _program(expr, system.scheme)
     plan, last_use, dtype = program.plan, program.last_use, program.dtype
+    seeds = _seed_column(program, system)
+    first = len(program.wires)
 
     ints = np.empty(clocks, dtype=dtype)
     for lo in range(0, clocks, BLOCK_CLOCKS):
         n = min(BLOCK_CLOCKS, clocks - lo)
-        signs = system.sign_rows(program.wires, t_start + lo, n)
-        vals: List[Optional[np.ndarray]] = [None] * len(plan)
-        for i, (kind, operand, kids) in enumerate(plan):
-            # wire reads stay int8; every arithmetic result has the chosen dtype
-            if kind == "wire":
-                value = signs[operand]
-            elif kind == "sum":
+        # wire reads stay int8; every arithmetic result has the chosen dtype
+        vals: List[Optional[np.ndarray]] = [*system.seeded_sign_rows(
+            program.wires, seeds, t_start + lo, n)]
+        vals.extend([None] * len(plan))
+        for i, (kind, operand, kids) in enumerate(plan, start=first):
+            if kind == "sum":
                 (j, w), rest = operand[0], operand[1:]
                 value = np.multiply(vals[j], w, dtype=dtype)
                 for j, w in rest:
@@ -179,8 +203,64 @@ def eval_array(
             for j in kids:
                 if last_use[j] == i:
                     vals[j] = None
-        ints[lo : lo + n] = vals[-1]
+        ints[lo : lo + n] = vals[program.root]
     return ints, program.exp2
+
+
+class ConfigReader:
+    """One expression's reads of fixed switch configurations on one system,
+    prepared once for a scan that reads window after window.
+
+    grounded[r] is the set of wires grounded in configuration r. Preparing
+    resolves the cached program, its seed column on the system, the
+    (wire row, configuration) pairs a grounding zeroes and the span of
+    clocks one pass takes; read() then evaluates windows from them. All
+    configurations see the same wire draws, and each level of the program
+    is one gather and one reduce over an arity x targets x (configurations
+    * clocks) array.
+    """
+
+    __slots__ = ("program", "system", "seeds", "configs", "cut", "span")
+
+    def __init__(self, expr: Expr, system: ReferenceSystem,
+                 grounded: Sequence[AbstractSet[WireId]]):
+        program = self.program = _program(expr, system.scheme)
+        self.system = system
+        self.seeds = _seed_column(program, system)
+        self.configs = len(grounded)
+        rows = program.wire_row
+        cut = [(k, r) for r, wires in enumerate(grounded) for w in wires
+               if (k := rows.get(w.tag)) is not None]
+        self.cut = tuple(np.array(pairs, dtype=np.intp) for pairs in zip(*cut)) if cut else None
+        # clocks per pass: the tallest matrix, program.width rows of
+        # configurations x clocks, stays within BLOCK_CLOCKS entries
+        self.span = max(1, BLOCK_CLOCKS // (program.width * max(self.configs, 1)))
+
+    def read(self, t0: int, clocks: int) -> Tuple[np.ndarray, int]:
+        """Exact values over clocks [t0, t0 + clocks), one row per
+        configuration: configuration r reads ints[r, k] * 2**exp2 at clock
+        t0 + k, with the dtype rule of eval_array."""
+        program, configs = self.program, self.configs
+        wires, levels = len(program.wires), program.levels
+        ints = np.empty((configs, clocks), dtype=program.dtype)
+        for lo in range(0, clocks, self.span):
+            n = min(self.span, clocks - lo)
+            cols = configs * n
+            vals = np.empty((program.nodes, configs, n), dtype=program.dtype)
+            # every configuration sees the same draws; a grounded wire reads 0
+            vals[:wires] = self.system.seeded_sign_rows(
+                program.wires, self.seeds, t0 + lo, n)[:, None, :]
+            if self.cut is not None:
+                vals[self.cut] = 0
+            vals = vals.reshape(program.nodes, cols)
+            for first, end, ufunc, arity, flat, weights in levels:
+                # np.take is about twice as fast as vals[flat] on these rows
+                gathered = np.take(vals, flat, axis=0).reshape(arity, end - first, cols)
+                if weights is not None:
+                    gathered *= weights
+                ufunc.reduce(gathered, axis=0, out=vals[first:end])
+            ints[:, lo : lo + n] = vals[program.root].reshape(configs, n)
+        return ints, program.exp2
 
 
 def eval_configs(
@@ -191,39 +271,13 @@ def eval_configs(
     grounded: Sequence[AbstractSet[WireId]],
 ) -> Tuple[np.ndarray, int]:
     """Exact signal values over clocks [t0, t0 + clocks), one row per switch
-    configuration.
+    configuration, grounded[r] being the wires configuration r grounds: the
+    one-shot read ConfigReader(expr, system, grounded).read(t0, clocks).
 
-    grounded[r] is the set of wires grounded in configuration r. Returns
-    (ints, exp2): configuration r reads ints[r, k] * 2**exp2 at clock t0 + k,
-    with the dtype rule of eval_array. All configurations see the same wire
-    draws, and each height of the DAG is one gather and one reduceat over a
-    nodes x (configurations * clocks) matrix. Clocks are taken in spans that
-    keep the tallest such matrix within BLOCK_CLOCKS entries.
+    Returns (ints, exp2): configuration r reads ints[r, k] * 2**exp2 at
+    clock t0 + k, with the dtype rule of eval_array.
     """
-    program = _program(expr, system.scheme)
-    configs = len(grounded)
-    # live[k, r] = 0 where configuration r grounds wire k
-    live = np.ones((len(program.wires), configs), dtype=np.int8)
-    index = program.wire_index
-    cut = [(k, r) for r, wires in enumerate(grounded) for w in wires
-           if (k := index.get(w.tag)) is not None]
-    if cut:
-        live[tuple(zip(*cut))] = 0
-    ints = np.empty((configs, clocks), dtype=program.dtype)
-    span = max(1, BLOCK_CLOCKS // (program.width * max(configs, 1)))
-    for lo in range(0, clocks, span):
-        n = min(span, clocks - lo)
-        signs = system.sign_rows(program.wires, t0 + lo, n)
-        vals = np.empty((len(program.plan), configs * n), dtype=program.dtype)
-        reads = signs[:, None, :] * live[:, :, None]  # wires x configurations x clocks
-        vals[program.refs] = reads[program.ref_wires].reshape(-1, configs * n)
-        for targets, ufunc, flat, starts, weights in program.levels:
-            gathered = vals[flat]
-            if weights is not None:
-                gathered *= weights
-            vals[targets] = ufunc.reduceat(gathered, starts, axis=0)
-        ints[:, lo : lo + n] = vals[-1].reshape(configs, n)
-    return ints, program.exp2
+    return ConfigReader(expr, system, grounded).read(t0, clocks)
 
 
 @dataclass

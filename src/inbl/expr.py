@@ -13,7 +13,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .dyadic import Dyadic, ZERO
 from .errors import PatternError
-from .reference import ReferenceSystem, WireId
+from .reference import ReferenceSystem, WireId, wire_id
 
 
 class Expr:
@@ -58,7 +58,7 @@ class Product(Expr):
 @lru_cache(maxsize=None)
 def ref(bit_index: int, bit_value: int) -> Ref:
     """Interned Ref node; sharing lets evaluation memoize wire reads."""
-    return Ref(WireId(bit_index, bit_value))
+    return Ref(wire_id(bit_index, bit_value))
 
 
 @dataclass(frozen=True)

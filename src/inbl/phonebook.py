@@ -30,7 +30,7 @@ from .errors import (
     ProbeInconsistency,
 )
 from .expr import Expr, Pattern, Product, Sum, ref
-from .reference import ReferenceSystem, WireId
+from .reference import ReferenceSystem, wire_id
 from .search import DEFAULT_MAX_WAIT, wait_for_live_clock
 from .switchboard import ground_inverse
 
@@ -127,7 +127,7 @@ def _collapse_and_probe(
     probe_bits = range(probe_offset + 1, probe_offset + probe_width + 1)
     for j in probe_bits:
         for v in (0, 1):
-            wire = WireId(j, v)
+            wire = wire_id(j, v)
             ops += switches.ground(wire)
             configs.append(switches.grounded)
             switches.restore(wire)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,6 +54,16 @@ class WireId:
             raise InvalidWireError(f"bit_value must be 0 or 1, got {self.bit_value}")
         object.__setattr__(self, "tag", (self.bit_index << 1) | self.bit_value)
 
+    def __hash__(self) -> int:
+        return self.tag
+
+
+@lru_cache(maxsize=None)
+def wire_id(bit_index: int, bit_value: int) -> WireId:
+    """Interned WireId: the hot paths' sets and per-wire tables then find
+    it by identity before they compare fields."""
+    return WireId(bit_index, bit_value)
+
 
 class RtwScheme(Enum):
     # Asymmetric: High wires swing +/-1, Low wires +/-1/2, which keeps sums
@@ -87,10 +98,10 @@ _COUNTER_STEPS = np.arange(BLOCK_CLOCKS, dtype=np.uint64)
 _COUNTER_STEPS *= np.uint64((2 * _GOLDEN) & _MASK64)
 
 
-def _counters(seeds: Sequence[int], t0: int, salt: int) -> np.ndarray:
-    """Column of each stream's counter at clock t0, the start of a block."""
-    step = _GOLDEN * ((t0 << 1) | salt)
-    return np.array([(s + step) & _MASK64 for s in seeds], dtype=np.uint64)[:, None]
+def _counters(seeds: np.ndarray, t0: int, salt: int) -> np.ndarray:
+    """Column of each stream's counter at clock t0, the start of a block,
+    from the column of stream seeds (uint64 adds wrap modulo 2**64)."""
+    return seeds + np.uint64((_GOLDEN * ((t0 << 1) | salt)) & _MASK64)
 
 
 def _draw_into(x: np.ndarray, tmp: np.ndarray, start: np.ndarray,
@@ -161,8 +172,8 @@ class ReferenceSystem:
 
     def wires(self) -> Iterator[WireId]:
         for i in range(1, self.num_bits + 1):
-            yield WireId(i, 0)
-            yield WireId(i, 1)
+            yield wire_id(i, 0)
+            yield wire_id(i, 1)
 
     def check_wire(self, wire: WireId) -> None:
         if not 1 <= wire.bit_index <= self.num_bits:
@@ -216,7 +227,18 @@ class ReferenceSystem:
 
     def sign_rows(self, wires: Sequence[WireId], t0: int, n: int) -> np.ndarray:
         """Signs (int8 +1/-1) of distinct wires over clocks [t0, t0+n): row r
-        is wires[r], bit-identical to wire_sign.
+        is wires[r], bit-identical to wire_sign."""
+        return self.seeded_sign_rows(wires, self.seed_column(wires), t0, n)
+
+    def seed_column(self, wires: Sequence[WireId]) -> np.ndarray:
+        """The wires' stream seeds as one uint64 column, which a caller that
+        draws the same wires window after window keeps and passes to
+        seeded_sign_rows."""
+        return np.array([self.wire_seed(w) for w in wires], dtype=np.uint64)[:, None]
+
+    def seeded_sign_rows(self, wires: Sequence[WireId], seeds: np.ndarray,
+                         t0: int, n: int) -> np.ndarray:
+        """sign_rows, given seeds = seed_column(wires).
 
         Every draw is a pure function of its (wire, clock) counter, so a block
         of rows x clocks is one numpy pass, made in place on the system's two
@@ -226,7 +248,6 @@ class ReferenceSystem:
         """
         if t0 < 0:
             raise ValueError(f"clock must be >= 0, got {t0}")
-        seeds = [self.wire_seed(w) for w in wires]
         if self._buffers is None:
             self._buffers = (np.empty(BLOCK_CLOCKS, np.uint64), np.empty(BLOCK_CLOCKS, np.uint64))
         # bits[r, k] = 1 where wire r's sign at clock t0 + k is +1
@@ -236,12 +257,13 @@ class ReferenceSystem:
         elif self._iid:
             self._fair_bits(seeds, t0, bits)
         elif self.flip_prob == 1:  # every clock flips: the sign bit at t is s0 ^ (t & 1)
-            s0 = np.array([_draw(s, 0, _SALT_SIGN) >> 63 for s in seeds], dtype=np.int8)
+            s0 = np.array([_draw(s, 0, _SALT_SIGN) >> 63 for s in seeds[:, 0].tolist()],
+                          dtype=np.int8)
             bits[:, 0::2] = (s0 ^ (t0 & 1))[:, None]
             bits[:, 1::2] = (s0 ^ (t0 & 1) ^ 1)[:, None]
         else:
             # rows counted from the same clock share one pass
-            starts = [self._start(w, s, t0) for w, s in zip(wires, seeds)]
+            starts = [self._start(w, s, t0) for w, s in zip(wires, seeds[:, 0].tolist())]
             groups: Dict[int, List[int]] = {}
             for r, (clock, _) in enumerate(starts):
                 groups.setdefault(clock, []).append(r)
@@ -249,13 +271,13 @@ class ReferenceSystem:
                 for i in range(0, len(rows), BLOCK_CLOCKS):
                     part = rows[i : i + BLOCK_CLOCKS]
                     bits[part] = self._flip_bits(
-                        [wires[r] for r in part], [seeds[r] for r in part],
+                        [wires[r] for r in part], seeds[part],
                         [starts[r][1] for r in part], starts[part[0]][0], t0, n)
         bits <<= 1
         bits -= 1
         return bits
 
-    def _fair_bits(self, seeds: List[int], t0: int, bits: np.ndarray) -> None:
+    def _fair_bits(self, seeds: np.ndarray, t0: int, bits: np.ndarray) -> None:
         """Fill bits with the sign bits at flip_prob 1/2: bit 63 of each draw."""
         rows, n = bits.shape
         x, tmp = self._buffers
@@ -271,7 +293,7 @@ class ReferenceSystem:
                 np.right_shift(xv, np.uint64(63), out=tv)
                 bits[r : r + h, lo : lo + k] = tv
 
-    def _flip_bits(self, wires: Sequence[WireId], seeds: List[int], start_bits: List[int],
+    def _flip_bits(self, wires: Sequence[WireId], seeds: np.ndarray, start_bits: List[int],
                    a: int, t0: int, n: int) -> np.ndarray:
         """Sign bits over [t0, t0+n) of at most BLOCK_CLOCKS wires, counted
         from clock a, where their sign bits are start_bits (see _start).

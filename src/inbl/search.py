@@ -9,10 +9,11 @@ error bound on negative verdicts.
 The searches make their switch actions first and then read with
 `wait_for_live_clock`, which scans windows of clocks that double from the
 number of clocks the search reads (one, or tau for a fragment search) up to
-BLOCK_CLOCKS. Each window is one exact `eval_configs` call over the
-un-grounded signal and the grounded configurations, so the live clock and
-the readings after it come from the same call; a fragment search makes at
-most one more call for the tau reads past the window's end. Entangle
+BLOCK_CLOCKS. The scan prepares one `experiments.ConfigReader` for the
+un-grounded signal and the grounded configurations and reads each window
+with one exact call to it, so the live clock and the readings after it come
+from the same call; a fragment search makes at most one more call, through
+`eval_configs`, for the tau reads past the window's end. Entangle
 discrimination reads the same way: its four probe configurations are
 recorded from real switch actions and read with the un-grounded signal in
 the live-clock window. Amplitudes become `Dyadic` values only in the
@@ -29,9 +30,9 @@ import numpy as np
 
 from .dyadic import Dyadic
 from .errors import IllegalClass, MaxWaitExceeded
-from .experiments import eval_configs
+from .experiments import ConfigReader, eval_configs
 from .expr import Expr, Pattern
-from .reference import BLOCK_CLOCKS, ReferenceSystem, WireId
+from .reference import BLOCK_CLOCKS, ReferenceSystem, WireId, wire_id
 from .switchboard import SwitchState, ground_inverse
 
 DEFAULT_MAX_WAIT = 10_000
@@ -126,12 +127,12 @@ def wait_for_live_clock(
     """
     if max_wait < 0:
         raise ValueError(f"max_wait must be >= 0, got {max_wait}")
-    configs = [frozenset(), *grounded]
+    reader = ConfigReader(expr, system, [frozenset(), *grounded])
     end = t_start + max_wait + 1
     t0, width = t_start, min(max(reads, 1), BLOCK_CLOCKS)
     while t0 < end:
         n = min(width, end - t0)
-        ints, exp2 = eval_configs(expr, system, t0, n, configs)
+        ints, exp2 = reader.read(t0, n)
         live = ints[0].nonzero()[0]
         if len(live):
             k = int(live[0])
@@ -243,11 +244,11 @@ def entangle_discriminate(
     # the switch actions come first: per bit-1 value v, ground R1_(1-v) and
     # then R2_p, recording each configuration; the scan reads all four at
     # the live clock as rows 1-4, after the un-grounded row 0
-    partner_wire = WireId(2, probe_partner_value)
+    partner_wire = wire_id(2, probe_partner_value)
     switches = SwitchState()
     configs = []
     for bit1_value in (0, 1):
-        side_wire = WireId(1, 1 - bit1_value)
+        side_wire = wire_id(1, 1 - bit1_value)
         switches.ground(side_wire)
         configs.append(switches.grounded)
         switches.ground(partner_wire)

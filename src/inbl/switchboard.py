@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import FrozenSet
 
 from .expr import Pattern
-from .reference import WireId
+from .reference import WireId, wire_id
 
 
 class SwitchState:
@@ -53,5 +53,5 @@ def ground_inverse(pattern: Pattern, num_bits: int) -> SwitchState:
     pattern.check_fits(num_bits)
     switches = SwitchState()
     for idx, val in pattern.assignments:
-        switches.ground(WireId(idx, 1 - val))
+        switches.ground(wire_id(idx, 1 - val))
     return switches

@@ -1,10 +1,14 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import inbl
 from inbl.cli import main
@@ -143,16 +147,16 @@ def test_lookup_absent_name_errors(capsys, book_file):
 
 
 def test_probe_inconsistency_exits_2_without_traceback(capsys, monkeypatch, book_file):
-    from inbl import search
+    from inbl.experiments import ConfigReader
 
-    real_eval_configs = search.eval_configs
+    real_read = ConfigReader.read
 
-    def every_probe_zero(expr, system, t0, clocks, grounded):
-        readings, exp2 = real_eval_configs(expr, system, t0, clocks, grounded)
+    def every_probe_zero(reader, t0, clocks):
+        readings, exp2 = real_read(reader, t0, clocks)
         readings[2:] = 0
         return readings, exp2
 
-    monkeypatch.setattr(search, "eval_configs", every_probe_zero)
+    monkeypatch.setattr(ConfigReader, "read", every_probe_zero)
     code = main(["lookup", book_file, "--name", "01", "--seed", "6"])
     err = capsys.readouterr().err
     assert code == 2
@@ -228,6 +232,47 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("bits 4;\nR1_0 + * R2_1\n")
     assert main(["search", str(bad), "--string", "1010"]) == 2
     assert main(["search", str(tmp_path / "missing.nbl"), "--string", "1"]) == 2
+
+
+def test_builtin_of_size_zero_exits_2_at_its_position(tmp_path, capsys):
+    path = tmp_path / "u0.nbl"
+    path.write_text("bits 2;\nU(0) + R1_0")
+    assert main(["search", str(path), "--string", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 2:3: ")
+    assert "Traceback" not in err
+
+
+# byte pieces of .nbl and phonebook files after an optional header; ints
+# carry a space so that adjacent ones never merge into one huge size
+_FILE_HEADERS = [b"", b"bits 2;\n", b"names 1; numbers 1;\n", b"names 1; numbers 2;\n"]
+_FILE_SOUP = [b"bits ", b"names ", b"numbers ", b"1 ", b"2 ", b"0 ", b";", b"\n", b" -> ",
+              b"0 -> 1\n", b"1 -> 10\n", b"01", b"R1_0", b"R2_1", b"R3_0", b"R1_0*R2_1",
+              b"R1_1*R2_0", b"U", b"EVEN", b"ODD", b"+", b" - ", b"*", b"(", b")", b"#",
+              b"\xff", b"\x00", b"\xc3\xa9"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=48),
+    st.builds(bytes.__add__, st.sampled_from(_FILE_HEADERS),
+              st.lists(st.sampled_from(_FILE_SOUP), max_size=12).map(b"".join))))
+def test_arbitrary_file_bytes_exit_0_1_or_2(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "input"
+    path.write_bytes(data)
+    for argv in (["search", str(path), "--string", "10"],
+                 ["search", str(path), "--fragments", "1=0", "--tau", "4"],
+                 ["entangle", str(path)],
+                 ["lookup", str(path), "--name", "0"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--max-wait", "64", "--seed", "3"])
+        assert code in (0, 1, 2), (argv, code)
+        if code == 1:  # absent, and only absent, exits 1
+            assert json.loads(out.getvalue())["outcome"]["verdict"].startswith("absent")
+        if code == 2:
+            assert err.getvalue().startswith("error:"), err.getvalue()
+            assert "Traceback" not in err.getvalue()
 
 
 def test_deeply_nested_file_reports_like_its_flat_form(tmp_path, capsys):

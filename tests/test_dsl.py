@@ -1,15 +1,24 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from inbl.dsl import format_dsl, parse_dsl, parse_fragments, parse_program
 from inbl.errors import ParseError
-from inbl.expr import Pattern, Product, Sum, build_odd, build_universe, ref
+from inbl.expr import (
+    Pattern,
+    Product,
+    Ref,
+    Sum,
+    build_odd,
+    build_universe,
+    ref,
+    topological_order,
+)
 from inbl.oracle import Expansion, expand
 
-from conftest import EQ9_TEXT, random_canonical_expr
+from conftest import EQ9_TEXT, dags, random_canonical_expr
 
 
 def test_parse_eq9_terms():
@@ -92,6 +101,38 @@ def test_format_parse_fixed_point():
         assert expand(reparsed, 5) == expand(expr, 5)
 
 
+def _written_refs(expr):
+    """How many wire reads format_dsl writes for expr, counted without
+    writing them: shared nodes are written out once per use."""
+    count = {}
+    for node in topological_order(expr):
+        if isinstance(node, Ref):
+            n = 1
+        elif isinstance(node, Sum):
+            n = sum(abs(c) * count[id(term)] for c, term in node.terms)
+        else:
+            n = sum(count[id(factor)] for factor in node.factors)
+        count[id(node)] = n
+    return count[id(expr)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(dags(narrow=True))
+def test_dag_round_trips_through_text(dag):
+    m, expr, _ = dag
+    # a node shared by k later ones is written k times; keep the text small
+    assume(_written_refs(expr) <= 2000)
+    parsed, bits = parse_program(format_dsl(expr))
+    assert bits is None
+    assert expand(parsed, m) == expand(expr, m)
+    # parsing drops one-factor Products and unit one-term Sums, so the text
+    # of the parsed DAG is the canonical one: parse . format keeps it
+    canonical = format_dsl(parsed)
+    reparsed = parse_dsl(canonical)
+    assert format_dsl(reparsed) == canonical
+    assert expand(reparsed, m) == expand(expr, m)
+
+
 def test_deep_chain_round_trip_without_recursion():
     # 5,000 nested nodes built in code; each level is a Sum or a Product
     chain = ref(1, 1)
@@ -121,10 +162,6 @@ def test_token_soup_parses_or_fails_inside_the_text(soup):
         lines = text.split("\n")
         assert 1 <= err.line <= len(lines)
         assert 1 <= err.column <= len(lines[err.line - 1]) + 1
-        return
-    except ValueError as err:
-        # a builtin of size 0 is rejected by its builder, which has no position
-        assert str(err) == "num_bits must be >= 1, got 0"
         return
     canonical = format_dsl(expr)
     assert format_dsl(parse_dsl(canonical)) == canonical

@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -300,6 +301,90 @@ def test_eval_configs_window_in_spans_matches_eval_array():
             assert Dyadic(int(ints[r, k]), exp2) == evaluate(expr, system, 1000 + k, switches)
     # the asymmetric universe never cancels; grounding changes what it reads
     assert np.all(ints[0] != 0) and not np.array_equal(ints[0], ints[1])
+
+
+def test_eval_configs_mixed_arity_levels():
+    # height 1 holds three Sums and three Products of every arity 1-5, a
+    # level per kind and arity; the 2**70 root weight forces the object path
+    m = 5
+    wires = [ref(i, v) for i in range(1, m + 1) for v in (0, 1)]
+    weights = [-3, 1, 2**40]
+    mid = []
+    for arity in range(1, 6):
+        for shift in range(3):
+            kids = [wires[(3 * arity + 7 * shift + j) % len(wires)] for j in range(arity)]
+            mid.append(Sum(tuple((weights[(arity + shift + j) % 3], kid)
+                                 for j, kid in enumerate(kids))))
+            mid.append(Product(tuple(kids)))
+    expr = Sum(((2**70, mid[0]),) + tuple((weights[i % 3], node) for i, node in enumerate(mid)))
+    system = ReferenceSystem(m, RtwScheme.ASYMMETRIC, master_seed=19)
+    configs = [frozenset(), frozenset({WireId(1, 0), WireId(3, 1)}), frozenset({WireId(5, 1)}),
+               frozenset(w.wire for w in wires[::3])]
+    program = experiments._program(expr, system.scheme)
+    assert program.dtype == object
+    levels = {(ufunc, arity, end - first) for first, end, ufunc, arity, _, _ in program.levels}
+    assert levels >= {(ufunc, arity, 3) for ufunc in (np.add, np.multiply) for arity in range(1, 6)}
+    clocks = 1000
+    assert experiments.ConfigReader(expr, system, configs).span < clocks
+    ints, exp2 = eval_configs(expr, system, 40, clocks, configs)
+    assert ints.shape == (len(configs), clocks)
+    for r, grounded in enumerate(configs):
+        switches = SwitchState()
+        for wire in grounded:
+            switches.ground(wire)
+        for k in range(clocks):
+            assert Dyadic(int(ints[r, k]), exp2) == evaluate(expr, system, 40 + k, switches)
+
+
+@pytest.mark.parametrize("flip", [Fraction(1, 2), Fraction(1, 100)])
+def test_seed_column_is_kept_per_program_and_system(flip):
+    # symmetric weights 1, 2, 4, 8 spell out the four wire signs of each read
+    def signed_sum(bit):
+        return Sum(((1, ref(bit, 0)), (2, ref(bit, 1)), (4, ref(bit + 1, 0)), (8, ref(bit + 1, 1))))
+
+    first, second = signed_sum(1), signed_sum(3)
+    systems = [ReferenceSystem(4, RtwScheme.SYMMETRIC, master_seed=s, flip_prob=flip)
+               for s in (20, 21)]
+    configs = [frozenset(), frozenset({WireId(1, 1), WireId(4, 0)}), frozenset({WireId(2, 0)})]
+    reads = [(first, systems[0], 0), (second, systems[0], 50), (first, systems[1], 30),
+             (second, systems[0], 10), (first, systems[0], 400), (first, systems[1], 5)]
+    for expr, system, t0 in reads:
+        ints, exp2 = eval_configs(expr, system, t0, 64, configs)
+        assert exp2 == 0
+        bit = 1 if expr is first else 3
+        wires = [WireId(bit, 0), WireId(bit, 1), WireId(bit + 1, 0), WireId(bit + 1, 1)]
+        for r, grounded in enumerate(configs):
+            for k in range(64):
+                want = sum(w * system.wire_sign(wire, t0 + k)
+                           for w, wire in zip((1, 2, 4, 8), wires) if wire not in grounded)
+                assert ints[r, k] == want
+    for expr in (first, second):
+        program = experiments._program(expr, RtwScheme.SYMMETRIC)
+        columns = dict(program.seeds)
+        assert set(columns) == (set(systems) if expr is first else {systems[0]})
+        for system, column in columns.items():
+            assert column.tolist() == [[system.wire_seed(w)] for w in program.wires]
+            eval_configs(expr, system, 7, 3, configs)
+            assert program.seeds[system] is column  # reused, not rebuilt
+
+
+def test_seed_column_dies_with_its_program_or_system():
+    gc.collect()
+    gc.disable()
+    try:
+        e = Sum(((1, Product((ref(1, 0), ref(2, 1)))), (3, ref(3, 0))))
+        keep, dropped = ReferenceSystem(3, master_seed=22), ReferenceSystem(3, master_seed=23)
+        for system in (keep, dropped):
+            eval_configs(e, system, 0, 2, [frozenset()])
+        program = experiments._program(e, keep.scheme)
+        assert len(program.seeds) == 2
+        del system, dropped
+        assert list(program.seeds) == [keep]
+        column, program = weakref.ref(program.seeds[keep]), weakref.ref(program)
+        del e  # reference counting alone drops the program and its columns
+        assert program() is None and column() is None
+    finally:
+        gc.enable()
 
 
 def test_program_cache_entry_dies_with_its_expression():

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from inbl import phonebook, search
 from inbl.errors import (
     DuplicateName,
     MaxWaitExceeded,
@@ -13,6 +12,7 @@ from inbl.errors import (
     PatternError,
     ProbeInconsistency,
 )
+from inbl.experiments import ConfigReader
 from inbl.expr import Product, Sum, evaluate, ref
 from inbl.oracle import expand
 from inbl.phonebook import (
@@ -221,13 +221,13 @@ def test_lookup_waits_past_a_dead_clock(monkeypatch):
     live = wait_for_live_clock(pb.expr, system, dead)
     assert live > dead
     windows = []
-    real_eval_configs = search.eval_configs
+    real_read = ConfigReader.read
 
-    def recorded(expr, system, t0, clocks, grounded):
+    def recorded(reader, t0, clocks):
         windows.append((t0, clocks))
-        return real_eval_configs(expr, system, t0, clocks, grounded)
+        return real_read(reader, t0, clocks)
 
-    monkeypatch.setattr(search, "eval_configs", recorded)
+    monkeypatch.setattr(ConfigReader, "read", recorded)
     for call, key in ((lookup, "01"), (inverse_lookup, "11")):
         del windows[:]
         assert call(pb, system, key, t_start=dead) == ("10", 6)
