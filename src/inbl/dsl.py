@@ -213,10 +213,14 @@ def format_dsl(expr: Expr) -> str:
 def parse_fragments(text: str) -> Pattern:
     """Fragment syntax used on the CLI: '1=0,2=0,4=1'."""
     assignments = {}
+    column = 1  # of the current part
     for part in text.split(","):
-        part = part.strip()
-        m = re.fullmatch(r"(\d+)\s*=\s*([01])", part)
+        m = re.fullmatch(r"\s*(\d+)\s*=\s*([01])\s*", part)
         if m is None:
-            raise ParseError(f"bad fragment {part!r}, expected INDEX=BIT", 1, 1)
-        assignments[int(m.group(1))] = int(m.group(2))
+            raise ParseError(f"bad fragment {part.strip()!r}, expected INDEX=BIT", 1, 1)
+        index = int(m.group(1))
+        if index in assignments:
+            raise ParseError(f"bit index {index} is assigned twice", 1, column + m.start(1))
+        assignments[index] = int(m.group(2))
+        column += len(part) + 1
     return Pattern.fragments(assignments)

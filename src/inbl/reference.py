@@ -4,6 +4,15 @@ A system of M noise-bits exposes 2M reference wires, each carrying a
 two-valued zero-mean random telegraph wave. Values are pure functions of
 (master_seed, wire, clock): the generator is counter-based, so any clock can
 be replayed or sampled out of order without stepping hidden state.
+
+Each wire has a stream seed, derive_wire_seed(master_seed, wire), and a
+stream draw is the SplitMix64 finalizer of that seed plus a counter
+(_draw(seed, counter, salt)). At flip_prob 1/2 one draw gives 64 clocks:
+the sign of the wire at clock t is +1 exactly when bit t & 63 (bit 0 the
+least significant) of _draw(seed, t >> 6, _SALT_SIGN) is 1. At any other
+flip_prob the sign at clock 0 is +1 when bit 63 of _draw(seed, 0, _SALT_SIGN)
+is 1, and the sign flips at clock t > 0 when _draw(seed, t, _SALT_FLIP) is
+below flip_prob * 2**64.
 """
 
 from __future__ import annotations
@@ -89,39 +98,41 @@ def _draw(seed: int, t: int, salt: int) -> int:
 
 
 # Clocks per vectorized block: the few uint64 buffers a block needs stay in
-# cache, and memory stays O(block) however long the window is. A block of
-# several wires holds rows x clocks <= BLOCK_CLOCKS draws.
+# cache, and memory stays O(block) however long the window is. One pass over
+# several wires holds rows x counters <= BLOCK_CLOCKS draws: a counter is a
+# clock for the flip draws and a 64-clock word for the fair signs.
 BLOCK_CLOCKS = 1 << 15
 
-# counter offset of clock t0 + k from clock t0 on one stream, k < BLOCK_CLOCKS
+# offset of counter c0 + k from counter c0 on one stream, k < BLOCK_CLOCKS
 _COUNTER_STEPS = np.arange(BLOCK_CLOCKS, dtype=np.uint64)
 _COUNTER_STEPS *= np.uint64((2 * _GOLDEN) & _MASK64)
 
+# bit positions 0..63 of a word, for windows that lie inside one word
+_BIT_SHIFTS = np.arange(64, dtype=np.uint64)
 
-def _counters(seeds: np.ndarray, t0: int, salt: int) -> np.ndarray:
-    """Column of each stream's counter at clock t0, the start of a block,
-    from the column of stream seeds (uint64 adds wrap modulo 2**64)."""
-    return seeds + np.uint64((_GOLDEN * ((t0 << 1) | salt)) & _MASK64)
+# the finalizer's constants as numpy scalars, made once: on the few-row
+# windows of a scan, building them per call costs as much as the arithmetic
+_U1, _U27, _U30, _U31 = (np.uint64(k) for k in (1, 27, 30, 31))
+_UMIX1, _UMIX2 = np.uint64(_MIX1), np.uint64(_MIX2)
 
 
-def _draw_into(x: np.ndarray, tmp: np.ndarray, start: np.ndarray,
-               final_round: bool = True) -> None:
-    """x[r, k] = the draw at counter start[r] plus k clocks, in place; row r
-    then holds _draw(seed_r, t0 + k, salt) for start = _counters(seeds, t0, salt).
-
-    The final `x ^ (x >> 31)` round never changes bit 63, so callers that only
-    read the sign bit skip it with final_round=False.
-    """
-    np.add(_COUNTER_STEPS[: x.shape[1]], start, out=x)
-    np.right_shift(x, np.uint64(30), out=tmp)
+def _draw_into(x: np.ndarray, tmp: np.ndarray, seeds: np.ndarray, c0: int, salt: int) -> None:
+    """x[r, k] = _draw(seeds[r], c0 + k, salt), in place, for the column of
+    stream seeds; tmp is scratch of x's shape (uint64 arithmetic wraps
+    modulo 2**64)."""
+    start = np.uint64((_GOLDEN * ((c0 << 1) | salt)) & _MASK64)
+    if x.shape[1] == 1:  # one counter per row, as on a one-word window
+        np.add(seeds, start, out=x)
+    else:
+        np.add(_COUNTER_STEPS[: x.shape[1]], seeds + start, out=x)
+    np.right_shift(x, _U30, out=tmp)
     x ^= tmp
-    x *= np.uint64(_MIX1)
-    np.right_shift(x, np.uint64(27), out=tmp)
+    x *= _UMIX1
+    np.right_shift(x, _U27, out=tmp)
     x ^= tmp
-    x *= np.uint64(_MIX2)
-    if final_round:
-        np.right_shift(x, np.uint64(31), out=tmp)
-        x ^= tmp
+    x *= _UMIX2
+    np.right_shift(x, _U31, out=tmp)
+    x ^= tmp
 
 
 class ReferenceSystem:
@@ -129,9 +140,9 @@ class ReferenceSystem:
 
     flip_prob is the per-clock probability that a wire's sign flips from its
     predecessor. At the default 1/2, successive signs are independent fair
-    coin flips and every clock is addressable in O(1); other flip
-    probabilities count flips from a per-wire anchor (the last clock
-    counted and the sign there), forward or backward, whichever of the
+    coin flips, 64 clocks to a draw, and every clock is addressable in O(1);
+    other flip probabilities count flips from a per-wire anchor (the last
+    clock counted and the sign there), forward or backward, whichever of the
     anchor and clock 0 is nearer, so scans that move forward or step back a
     little stay O(distance).
     """
@@ -194,7 +205,7 @@ class ReferenceSystem:
             raise ValueError(f"clock must be >= 0, got {t}")
         seed = self.wire_seed(wire)
         if self._iid:
-            return 1 if _draw(seed, t, _SALT_SIGN) >> 63 else -1
+            return 1 if _draw(seed, t >> 6, _SALT_SIGN) >> (t & 63) & 1 else -1
         return 1 if self._sign_bit(wire, seed, t) else -1
 
     def _start(self, wire: WireId, seed: int, t: int) -> Tuple[int, int]:
@@ -240,9 +251,11 @@ class ReferenceSystem:
                          t0: int, n: int) -> np.ndarray:
         """sign_rows, given seeds = seed_column(wires).
 
-        Every draw is a pure function of its (wire, clock) counter, so a block
-        of rows x clocks is one numpy pass, made in place on the system's two
-        uint64 buffers of BLOCK_CLOCKS entries. For flip_prob != 1/2 the wires
+        Every draw is a pure function of its (wire, counter), so a block of
+        rows x counters is one numpy pass, made in place on the system's two
+        uint64 buffers of BLOCK_CLOCKS entries; at flip_prob 1/2 a counter is
+        a word of 64 clocks, and a window inside one word draws one counter
+        per row and shifts out its clocks. For flip_prob != 1/2 the wires
         whose anchors sit at the same clock are counted together, and each
         anchor is left at the last clock counted.
         """
@@ -273,25 +286,44 @@ class ReferenceSystem:
                     bits[part] = self._flip_bits(
                         [wires[r] for r in part], seeds[part],
                         [starts[r][1] for r in part], starts[part[0]][0], t0, n)
-        bits <<= 1
+        # sign = 2 * bit - 1; numpy adds int8 many times faster than it shifts them
+        bits += bits
         bits -= 1
         return bits
 
     def _fair_bits(self, seeds: np.ndarray, t0: int, bits: np.ndarray) -> None:
-        """Fill bits with the sign bits at flip_prob 1/2: bit 63 of each draw."""
+        """Fill bits with the sign bits at flip_prob 1/2: the bit at clock t
+        is bit t & 63 of the draw at counter t >> 6 (see the module doc)."""
         rows, n = bits.shape
         x, tmp = self._buffers
-        m = min(n, BLOCK_CLOCKS)
+        w0 = t0 >> 6
+        words = ((t0 + n - 1) >> 6) - w0 + 1
+        if words == 1:
+            # the window lies inside one word: shift it down to each clock's bit
+            shifts = _BIT_SHIFTS[t0 & 63 : (t0 & 63) + n]
+            g = BLOCK_CLOCKS // n
+            for r in range(0, rows, g):
+                h = min(g, rows - r)
+                xv, tv = x[:h, None], tmp[: h * n].reshape(h, n)
+                _draw_into(xv, tmp[:h, None], seeds[r : r + h], w0, _SALT_SIGN)
+                np.right_shift(xv, shifts, out=tv)
+                np.bitwise_and(tv, _U1, out=bits[r : r + h], casting="unsafe")
+            return
+        m = min(words, BLOCK_CLOCKS)
         g = BLOCK_CLOCKS // m
-        for lo in range(0, n, m):
-            k = min(m, n - lo)
+        for lo in range(0, words, m):
+            k = min(m, words - lo)
+            base = (w0 + lo) << 6  # clock of the first bit of this pass
+            a, b = max(t0, base), min(t0 + n, base + (k << 6))  # window clocks in it
             for r in range(0, rows, g):
                 h = min(g, rows - r)
                 xv, tv = x[: h * k].reshape(h, k), tmp[: h * k].reshape(h, k)
-                _draw_into(xv, tv, _counters(seeds[r : r + h], t0 + lo, _SALT_SIGN),
-                           final_round=False)
-                np.right_shift(xv, np.uint64(63), out=tv)
-                bits[r : r + h, lo : lo + k] = tv
+                _draw_into(xv, tv, seeds[r : r + h], w0 + lo, _SALT_SIGN)
+                # bit j of word i is clock base + 64 i + j on every host: the
+                # words are read as little-endian bytes, each unpacked bit 0 first
+                u = np.unpackbits(xv.astype("<u8", copy=False).view(np.uint8),
+                                  axis=1, bitorder="little")
+                bits[r : r + h, a - t0 : b - t0] = u[:, a - base : b - base]
 
     def _flip_bits(self, wires: Sequence[WireId], seeds: np.ndarray, start_bits: List[int],
                    a: int, t0: int, n: int) -> np.ndarray:
@@ -318,7 +350,7 @@ class ReferenceSystem:
         for lo in range(start + 1, hi + 1, m):
             k = min(m, hi + 1 - lo)
             xv, tv = x[: rows * k].reshape(rows, k), tmp[: rows * k].reshape(rows, k)
-            _draw_into(xv, tv, _counters(seeds, lo, _SALT_FLIP))
+            _draw_into(xv, tv, seeds, lo, _SALT_FLIP)
             running = np.bitwise_xor.accumulate(xv < threshold, axis=1)
             running ^= parity[:, None]
             parity = running[:, -1]

@@ -234,6 +234,16 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["search", str(tmp_path / "missing.nbl"), "--string", "1"]) == 2
 
 
+@pytest.mark.parametrize("fragments", ["1=0,1=1", "1=0,1=0"])
+def test_repeated_fragment_index_exits_2(tmp_path, capsys, fragments):
+    path = tmp_path / "e.nbl"
+    path.write_text("bits 2;\nR1_0*R2_1 + R1_1*R2_0\n")
+    assert main(["search", str(path), "--fragments", fragments]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 1:5: bit index 1 is assigned twice\n"
+
+
 def test_builtin_of_size_zero_exits_2_at_its_position(tmp_path, capsys):
     path = tmp_path / "u0.nbl"
     path.write_text("bits 2;\nU(0) + R1_0")

@@ -171,3 +171,8 @@ def test_parse_fragments():
     assert parse_fragments("1=0, 2=0,4=1") == Pattern.fragments({1: 0, 2: 0, 4: 1})
     with pytest.raises(ParseError):
         parse_fragments("1:0")
+    # a repeated bit index is an error, whether its bits differ or agree
+    for text, column in (("1=0,1=1", 5), ("1=0,1=0", 5), ("2=1, 3=0,  2=1", 12)):
+        with pytest.raises(ParseError, match="bit index [12] is assigned twice") as caught:
+            parse_fragments(text)
+        assert (caught.value.line, caught.value.column) == (1, column)

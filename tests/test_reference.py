@@ -6,7 +6,15 @@ import pytest
 
 from inbl.dyadic import Dyadic
 from inbl.errors import InvalidWireError
-from inbl.reference import BLOCK_CLOCKS, ReferenceSystem, RtwScheme, WireId, derive_wire_seed
+from inbl.reference import (
+    _SALT_SIGN,
+    BLOCK_CLOCKS,
+    ReferenceSystem,
+    RtwScheme,
+    WireId,
+    _draw,
+    derive_wire_seed,
+)
 
 
 def test_wire_id_validation():
@@ -167,6 +175,9 @@ def test_sign_rows_match_wire_sign(flip):
     system = ReferenceSystem(3, master_seed=23, flip_prob=flip)
     windows = [(3000, n), (123, 4000), (BLOCK_CLOCKS - 9, 20), (t_end - 5, 5), (0, 1),
                (t_end - 40, 30), (17, BLOCK_CLOCKS + 1), (5, 0)]
+    if flip == Fraction(1, 2):
+        # every start offset within a 64-clock word, inside one word and across
+        windows += [(64 * 40 + off, length) for off in range(64) for length in (1, 63, 64, 65)]
     for t0, length in windows:
         signs = system.sign_rows(wires, t0, length)
         assert signs.dtype == np.int8 and signs.shape == (len(wires), length)
@@ -197,9 +208,9 @@ def test_backward_reads_cost_their_distance(monkeypatch):
     drawn, scalar_draws = [], []
     real_draw_into, real_draw = reference._draw_into, reference._draw
 
-    def counting_draw_into(x, tmp, start, final_round=True):
+    def counting_draw_into(x, tmp, *stream):
         drawn.append(x.size)
-        return real_draw_into(x, tmp, start, final_round)
+        return real_draw_into(x, tmp, *stream)
 
     def counting_draw(seed, t, salt):
         scalar_draws.append(t)
@@ -225,3 +236,85 @@ def test_backward_reads_cost_their_distance(monkeypatch):
     del drawn[:], scalar_draws[:]
     assert np.array_equal(system.sign_array(w, 0, far), expected[:far])
     assert sum(drawn) == far - 1
+
+
+# the fair-sign layout: clock t is bit t & 63 of the draw at counter t >> 6
+FAIR_CLOCKS = (0, 1, 63, 64, 65, 3 * 2**15 + 5, 2**40 + 7)
+
+
+def _fair_signs(system, wire, t0, n):
+    """Signs over [t0, t0 + n) straight from the layout's definition."""
+    seed = system.wire_seed(wire)
+    words = np.array([_draw(seed, c, _SALT_SIGN) for c in range(t0 >> 6, ((t0 + n - 1) >> 6) + 1)],
+                     dtype=np.uint64)
+    bits = (words[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    bits = bits.reshape(-1)[t0 & 63 : (t0 & 63) + n].astype(np.int8)
+    return 2 * bits - 1
+
+
+def test_fair_sign_is_one_bit_of_a_word_draw():
+    system = ReferenceSystem(3, master_seed=0x5EED)
+    for w in system.wires():
+        seed = system.wire_seed(w)
+        for t in FAIR_CLOCKS:
+            want = 1 if _draw(seed, t >> 6, _SALT_SIGN) >> (t & 63) & 1 else -1
+            assert system.wire_sign(w, t) == want, (w, t)
+            assert system.sign_array(w, t, 1)[0] == want, (w, t)
+
+
+def test_fair_windows_in_several_passes():
+    # rows x words above the buffer size: the rows are drawn in groups, over
+    # a window that crosses the clock BLOCK_CLOCKS
+    system = ReferenceSystem(40, master_seed=77)
+    wires = list(system.wires())
+    t0, n = BLOCK_CLOCKS - 100, 64 * (BLOCK_CLOCKS // len(wires)) + 300
+    assert len(wires) * (((t0 + n - 1) >> 6) - (t0 >> 6) + 1) > BLOCK_CLOCKS
+    signs = system.sign_rows(wires, t0, n)
+    for r in (0, 1, 38, 39, 40, 79):
+        assert np.array_equal(signs[r], _fair_signs(system, wires[r], t0, n)), r
+    rng = np.random.default_rng(0)
+    for r, k in zip(rng.integers(0, len(wires), 200), rng.integers(0, n, 200)):
+        assert signs[r, k] == system.wire_sign(wires[r], t0 + int(k))
+    # more words than the buffer holds: one row is drawn in several passes
+    t0, n = 64 * 5 + 9, 64 * BLOCK_CLOCKS + 500
+    pair = wires[:2]
+    signs = system.sign_rows(pair, t0, n)
+    for r, w in enumerate(pair):
+        assert np.array_equal(signs[r], _fair_signs(system, w, t0, n)), r
+
+
+def test_fair_signs_serially_independent():
+    # lags 1-64 pair clocks inside one draw and clocks of adjacent draws
+    T = 1 << 20
+    system = ReferenceSystem(2, master_seed=31)
+    signs = system.sign_rows(list(system.wires()), 0, T).astype(np.int32)
+    for lag in range(1, 65):
+        corr = (signs[:, :-lag] * signs[:, lag:]).mean(axis=1)
+        assert np.all(np.abs(corr) <= 5 / math.sqrt(T)), (lag, corr)
+
+
+# sign strings of two wires over clocks 1000-1099 at master seed 20261025,
+# pinned when the fair-sign layout changed: the flip != 1/2 streams must not
+# move. At this seed bit 62 of each wire's counter-0 sign draw differs from
+# bit 63, and the two wires start with opposite signs.
+GOLDEN_SIGNS = {
+    Fraction(1, 8): (
+        "+++++++++++++++++++++-++-+++++++++++--------------++++++++++++++++--++++++++++++++++++++++----------",
+        "----++++----+++------+------------++++++++++------------+++++++--+++++-----------------------+++++++",
+    ),
+    Fraction(1, 1): (
+        "-+" * 50,
+        "+-" * 50,
+    ),
+}
+
+
+@pytest.mark.parametrize("flip", sorted(GOLDEN_SIGNS))
+def test_flip_streams_are_pinned(flip):
+    wires = (WireId(1, 0), WireId(2, 1))
+    system = ReferenceSystem(2, master_seed=20261025, flip_prob=flip)
+    rows = system.sign_rows(wires, 1000, 100)
+    scalar = ReferenceSystem(2, master_seed=20261025, flip_prob=flip)
+    for w, row, want in zip(wires, rows, GOLDEN_SIGNS[flip]):
+        assert "".join("+" if v > 0 else "-" for v in row) == want
+        assert "".join("+" if scalar.wire_sign(w, t) > 0 else "-" for t in range(1000, 1100)) == want
