@@ -122,18 +122,11 @@ def _cmd_search(args) -> Tuple[dict, int]:
     expr, bits = _load_expr(args.file)
     system = _make_system(args, bits)
     if args.string:
-        pattern = Pattern.from_string(args.string)
-        if not pattern.is_full(bits):
-            raise InblError(f"--string needs {bits} bits, got {len(args.string)}")
-        outcome = full_string_search(expr, system, pattern, max_wait=args.max_wait)
-        mode = "full_string"
+        pattern, mode, search = Pattern.from_string(args.string), "full_string", full_string_search
     else:
-        pattern = parse_fragments(args.fragments)
+        pattern, mode, search = parse_fragments(args.fragments), "fragment", fragment_search
         pattern.check_fits(bits)
-        outcome = fragment_search(
-            expr, system, pattern, tau=args.tau, max_wait=args.max_wait
-        )
-        mode = "fragment"
+    outcome = search(expr, system, pattern, tau=args.tau, max_wait=args.max_wait)
     report = _base_report(
         args,
         {
@@ -141,7 +134,7 @@ def _cmd_search(args) -> Tuple[dict, int]:
             "bits": bits,
             "mode": mode,
             "pattern": str(pattern),
-            "tau": args.tau if mode == "fragment" else None,
+            "tau": args.tau,
             "max_wait": args.max_wait,
         },
     )
@@ -164,6 +157,9 @@ def _cmd_search(args) -> Tuple[dict, int]:
 
 def _cmd_entangle(args) -> Tuple[dict, int]:
     expr, bits = _load_expr(args.file, num_bits=2)
+    expected = oracle.legal_bell_class(oracle.expand(expr, 2))
+    if expected is None:
+        raise InblError(f"{args.file}: the signal is none of the six legal two-bit classes")
     system = _make_system(args, 2)
     bell, trace = entangle_discriminate(
         expr,
@@ -181,12 +177,7 @@ def _cmd_entangle(args) -> Tuple[dict, int]:
     report["bell_class"] = bell.value
     report["trace"] = [step.to_json() for step in trace]
     if args.oracle_check:
-        expansion = oracle.expand(expr, 2)
-        expected = oracle.legal_bell_class(expansion)
-        report["oracle_check"] = {
-            "bell_class": None if expected is None else expected.value,
-            "agrees": expected is bell,
-        }
+        report["oracle_check"] = {"bell_class": expected.value, "agrees": expected is bell}
     return report, EXIT_OK
 
 
@@ -290,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--string", help="full bit string to search for, e.g. 1010")
     group.add_argument("--fragments", help="partial assignment, e.g. 1=0,2=0,4=0")
     p.add_argument("--tau", type=int, default=DEFAULT_TAU,
-                   help="observation clocks before a bounded Absent verdict")
+                   help="observation clocks before a bounded Absent verdict, on a "
+                        "search that one reading cannot settle")
     p.add_argument("--oracle-check", action="store_true")
     _add_system_flags(p, waits_for_live_clock=True)
 

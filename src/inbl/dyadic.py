@@ -111,4 +111,3 @@ class Dyadic:
 
 
 ZERO = Dyadic._raw(0, 0)
-ONE = Dyadic._raw(1, 0)

@@ -46,6 +46,11 @@ class _Program:
     is at least 1 and covers each partial sum and product of its node, so
     the terms of a node may be combined in any order.
 
+    support is the bitmask (bit i for noise-bit i) of the bits every
+    product-string of the expansion assigns, one wire each: a Ref's own bit,
+    the disjoint union over a Product's factors, the one value all of a
+    Sum's terms share. An overlap or a mismatch gives None.
+
     Nodes are numbered wires first, one row per distinct wire in
     self.wires, then the Sums and Products grouped by (height, kind, arity),
     each group a contiguous range of rows that reads only lower groups.
@@ -60,6 +65,7 @@ class _Program:
         floor: List[int] = []
         bound: List[int] = []
         height: List[int] = []
+        support: List[Optional[int]] = []
         # per position: a wire's row, or (kind, children's positions, weights)
         nodes: List[object] = []
         for node in order:
@@ -67,6 +73,7 @@ class _Program:
                 floor.append(scheme.magnitude_exp2(node.wire.bit_value))
                 bound.append(1)
                 height.append(0)
+                support.append(1 << node.wire.bit_index)
                 if node.wire.tag not in wire_row:
                     wire_row[node.wire.tag] = len(self.wires)
                     self.wires.append(node.wire)
@@ -79,13 +86,20 @@ class _Program:
                 floor.append(f)
                 bound.append(sum(abs(w) * bound[j] for j, w in zip(kids, weights)))
                 nodes.append(("sum", kids, weights))
+                shared = {support[j] for j in kids}
+                support.append(shared.pop() if len(shared) == 1 else None)
             else:
                 kids = [position[id(factor)] for factor in node.factors]
                 floor.append(sum(floor[j] for j in kids))
                 bound.append(math.prod(bound[j] for j in kids))
                 nodes.append(("product", kids, None))
+                parts = [support[j] for j in kids]
+                disjoint = None not in parts and sum(parts).bit_count() == sum(
+                    p.bit_count() for p in parts)
+                support.append(sum(parts) if disjoint else None)
             height.append(1 + max(height[j] for j in kids))
         self.exp2 = floor[-1]
+        self.support = support[-1]
         self.dtype = np.int64 if max(bound) < _INT64_LIMIT else object
         self.wire_row = wire_row
         # the stream seeds of self.wires per system, as ReferenceSystem.seed_column

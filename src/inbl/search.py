@@ -1,36 +1,35 @@
-"""Collapse measurement and the search protocols built on it.
+"""Collapse measurement and the search routine built on it.
 
 Grounding the inverse wires of a pattern annihilates every product-string
-that disagrees with the pattern; reading the remaining signal at a clock
-where the original superposition is nonzero is a deterministic membership
-measurement. Fragment searches observe several clocks and carry an explicit
-error bound on negative verdicts.
+that disagrees with it, so a nonzero reading proves that a match exists.
+`fragment_search` is the one search routine; `full_string_search` is it
+with a pattern that assigns every bit. A zero reading is exact only when
+the expression is certified (its compiled program's support is not None)
+and the pattern assigns every bit of that support: at most one
+product-string survives and no clock cancels it, so one read decides. Any
+other search reads tau clocks and bounds a negative verdict by 2**-tau.
 
 The searches make their switch actions first and then read with
-`wait_for_live_clock`, which scans windows of clocks that double from the
-number of clocks the search reads (one, or tau for a fragment search) up to
-BLOCK_CLOCKS. The scan prepares one `experiments.ConfigReader` for the
-un-grounded signal and the grounded configurations and reads each window
-with one exact call to it, so the live clock and the readings after it come
-from the same call; a fragment search makes at most one more call, through
-`eval_configs`, for the tau reads past the window's end. Entangle
-discrimination reads the same way: its four probe configurations are
-recorded from real switch actions and read with the un-grounded signal in
-the live-clock window. Amplitudes become `Dyadic` values only in the
-reported outcome.
+`wait_for_live_clock`, which scans windows that double from the clocks the
+search reads up to BLOCK_CLOCKS, each window one exact call to a prepared
+`experiments.ConfigReader` for the un-grounded signal and the grounded
+configurations; a bounded search makes at most one more call, through
+`eval_configs`, for reads past the window's end. Entangle discrimination
+reads its four recorded probe configurations the same way. Amplitudes
+become `Dyadic` values only in the reported outcome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import AbstractSet, List, Optional, Sequence, Tuple
+from typing import AbstractSet, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dyadic import Dyadic
 from .errors import IllegalClass, MaxWaitExceeded
-from .experiments import ConfigReader, eval_configs
+from .experiments import ConfigReader, _program, eval_configs
 from .expr import Expr, Pattern
 from .reference import BLOCK_CLOCKS, ReferenceSystem, WireId, wire_id
 from .switchboard import SwitchState, ground_inverse
@@ -97,16 +96,14 @@ class SearchOutcome:
         }
 
 
-class LiveClock(int):
-    """The live clock a scan found, carrying that window's readings from it
-    on: configuration r reads readings[r, k] * 2**exp2 at clock self + k,
-    row 0 being the un-grounded signal."""
+class LiveClock(NamedTuple):
+    """The live clock a scan found and that window's readings from it on:
+    configuration r reads readings[r, k] * 2**exp2 at clock clock + k, row 0
+    being the un-grounded signal."""
 
-    def __new__(cls, t: int, readings: np.ndarray, exp2: int) -> "LiveClock":
-        clock = super().__new__(cls, t)
-        clock.readings = readings
-        clock.exp2 = exp2
-        return clock
+    clock: int
+    readings: np.ndarray
+    exp2: int
 
 
 def wait_for_live_clock(
@@ -122,7 +119,7 @@ def wait_for_live_clock(
     Scans windows that double from `reads` clocks (the clocks the caller
     reads from the live clock on) up to BLOCK_CLOCKS, clipped at
     t_start + max_wait; each window reads the un-grounded signal and every
-    configuration in grounded at once, and the returned clock carries them.
+    configuration in grounded at once, and the returned LiveClock carries them.
     max_wait must be >= 0; with 0, t_start itself must be live.
     """
     if max_wait < 0:
@@ -148,33 +145,15 @@ def full_string_search(
     pattern: Pattern,
     max_wait: int = DEFAULT_MAX_WAIT,
     t_start: int = 0,
+    tau: int = DEFAULT_TAU,
 ) -> SearchOutcome:
-    """Deterministic membership test for a full M-bit string.
-
-    One live clock, M groundings, one reading. The verdict is exact in both
-    directions for coefficient-1 superpositions: the survivor is the queried
-    string's own term, and a single product-string never reads zero.
-    """
+    """Membership test for a full M-bit string: a fragment search whose
+    pattern assigns every bit. Exact in both directions after one reading
+    on a certified expression, such as any sum of full product-strings;
+    otherwise bounded by tau like any fragment search."""
     if not pattern.is_full(system.num_bits):
-        raise ValueError(f"full_string_search needs a full pattern, got {pattern}")
-    switches = ground_inverse(pattern, system.num_bits)
-    live = wait_for_live_clock(expr, system, t_start, max_wait, [switches.grounded])
-    t = int(live)
-    amp = Dyadic(int(live.readings[1, 0]), live.exp2)
-    trace = [
-        TraceStep(f"live clock found at t={t}"),
-        TraceStep(f"grounded inverse wires of {pattern}"),
-        TraceStep("read superposition", amp),
-    ]
-    return SearchOutcome(
-        verdict=Verdict.ABSENT if amp.is_zero() else Verdict.PRESENT,
-        switch_ops=len(switches.grounded),
-        clocks_waited=t - t_start,
-        clocks_observed=1,
-        trace=trace,
-        witness_clock=None if amp.is_zero() else t,
-        amplitude=amp,
-    )
+        raise ValueError(f"a full-string search needs {system.num_bits} bits, got {pattern}")
+    return fragment_search(expr, system, pattern, tau, max_wait, t_start)
 
 
 def fragment_search(
@@ -187,22 +166,26 @@ def fragment_search(
 ) -> SearchOutcome:
     """Test whether any string matching the (possibly partial) pattern exists.
 
-    A nonzero reading at any observed clock is an exact positive proof. The
-    surviving sub-superposition can transiently cancel to zero, so after tau
-    all-zero readings the verdict is Absent with error bound 2**-tau.
+    A nonzero reading is an exact positive proof. If expr is certified and
+    the pattern assigns every bit of its support, the reading at the live
+    clock is exact either way. Otherwise the survivors can transiently
+    cancel, so after tau zero readings the verdict is Absent within 2**-tau.
     """
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
     switches = ground_inverse(pattern, system.num_bits)
-    live = wait_for_live_clock(expr, system, t_start, max_wait, [switches.grounded], tau)
-    t = int(live)
-    reads = live.readings[1, :tau]
+    support = _program(expr, system.scheme).support
+    exact = support is not None and not support & ~sum(1 << i for i, _ in pattern.assignments)
+    n = 1 if exact else tau
+    live = wait_for_live_clock(expr, system, t_start, max_wait, [switches.grounded], n)
+    t = live.clock
+    reads = live.readings[1, :n]
     hits = reads.nonzero()[0]
-    if len(reads) < tau and not len(hits):
-        more, _ = eval_configs(expr, system, t + len(reads), tau - len(reads), [switches.grounded])
+    if len(reads) < n and not len(hits):
+        more, _ = eval_configs(expr, system, t + len(reads), n - len(reads), [switches.grounded])
         reads = np.concatenate((reads, more[0]))
         hits = reads.nonzero()[0]
-    observed = int(hits[0]) + 1 if len(hits) else tau
+    observed = int(hits[0]) + 1 if len(hits) else n
     trace = [
         TraceStep(f"live clock found at t={t}"),
         TraceStep(f"grounded inverse wires of {pattern}"),
@@ -211,15 +194,16 @@ def fragment_search(
         TraceStep(f"read at t={t + k}", Dyadic(int(reads[k]), live.exp2)) for k in range(observed)
     )
     present = len(hits) > 0
+    verdict = Verdict.PRESENT if present else Verdict.ABSENT if exact else Verdict.ABSENT_BOUNDED
     return SearchOutcome(
-        verdict=Verdict.PRESENT if present else Verdict.ABSENT_BOUNDED,
+        verdict=verdict,
         switch_ops=len(switches.grounded),
         clocks_waited=t - t_start,
         clocks_observed=observed,
         trace=trace,
         witness_clock=t + observed - 1 if present else None,
-        amplitude=trace[-1].amplitude if present else None,
-        epsilon=None if present else Dyadic.pow2(-tau),
+        amplitude=trace[-1].amplitude if present or exact else None,
+        epsilon=None if present or exact else Dyadic.pow2(-tau),
     )
 
 
@@ -231,6 +215,12 @@ def entangle_discriminate(
     probe_partner_value: int = 0,
 ) -> Tuple[BellClass, List[TraceStep]]:
     """Identify which of the six legal two-bit configurations a signal is.
+
+    Precondition: expr expands to one of the six legal classes (coefficient
+    1 on each of its strings). The probes cannot tell every other signal
+    from a legal one: such an input may raise IllegalClass or name a wrong
+    class, which may differ from seed to seed. Check the precondition on
+    the oracle expansion first, as the `inbl entangle` command does.
 
     All probing happens inside one live clock; groundings are applied and
     reverted freely while the wire draws stay frozen. probe_partner_value
@@ -257,7 +247,7 @@ def entangle_discriminate(
         switches.restore(side_wire)
     live = wait_for_live_clock(expr, system, t_start, max_wait, configs)
     reads = [Dyadic(int(x), live.exp2) for x in live.readings[1:5, 0]]
-    trace = [TraceStep(f"live clock found at t={int(live)}")]
+    trace = [TraceStep(f"live clock found at t={live.clock}")]
     # per bit-1 value: does a string with that value exist, and if so, which
     # bit-2 value is entangled with it?
     found: List[Optional[int]] = []

@@ -101,6 +101,39 @@ def test_entangle(capsys, eq7_file):
     assert report["oracle_check"]["agrees"] is True
 
 
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_entangle_refuses_a_signal_outside_the_legal_classes(tmp_path, capsys, seed):
+    # three strings: the probes alone named S01+10 or S10, by seed
+    path = tmp_path / "three.nbl"
+    path.write_text("bits 2;\nR1_0*R2_0 + R1_0*R2_1 + R1_1*R2_0\n")
+    argv = ["entangle", str(path), "--scheme", "sym", "--seed", str(seed)]
+    for extra in ([], ["--oracle-check"]):
+        assert main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: the signal is none of the six legal two-bit classes\n")
+
+
+def test_search_string_on_an_uncertified_file(tmp_path, capsys):
+    # the un-grounded R1_0 term is not a full string, so one reading of 00
+    # could be a cancellation: seed 4 reads 0 at the live clock
+    path = tmp_path / "mixed.nbl"
+    path.write_text("bits 2;\nR1_0 + R1_0*R2_0 + R1_1*R2_1\n")
+    argv = ["search", str(path), "--scheme", "sym", "--seed", "4", "--oracle-check"]
+    code, report = run_json(capsys, argv + ["--string", "00"])
+    assert code == 0 and report["outcome"]["verdict"] == "present"
+    assert report["outcome"]["clocks_observed"] > 1
+    assert report["oracle_check"]["survivors"] == ["0-", "00"]
+    assert report["oracle_check"]["agrees"] is True
+    # --tau bounds an absent full string on such a file
+    code, report = run_json(capsys, argv + ["--string", "10", "--tau", "5"])
+    assert code == 1 and report["outcome"]["verdict"] == "absent_bounded"
+    assert report["outcome"]["epsilon"] == {"mantissa": "1", "exp2": -5}
+    assert report["parameters"]["tau"] == 5
+    assert report["oracle_check"]["certified_absent"] is True
+
+
 def test_entangle_both_probe_variants_agree(capsys, eq7_file):
     _, a = run_json(capsys, ["entangle", eq7_file, "--seed", "5", "--probe-partner", "0"])
     _, b = run_json(capsys, ["entangle", eq7_file, "--seed", "5", "--probe-partner", "1"])

@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from inbl.dyadic import ONE, ZERO, Dyadic
+from inbl.dyadic import ZERO, Dyadic
 
 dyadics = st.builds(
     Dyadic,
@@ -23,13 +23,13 @@ def test_canonical_form():
 def test_zero_and_one():
     assert ZERO.is_zero()
     assert not ZERO
-    assert ONE == Dyadic(1)
+    assert Dyadic(1) == Dyadic(2, -1) == Dyadic(1, 0)
     assert Dyadic.pow2(-3) == Dyadic(1, -3)
 
 
 def test_exact_arithmetic():
     half = Dyadic(1, -1)
-    assert half + half == ONE
+    assert half + half == Dyadic(1)
     assert half * half == Dyadic(1, -2)
     assert half - half == ZERO
     assert -half == Dyadic(-1, -1)

@@ -218,7 +218,7 @@ def test_lookup_waits_past_a_dead_clock(monkeypatch):
     pb = build_phonebook(small_book())
     system = ReferenceSystem(4, RtwScheme.SYMMETRIC, master_seed=10)
     dead = _dead_clock(pb, system)
-    live = wait_for_live_clock(pb.expr, system, dead)
+    live = wait_for_live_clock(pb.expr, system, dead).clock
     assert live > dead
     windows = []
     real_read = ConfigReader.read

@@ -9,19 +9,25 @@ from hypothesis import strategies as st
 from inbl.dsl import parse_dsl
 from inbl.dyadic import Dyadic
 from inbl.errors import IllegalClass, MaxWaitExceeded
+from inbl.experiments import _program
 from inbl.expr import (
     Pattern,
     Product,
+    Ref,
     Sum,
+    build_even,
+    build_odd,
     build_product_string,
     build_universe,
     evaluate,
     ref,
+    topological_order,
 )
 from inbl.oracle import expand, legal_bell_class, member, surviving
 from inbl.phonebook import PhonebookSpec, build_phonebook, inverse_lookup, lookup
 from inbl.reference import ReferenceSystem, RtwScheme, WireId
 from inbl.search import (
+    DEFAULT_TAU,
     BellClass,
     SearchOutcome,
     TraceStep,
@@ -73,7 +79,7 @@ def test_grounding_order_irrelevant(eq9):
 
 def test_wait_for_live_clock_asymmetric_universe():
     system = ReferenceSystem(5, RtwScheme.ASYMMETRIC, master_seed=2)
-    assert wait_for_live_clock(build_universe(5), system, 17, 100) == 17
+    assert wait_for_live_clock(build_universe(5), system, 17, 100).clock == 17
 
 
 def test_wait_for_live_clock_geometric_mean():
@@ -84,7 +90,7 @@ def test_wait_for_live_clock_geometric_mean():
     system = ReferenceSystem(1, RtwScheme.SYMMETRIC, master_seed=3)
     t = 0
     for _ in range(trials):
-        live = wait_for_live_clock(u, system, t, 1000)
+        live = wait_for_live_clock(u, system, t, 1000).clock
         waits.append(live - t)
         t = live + 1
     mean_extra = sum(waits) / trials
@@ -106,7 +112,7 @@ def test_negative_max_wait_is_rejected_by_every_protocol():
         with pytest.raises(ValueError, match="max_wait must be >= 0, got -1"):
             run(-1)
     # max_wait 0 reads t_start alone, and this signal is live at clock 0
-    assert int(wait_for_live_clock(expr, system, 0, 0)) == 0
+    assert wait_for_live_clock(expr, system, 0, 0).clock == 0
     assert full_string_search(expr, system, Pattern.from_string("1010"), max_wait=0).present
 
 
@@ -216,7 +222,7 @@ def test_entangle_eq7_step_i_amplitude():
     cls, trace = entangle_discriminate(expr, system)
     assert cls is BellClass.S01_PLUS_10
     # step i grounds R1_1; the reading equals the single surviving product
-    t = wait_for_live_clock(expr, system, 0, 1000)
+    t = wait_for_live_clock(expr, system, 0, 1000).clock
     survivor = build_product_string(Pattern.from_string("01"), 2)
     step_i = next(s for s in trace if s.action.startswith("grounded R1_1"))
     assert step_i.amplitude == evaluate(survivor, system, t)
@@ -247,6 +253,61 @@ def test_entangle_requires_two_bits():
         entangle_discriminate(ref(1, 0), system)
 
 
+@settings(max_examples=200, deadline=None)
+@given(dag=dags(), scheme=st.sampled_from(RtwScheme))
+def test_support_certificate_is_sound(dag, scheme):
+    # a certified DAG expands to product-strings that all use exactly the
+    # support's bits, so a collapse onto the support leaves at most one
+    m, expr, _ = dag
+    support = _program(expr, scheme).support
+    assert support == scalar_support(expr)
+    if support is None:
+        return
+    bits = {i for i in range(1, m + 1) if support >> i & 1}
+    for key in expand(expr, m).entries:
+        assert {i + 1 for i, c in enumerate(key) if c != "-"} == bits
+
+
+def test_builders_certify():
+    every = lambda m: (1 << (m + 1)) - 2
+    for m in (1, 2, 5, 16):
+        for build in (build_universe, build_even, build_odd):
+            assert _program(build(m), RtwScheme.ASYMMETRIC).support == every(m)
+    strings = sum_of_strings(["0110", "1010", "0001"], 4)
+    assert _program(strings, RtwScheme.SYMMETRIC).support == every(4)
+    book = build_phonebook(PhonebookSpec(2, 3, (("01", "100"), ("10", "111"))))
+    assert _program(book.expr, RtwScheme.ASYMMETRIC).support == every(5)
+    assert _program(parse_dsl("R1_0 + R1_0*R2_0"), RtwScheme.ASYMMETRIC).support is None
+    assert _program(parse_dsl("R1_0*(R1_1 + R2_0)"), RtwScheme.ASYMMETRIC).support is None
+
+
+def test_certified_fragment_covering_the_support_reads_once(eq9):
+    system = ReferenceSystem(4, master_seed=26)
+    out = fragment_search(eq9, system, Pattern.fragments({1: 1, 2: 1, 3: 1, 4: 0}), tau=8)
+    assert out.verdict is Verdict.ABSENT and out.epsilon is None
+    assert out.clocks_observed == 1 and out.amplitude.is_zero()
+    out = full_string_search(eq9, system, Pattern.from_string("1010"))
+    assert out.verdict is Verdict.PRESENT and out.trace[-1].action == f"read at t={out.witness_clock}"
+
+
+MIXED_TEXT = "R1_0 + R1_0*R2_0 + R1_1*R2_1"  # survivors of 00 are 0- and 00
+
+
+@pytest.mark.parametrize("scheme", list(RtwScheme))
+def test_uncertified_full_string_is_never_an_exact_absent(scheme):
+    expr = parse_dsl(MIXED_TEXT)
+    assert sorted(surviving(expand(expr, 2), Pattern.from_string("00")).entries) == ["0-", "00"]
+    for seed in range(2000):
+        out = full_string_search(expr, ReferenceSystem(2, scheme, master_seed=seed),
+                                 Pattern.from_string("00"))
+        assert out.verdict is not Verdict.ABSENT, seed
+    # 10 has no survivor: the bounded path reads tau clocks
+    out = full_string_search(expr, ReferenceSystem(2, scheme, master_seed=4),
+                             Pattern.from_string("10"), tau=5)
+    assert out.verdict is Verdict.ABSENT_BOUNDED
+    assert out.clocks_observed == 5 and out.epsilon == Dyadic.pow2(-5)
+
+
 def test_outcome_serialization(eq9):
     system = ReferenceSystem(4, master_seed=16)
     out = full_string_search(eq9, system, Pattern.from_string("1010"))
@@ -256,9 +317,34 @@ def test_outcome_serialization(eq9):
     assert isinstance(blob["trace"], list) and blob["trace"]
 
 
+def scalar_support(expr):
+    """The support certificate by its definition, independent of the
+    compiled program: a Ref's bit, the union of a Product's factors' supports
+    when no two of them share a bit, a Sum's terms' common support."""
+    support = {}
+    for node in topological_order(expr):
+        if isinstance(node, Ref):
+            value = 1 << node.wire.bit_index
+        elif isinstance(node, Sum):
+            terms = {support[id(term)] for _, term in node.terms}
+            value = terms.pop() if len(terms) == 1 else None
+        else:
+            value = 0
+            for factor in node.factors:
+                part = support[id(factor)]
+                if value is None or part is None or value & part:
+                    value = None
+                else:
+                    value |= part
+        support[id(node)] = value
+    return support[id(expr)]
+
+
 def scalar_search(expr, system, pattern, tau, max_wait, t_start):
     """Reference for the windowed searches: one scalar evaluate per clock
-    waited and per clock read. tau=None is a full-string search."""
+    waited and per clock read. tau=None is a full-string search with the
+    default tau. One read is exact when the pattern assigns every bit of a
+    certified expression's support; any other search reads up to tau."""
     for t in range(t_start, t_start + max_wait + 1):
         if not evaluate(expr, system, t).is_zero():
             break
@@ -268,20 +354,18 @@ def scalar_search(expr, system, pattern, tau, max_wait, t_start):
     switches = ground_inverse(pattern, system.num_bits)
     trace.append(TraceStep(f"grounded inverse wires of {pattern}"))
     outcome = dict(switch_ops=len(pattern), clocks_waited=t - t_start, trace=trace)
-    if tau is None:
-        amp = evaluate(expr, system, t, switches)
-        trace.append(TraceStep("read superposition", amp))
-        return SearchOutcome(
-            verdict=Verdict.ABSENT if amp.is_zero() else Verdict.PRESENT,
-            clocks_observed=1, witness_clock=None if amp.is_zero() else t, amplitude=amp,
-            **outcome,
-        )
-    for k in range(tau):
+    tau = DEFAULT_TAU if tau is None else tau
+    support = scalar_support(expr)
+    assigned = sum(1 << i for i in pattern.as_dict())
+    exact = support is not None and support & assigned == support
+    for k in range(1 if exact else tau):
         amp = evaluate(expr, system, t + k, switches)
         trace.append(TraceStep(f"read at t={t + k}", amp))
         if not amp.is_zero():
             return SearchOutcome(verdict=Verdict.PRESENT, clocks_observed=k + 1,
                                  witness_clock=t + k, amplitude=amp, **outcome)
+    if exact:
+        return SearchOutcome(verdict=Verdict.ABSENT, clocks_observed=1, amplitude=amp, **outcome)
     return SearchOutcome(verdict=Verdict.ABSENT_BOUNDED, clocks_observed=tau,
                          epsilon=Dyadic.pow2(-tau), **outcome)
 
@@ -462,12 +546,13 @@ def test_live_clock_carries_the_window_readings():
     system = ReferenceSystem(4, RtwScheme.SYMMETRIC, master_seed=20)
     collapse = ground_inverse(Pattern.from_string("0110"), 4)
     live = wait_for_live_clock(expr, system, 3, 1000, [collapse.grounded])
-    assert live == next(t for t in range(3, 1000) if not evaluate(expr, system, t).is_zero())
+    t = live.clock
+    assert t == next(t for t in range(3, 1000) if not evaluate(expr, system, t).is_zero())
     assert live.readings.shape[0] == 2 and live.readings.shape[1] >= 1
     for k in range(live.readings.shape[1]):
-        assert Dyadic(int(live.readings[0, k]), live.exp2) == evaluate(expr, system, live + k)
+        assert Dyadic(int(live.readings[0, k]), live.exp2) == evaluate(expr, system, t + k)
         assert Dyadic(int(live.readings[1, k]), live.exp2) == evaluate(
-            expr, system, live + k, collapse)
+            expr, system, t + k, collapse)
 
 
 def test_searches_on_a_deep_chain_without_recursion():
@@ -483,8 +568,10 @@ def test_searches_on_a_deep_chain_without_recursion():
     make_system = lambda: ReferenceSystem(2, RtwScheme.SYMMETRIC, master_seed=21)
     out = same_result(chain, make_system, Pattern.from_string("11"), None, 10, 0)
     assert out.verdict is Verdict.PRESENT
+    # R2_1 is a factor 2,500 times, so the chain is not certified and a full
+    # string that misses it reads its tau clocks
     out = same_result(chain, make_system, Pattern.from_string("01"), None, 10, 0)
-    assert out.verdict is Verdict.ABSENT
+    assert out.verdict is Verdict.ABSENT_BOUNDED
     out = same_result(chain, make_system, Pattern.fragments({2: 1}), 4, 10, 0)
     assert out.verdict is Verdict.PRESENT
     out = same_result(chain, make_system, Pattern.fragments({2: 0}), 4, 10, 0)
