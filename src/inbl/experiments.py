@@ -9,7 +9,10 @@ so zero tests, run lengths and correlation sums are exact at every size.
 Each (expression, scheme) is compiled once into a cached program: wire
 rows, exponent floors, dtype, and the Sums and Products grouped into levels
 of one height, kind and arity, each holding its children in arity-major
-order. `eval_array` runs it node by node over blocks of clocks. A
+order. `eval_array` runs it node by node over blocks of clocks, each Sum
+and Product in the narrowest exact dtype for its static bound (int8 below
+2**7, int16 below 2**15, int32 below 2**31, int64 below 2**63, else
+object) and each sign row in int8. A
 `ConfigReader` runs it level by level over switch configurations x a window
 of clocks, one gather and one reduce per level, which is how every protocol
 (the searches, entangle discrimination and the phonebook) reads the
@@ -24,6 +27,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,10 +45,15 @@ class _Program:
 
     Each node is held as integers scaled by a static exponent floor: a Ref's
     wire exponent, the minimum over a Sum's terms, the total over a
-    Product's factors. dtype is int64 when the static magnitude bound of
-    every node fits in 63 bits, otherwise object (Python ints). Every bound
-    is at least 1 and covers each partial sum and product of its node, so
-    the terms of a node may be combined in any order.
+    Product's factors. bound is the root's static magnitude bound, and
+    dtype is int64 when it fits in 63 bits, otherwise object (Python ints).
+    Every bound is at least 1 and covers each partial sum and product of its
+    node, so the terms of a node may be combined in any order. Coefficients
+    are nonzero, so no node's bound is below a child's, and the root's is
+    the largest. plan gives each Sum and Product the narrowest exact dtype
+    for its own bound (int8, int16, int32, int64, then object), which is
+    never narrower than a child's; it is built on eval_array's first call,
+    so a program only the searches read never pays for it.
 
     support is the bitmask (bit i for noise-bit i) of the bits every
     product-string of the expansion assigns, one wire each: a Ref's own bit,
@@ -100,7 +109,8 @@ class _Program:
             height.append(1 + max(height[j] for j in kids))
         self.exp2 = floor[-1]
         self.support = support[-1]
-        self.dtype = np.int64 if max(bound) < _INT64_LIMIT else object
+        self.bound = bound[-1]
+        self.dtype = np.int64 if self.bound < _INT64_LIMIT else object
         self.wire_row = wire_row
         # the stream seeds of self.wires per system, as ReferenceSystem.seed_column
         self.seeds: "weakref.WeakKeyDictionary[ReferenceSystem, np.ndarray]" = (
@@ -117,34 +127,58 @@ class _Program:
         # arity-major order (child j of every target, j = 0..arity-1), Sum
         # weights shaped (arity, targets, 1) or None when all are 1)
         self.levels = []
-        # per Sum or Product row, in row order, for eval_array's node loop:
-        # (kind, [(child row, weight)] or child rows, child rows)
-        self.plan: List[tuple] = []
+        # per group: its Sums or Products (topological positions) and their
+        # children's rows, from which plan is built on eval_array's first call
+        self._groups: List[Tuple[List[int], List[List[int]]]] = []
+        self._nodes, self._bound = nodes, bound
         for (_, kind, arity), targets in sorted(groups.items()):
             first = self.nodes
             self.nodes += len(targets)
             row.update((i, first + k) for k, i in enumerate(targets))
             kids = [[row[j] for j in nodes[i][1]] for i in targets]
+            self._groups.append((targets, kids))
             flat = np.array(kids, dtype=np.intp).T.reshape(-1)
             weights = None
             if kind == "sum":
                 table = [nodes[i][2] for i in targets]
                 if any(w != 1 for ws in table for w in ws):
                     weights = np.array(table, dtype=self.dtype).T[:, :, None].copy()
-                self.plan.extend(("sum", list(zip(k, w)), k) for k, w in zip(kids, table))
-            else:
-                self.plan.extend(("product", k, k) for k in kids)
             ufunc = np.add if kind == "sum" else np.multiply
             self.levels.append((first, self.nodes, ufunc, arity, flat, weights))
         self.root = row[len(order) - 1]
-        # a child's block array is dropped after the last node that reads it
-        self.last_use = list(range(self.nodes))
-        for i, (_, _, kids) in enumerate(self.plan, start=len(self.wires)):
-            for j in kids:
-                self.last_use[j] = i
         # rows of the tallest matrix eval_configs makes: the nodes, or the
         # children a level gathers
         self.width = max([self.nodes] + [len(level[4]) for level in self.levels])
+
+    @cached_property
+    def plan(self) -> List[tuple]:
+        """Per Sum or Product row, in row order, for eval_array's node loop:
+        (kind, [(child row, weight)] or child rows, child rows, dtype), dtype
+        the narrowest exact one for the node's static bound."""
+        plan = []
+        for targets, kids in self._groups:
+            for i, k in zip(targets, kids):
+                kind, _, weights = self._nodes[i]
+                operand = list(zip(k, weights)) if kind == "sum" else k
+                plan.append((kind, operand, k, _exact_dtype(self._bound[i])))
+        return plan
+
+    @cached_property
+    def last_use(self) -> List[int]:
+        """Per row, the plan row after which eval_array drops its block array."""
+        last_use = list(range(self.nodes))
+        for i, (_, _, kids, _) in enumerate(self.plan, start=len(self.wires)):
+            for j in kids:
+                last_use[j] = i
+        return last_use
+
+
+def _exact_dtype(bound: int):
+    """The narrowest dtype that holds every integer of magnitude <= bound."""
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return object
 
 
 # id(expr) -> scheme -> program; an entry is dropped when its expression dies
@@ -184,21 +218,23 @@ def eval_array(
 
     Returns (ints, exp2): the value at clock t_start + k is ints[k] * 2**exp2.
     ints is int64 or object by the program's static bound (see _Program).
-    Nodes are evaluated one by one over blocks of clocks.
+    Nodes are evaluated one by one over blocks of clocks, sign rows in int8
+    and every Sum and Product in the narrowest exact dtype for its own bound.
     """
     program = _program(expr, system.scheme)
-    plan, last_use, dtype = program.plan, program.last_use, program.dtype
+    plan, last_use = program.plan, program.last_use
     seeds = _seed_column(program, system)
     first = len(program.wires)
 
-    ints = np.empty(clocks, dtype=dtype)
+    ints = np.empty(clocks, dtype=program.dtype)
     for lo in range(0, clocks, BLOCK_CLOCKS):
         n = min(BLOCK_CLOCKS, clocks - lo)
-        # wire reads stay int8; every arithmetic result has the chosen dtype
+        # wire reads stay int8; each node computes in its own dtype, never
+        # narrower than a child's
         vals: List[Optional[np.ndarray]] = [*system.seeded_sign_rows(
             program.wires, seeds, t_start + lo, n)]
         vals.extend([None] * len(plan))
-        for i, (kind, operand, kids) in enumerate(plan, start=first):
+        for i, (kind, operand, kids, dtype) in enumerate(plan, start=first):
             if kind == "sum":
                 (j, w), rest = operand[0], operand[1:]
                 value = np.multiply(vals[j], w, dtype=dtype)
@@ -351,20 +387,24 @@ def run_crosscorr(
         raise ValueError(f"clocks must be >= 1, got {clocks}")
     a, exp2_a = eval_array(expr_a, system, t_start, clocks)
     b, exp2_b = eval_array(expr_b, system, t_start, clocks)
+    bound_a = _program(expr_a, system.scheme).bound
+    bound_b = _program(expr_b, system.scheme).bound
     # the 2**exp2 scales cancel in the normalized ratio
-    norm_a = math.sqrt(_dot(a, a) / clocks)
-    norm_b = math.sqrt(_dot(b, b) / clocks)
+    norm_a = math.sqrt(_dot(a, a, bound_a, bound_a) / clocks)
+    norm_b = math.sqrt(_dot(b, b, bound_b, bound_b) / clocks)
     if norm_a == 0.0 or norm_b == 0.0:
         raise ValueError("cross-correlation of a zero-variance signal")
     if exp2_a == exp2_b and np.array_equal(a, b):
         return 1.0
-    return (_dot(a, b) / clocks) / (norm_a * norm_b)
+    return (_dot(a, b, bound_a, bound_b) / clocks) / (norm_a * norm_b)
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> int:
-    """Exact sum of x * y over two integer arrays from eval_array."""
+def _dot(x: np.ndarray, y: np.ndarray, bound_x: int, bound_y: int) -> int:
+    """Exact sum of x * y over two integer arrays from eval_array, whose
+    entries are at most bound_x and bound_y in magnitude."""
     if x.dtype == np.int64 and y.dtype == np.int64:
-        if len(x) * int(np.abs(x).max()) * int(np.abs(y).max()) < _INT64_LIMIT:
+        if (len(x) * bound_x * bound_y < _INT64_LIMIT
+                or len(x) * int(np.abs(x).max()) * int(np.abs(y).max()) < _INT64_LIMIT):
             return int(np.dot(x, y))
     return int(np.dot(x.astype(object), y.astype(object)))
 

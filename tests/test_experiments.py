@@ -107,6 +107,64 @@ def test_eval_array_deep_chain_without_recursion():
     assert [Dyadic(int(v), exp2) for v in ints] == [Dyadic(int(s) << (depth // 2)) for s in s11]
 
 
+
+# the exact dtypes from narrowest to widest
+_WIDTHS = [np.int8, np.int16, np.int32, np.int64, object]
+
+
+@pytest.mark.parametrize("high,low,dtype", [
+    (64, 63, np.int8),
+    (64, 64, np.int16),
+    (2**14, 2**14 - 1, np.int16),
+    (2**14, 2**14, np.int32),
+    (2**30, 2**30 - 1, np.int32),
+    (2**30, 2**30, np.int64),
+    (2**62, 2**62 - 1, np.int64),
+    (2**62, 2**62, object),
+])
+def test_eval_array_node_dtype_at_each_edge(high, low, dtype):
+    # the root reaches +/-(high + low) whenever R1_1 and R2_1 agree
+    system = ReferenceSystem(2, RtwScheme.SYMMETRIC, master_seed=20)
+    e = Sum(((high, ref(1, 1)), (low, ref(2, 1))))
+    assert experiments._program(e, system.scheme).plan[-1][3] is dtype
+    ints, exp2 = eval_array(e, system, 50, 300)
+    assert ints.dtype == (object if dtype is object else np.int64)
+    assert {-(high + low), high + low} <= set(ints.tolist())
+    for k, t in enumerate(range(50, 350)):
+        assert Dyadic(int(ints[k]), exp2) == evaluate(e, system, t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dag=dags(),
+    scheme=st.sampled_from(RtwScheme),
+    seed=st.integers(0, 2**32),
+    t=st.integers(0, 200),
+    clocks=st.integers(65, 200),
+)
+def test_eval_array_node_dtypes_hold_their_bounds(dag, scheme, seed, t, clocks):
+    # 65 clocks or more always cross a 64-clock word
+    m, expr, _ = dag
+    system = ReferenceSystem(m, scheme, master_seed=seed)
+    ints, exp2 = eval_array(expr, system, t, clocks)
+    row, row_exp2 = eval_configs(expr, system, t, clocks, [frozenset()])
+    assert exp2 == row_exp2 and np.array_equal(ints, row[0])
+    program = experiments._program(expr, scheme)
+    bounds = [1] * len(program.wires)
+    ranks = [0] * len(program.wires)
+    for kind, operand, kids, dtype in program.plan:
+        if kind == "sum":
+            bounds.append(sum(abs(w) * bounds[j] for j, w in operand))
+        else:
+            bounds.append(math.prod(bounds[j] for j in operand))
+        ranks.append(_WIDTHS.index(dtype))
+        # the narrowest dtype that holds the bound, no narrower than a child's
+        fits = [w is object or bounds[-1] <= np.iinfo(w).max for w in _WIDTHS]
+        assert ranks[-1] == fits.index(True)
+        assert all(ranks[-1] >= ranks[j] for j in kids)
+    assert bounds[program.root] == program.bound
+
+
 def test_zero_stats_asymmetric_universe_never_zero():
     system = ReferenceSystem(4, RtwScheme.ASYMMETRIC, master_seed=1)
     stats = run_zero_stats(build_universe(4), system, 100_000)
@@ -150,6 +208,42 @@ def test_crosscorr_self_is_one():
         chains.append(chain)
     assert chains[0] is not chains[1]
     assert run_crosscorr(*chains, system, 10_000) == 1.0
+
+
+
+def test_crosscorr_loose_bound_small_values_matches_python_ints():
+    # the 2**40 terms cancel: the static bound is loose, but every value is +/-1
+    T = 2**20
+    system = ReferenceSystem(8, master_seed=21)
+    x = Product((ref(1, 1), ref(2, 1)))
+    a = Sum(((2**40, x), (-(2**40), x), (1, ref(1, 0))))
+    b = build_product_string(Pattern.from_string("01101001"), 8)
+    assert T * experiments._program(a, system.scheme).bound ** 2 >= 2**63
+    sa = system.sign_array(WireId(1, 0), 0, T).tolist()
+    sb = [1] * T
+    for i, bit in enumerate("01101001", start=1):
+        sb = [s * v for s, v in zip(sb, system.sign_array(WireId(i, int(bit)), 0, T).tolist())]
+    def dot(x, y):
+        return sum(u * v for u, v in zip(x, y))
+
+    expected = (dot(sa, sb) / T) / (math.sqrt(dot(sa, sa) / T) * math.sqrt(dot(sb, sb) / T))
+    assert run_crosscorr(a, b, system, T) == expected
+
+
+
+def test_crosscorr_one_past_int64_is_exact():
+    # T * c**2 is 2**63: a . a is one past the int64 range, so neither the
+    # static bound nor the measured maxima may admit np.dot on int64
+    T = c = 2**21
+    system = ReferenceSystem(2, RtwScheme.SYMMETRIC, master_seed=22)
+    a = Sum(((c, ref(1, 1)),))
+    b = Sum(((c, ref(1, 1)), (1, ref(2, 0))))
+    s1, s2 = system.sign_rows([WireId(1, 1), WireId(2, 0)], 0, T).astype(np.int64)
+    agree = int(np.dot(s1, s2))
+    dot_aa, dot_bb, dot_ab = T * c * c, T * c * c + T + 2 * c * agree, T * c * c + c * agree
+    assert dot_aa == 2**63
+    expected = (dot_ab / T) / (math.sqrt(dot_aa / T) * math.sqrt(dot_bb / T))
+    assert run_crosscorr(a, b, system, T) == expected
 
 
 def test_crosscorr_distinct_strings_bounded():
