@@ -10,9 +10,16 @@ stream draw is the SplitMix64 finalizer of that seed plus a counter
 (_draw(seed, counter, salt)). At flip_prob 1/2 one draw gives 64 clocks:
 the sign of the wire at clock t is +1 exactly when bit t & 63 (bit 0 the
 least significant) of _draw(seed, t >> 6, _SALT_SIGN) is 1. At any other
-flip_prob the sign at clock 0 is +1 when bit 63 of _draw(seed, 0, _SALT_SIGN)
-is 1, and the sign flips at clock t > 0 when _draw(seed, t, _SALT_FLIP) is
-below flip_prob * 2**64.
+flip_prob p the sign at clock 0 is +1 when bit 63 of _draw(seed, 0, _SALT_SIGN)
+is 1, and one flip draw gives 4 clocks: clock t > 0 reads lane t & 3 of
+_draw(seed, t >> 2, _SALT_FLIP), lane j being bits 16j..16j+15, and the sign
+flips at clock t when that lane is below floor(p * 2**16). A lane equal to
+it is a tie, settled by lazy comparison (Knuth and Yao, 1976): tie draw d of
+clock t, _draw(mix64(seed ^ _TIE_KEY ^ d), t, _SALT_SIGN) for d = 0, 1, ...,
+is compared with 64-bit digit d of the fraction part of p * 2**16 (digit 0
+the most significant), and the clock flips when the first draw that differs
+from its digit is below it. So P(flip) = p exactly; a p whose denominator
+divides 2**16 never ties.
 """
 
 from __future__ import annotations
@@ -36,6 +43,8 @@ _MIX2 = 0x94D049BB133111EB
 # stream salts: initial-sign draws vs flip draws never share a counter
 _SALT_SIGN = 0
 _SALT_FLIP = 1
+# tie draws have their own stream seeds, mix64(seed ^ _TIE_KEY ^ depth)
+_TIE_KEY = 0xD6E8FEB86659FD93
 
 
 def mix64(x: int) -> int:
@@ -99,8 +108,8 @@ def _draw(seed: int, t: int, salt: int) -> int:
 
 # Clocks per vectorized block: the few uint64 buffers a block needs stay in
 # cache, and memory stays O(block) however long the window is. One pass over
-# several wires holds rows x counters <= BLOCK_CLOCKS draws: a counter is a
-# clock for the flip draws and a 64-clock word for the fair signs.
+# several wires holds rows x counters <= BLOCK_CLOCKS draws: a counter is 4
+# clocks for the flip draws and a 64-clock word for the fair signs.
 BLOCK_CLOCKS = 1 << 15
 
 # offset of counter c0 + k from counter c0 on one stream, k < BLOCK_CLOCKS
@@ -135,16 +144,49 @@ def _draw_into(x: np.ndarray, tmp: np.ndarray, seeds: np.ndarray, c0: int, salt:
     x ^= tmp
 
 
+_U63 = np.uint64(63)
+_PREFIX_SHIFTS = tuple(np.uint64(1 << k) for k in range(6))
+
+
+def _parity_prefix(flips: np.ndarray, carry: np.ndarray) -> np.ndarray:
+    """running[r, j] = carry[r] ^ flips[r, 0] ^ ... ^ flips[r, j], as bool.
+
+    A larger pass is packed 64 clocks to a word (clock j its bit j on every
+    host), prefix-XORed in each word by 6 shift-XOR steps, and the words'
+    parities are carried by one accumulate over words: about 0.2 ns a clock
+    after some 25 us of calls, against 1.5 ns for a bool accumulate.
+    """
+    rows, n = flips.shape
+    if flips.size < 1 << 14:
+        running = np.bitwise_xor.accumulate(flips, axis=1)
+        running ^= carry[:, None]
+        return running
+    packed = np.zeros((rows, -(-n // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(flips, axis=1, bitorder="little")
+    w = packed.view("<u8")
+    tmp = np.empty_like(w)
+    for s in _PREFIX_SHIFTS:
+        np.left_shift(w, s, out=tmp)
+        w ^= tmp
+    # before[:, i] = the parity before word i: carry ^ the parities of words < i
+    before = np.empty_like(w)
+    before[:, 0] = carry
+    np.right_shift(w[:, :-1], _U63, out=before[:, 1:])
+    np.bitwise_xor.accumulate(before, axis=1, out=before)
+    w ^= np.negative(before, out=before)  # 0 or all ones
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+
+
 class ReferenceSystem:
     """M noise-bits worth of seeded reference wires.
 
-    flip_prob is the per-clock probability that a wire's sign flips from its
-    predecessor. At the default 1/2, successive signs are independent fair
-    coin flips, 64 clocks to a draw, and every clock is addressable in O(1);
-    other flip probabilities count flips from a per-wire anchor (the last
-    clock counted and the sign there), forward or backward, whichever of the
-    anchor and clock 0 is nearer, so scans that move forward or step back a
-    little stay O(distance).
+    flip_prob is the exact per-clock probability that a wire's sign flips
+    from its predecessor. At the default 1/2, successive signs are independent
+    fair coin flips, 64 clocks to a draw, and every clock is addressable in
+    O(1); other flip probabilities, 4 clocks to a draw, count flips from a
+    per-wire anchor (the last clock counted and the sign there), forward or
+    backward, whichever of the anchor and clock 0 is nearer, so scans that
+    move forward or step back a little stay O(distance).
     """
 
     def __init__(
@@ -164,8 +206,11 @@ class ReferenceSystem:
         self.master_seed = master_seed & _MASK64
         self.flip_prob = flip_prob
         self._iid = flip_prob == Fraction(1, 2)
-        # flip threshold on a 64-bit uniform draw
-        self._flip_threshold = (flip_prob.numerator << 64) // flip_prob.denominator
+        # lanes flip below floor(p * 2**16); a tie reads the digits of the
+        # fraction part _tie_rem / flip_prob.denominator (0: never a tie)
+        self._lane_threshold, self._tie_rem = divmod(flip_prob.numerator << 16,
+                                                     flip_prob.denominator)
+        self._lane_limit = np.uint16(min(self._lane_threshold, 0xFFFF))  # flip_prob 1: unused
         # per wire tag: the stream seed, and for flip_prob != 1/2 the anchor
         # (anchor clock, sign bit there), where sign bit 1 means +1
         self._seeds: Dict[int, int] = {}
@@ -219,12 +264,29 @@ class ReferenceSystem:
     def _sign_bit(self, wire: WireId, seed: int, t: int) -> int:
         # the sign bit at t is the anchor's XOR the flips between the two
         a, bit = self._start(wire, seed, t)
+        threshold, counter, word = self._lane_threshold, -1, 0
         for k in range(min(a, t) + 1, max(a, t) + 1):
-            if _draw(seed, k, _SALT_FLIP) < self._flip_threshold:
+            if k >> 2 != counter:
+                counter = k >> 2
+                word = _draw(seed, counter, _SALT_FLIP)
+            lane = word >> ((k & 3) << 4) & 0xFFFF
+            if lane < threshold or lane == threshold and self._tie_flips(seed, k):
                 bit ^= 1
         if t > a:
             self._anchors[wire.tag] = (t, bit)
         return bit
+
+    def _tie_flips(self, seed: int, t: int) -> bool:
+        """Whether clock t, whose lane equals the lane threshold, flips: tie
+        draws against the fraction digits, to the first that differs."""
+        rem, depth = self._tie_rem, 0
+        while rem:  # once it is 0, every digit left is 0 and no draw is below
+            digit, rem = divmod(rem << 64, self.flip_prob.denominator)
+            draw = _draw(mix64(seed ^ _TIE_KEY ^ depth), t, _SALT_SIGN)
+            if draw != digit:
+                return draw < digit
+            depth += 1
+        return False
 
     def wire_value(self, wire: WireId, t: int) -> Dyadic:
         """Exact amplitude of the wire at clock t."""
@@ -255,9 +317,9 @@ class ReferenceSystem:
         rows x counters is one numpy pass, made in place on the system's two
         uint64 buffers of BLOCK_CLOCKS entries; at flip_prob 1/2 a counter is
         a word of 64 clocks, and a window inside one word draws one counter
-        per row and shifts out its clocks. For flip_prob != 1/2 the wires
-        whose anchors sit at the same clock are counted together, and each
-        anchor is left at the last clock counted.
+        per row and shifts out its clocks. For flip_prob != 1/2 a counter is
+        4 clocks, the wires whose anchors sit at the same clock are counted
+        together, and each anchor is left at the last clock counted.
         """
         if t0 < 0:
             raise ValueError(f"clock must be >= 0, got {t0}")
@@ -283,9 +345,11 @@ class ReferenceSystem:
             for rows in groups.values():
                 for i in range(0, len(rows), BLOCK_CLOCKS):
                     part = rows[i : i + BLOCK_CLOCKS]
-                    bits[part] = self._flip_bits(
-                        [wires[r] for r in part], seeds[part],
-                        [starts[r][1] for r in part], starts[part[0]][0], t0, n)
+                    # consecutive rows, as when all anchors agree, are a slice
+                    r0 = part[0]
+                    sel = slice(r0, r0 + len(part)) if part[-1] - r0 == len(part) - 1 else part
+                    self._flip_bits(bits, sel, [wires[r] for r in part], seeds[sel],
+                                    [starts[r][1] for r in part], starts[r0][0], t0)
         # sign = 2 * bit - 1; numpy adds int8 many times faster than it shifts them
         bits += bits
         bits -= 1
@@ -325,43 +389,50 @@ class ReferenceSystem:
                                   axis=1, bitorder="little")
                 bits[r : r + h, a - t0 : b - t0] = u[:, a - base : b - base]
 
-    def _flip_bits(self, wires: Sequence[WireId], seeds: np.ndarray, start_bits: List[int],
-                   a: int, t0: int, n: int) -> np.ndarray:
-        """Sign bits over [t0, t0+n) of at most BLOCK_CLOCKS wires, counted
-        from clock a, where their sign bits are start_bits (see _start).
+    def _flip_bits(self, bits: np.ndarray, sel, wires: Sequence[WireId], seeds: np.ndarray,
+                   start_bits: List[int], a: int, t0: int) -> None:
+        """Write the sign bits over [t0, t0+n) of at most BLOCK_CLOCKS wires
+        into their rows bits[sel], counted from clock a, where their sign
+        bits are start_bits (see _start).
 
-        Flips are counted over (start, hi] as a parity relative to the start
-        clock; the window's bits are written relative and the sign bits at
-        the start are XORed in last. From an anchor before t0 the start is
-        the anchor. Walking back from an anchor after t0, the start is t0,
-        and its sign bits are the anchor's XOR the parity up to the anchor.
+        Flips are counted over (start, hi] into a running parity that starts
+        from start_bits. From an anchor before t0 the start is the anchor,
+        and the parity is the sign bit. Walking back from an anchor after
+        t0, the start is t0, and every bit is put right at the end by the
+        flips from t0 up to the anchor (the parity there XOR start_bits).
         """
-        rows = len(wires)
-        bits = np.empty((rows, n), dtype=np.int8)
+        rows, n = len(wires), bits.shape[1]
         end = t0 + n - 1
         start, hi = (a, end) if a <= t0 else (t0, max(a, end))
+        s0 = np.array(start_bits, dtype=bool)
+        parity = at_anchor = s0  # parity: at the last clock counted
         if t0 == start:
-            bits[:, 0] = 0
+            bits[sel, 0] = s0
         x, tmp = self._buffers
-        threshold = np.uint64(self._flip_threshold)
-        parity = np.zeros(rows, dtype=bool)  # relative parity at the last clock drawn
-        at_anchor = parity
-        m = BLOCK_CLOCKS // rows
-        for lo in range(start + 1, hi + 1, m):
-            k = min(m, hi + 1 - lo)
+        m = BLOCK_CLOCKS // rows  # flip draws per row in one pass, 4 clocks each
+        for c in range((start + 1) >> 2, (hi >> 2) + 1 if hi > start else 0, m):
+            k = min(m, (hi >> 2) + 1 - c)
             xv, tv = x[: rows * k].reshape(rows, k), tmp[: rows * k].reshape(rows, k)
-            _draw_into(xv, tv, seeds, lo, _SALT_FLIP)
-            running = np.bitwise_xor.accumulate(xv < threshold, axis=1)
-            running ^= parity[:, None]
+            _draw_into(xv, tv, seeds, c, _SALT_FLIP)
+            lo, up = max(c << 2, start + 1), min((c + k) << 2, hi + 1)  # clocks counted here
+            # lane j is bits 16j..16j+15 on every host: clock 4c + i at column i
+            lanes = xv.astype("<u8", copy=False).view("<u2")[:, lo - (c << 2) : up - (c << 2)]
+            flips = lanes < self._lane_limit
+            if self._tie_rem:
+                for i in np.flatnonzero(lanes == self._lane_limit).tolist():
+                    r, j = divmod(i, up - lo)
+                    flips[r, j] = self._tie_flips(int(seeds[r, 0]), lo + j)
+            running = _parity_prefix(flips, parity)
             parity = running[:, -1]
-            w0, w1 = max(lo, t0), min(lo + k - 1, end)  # window clocks in this block
-            if w0 <= w1:
-                bits[:, w0 - t0 : w1 - t0 + 1] = running[:, w0 - lo : w1 - lo + 1]
-            if lo <= a < lo + k:
+            w0, w1 = max(lo, t0), min(up, end + 1)  # window clocks in this pass
+            if w0 < w1:
+                bits[sel, w0 - t0 : w1 - t0] = running[:, w0 - lo : w1 - lo]
+            if lo <= a < up:
                 at_anchor = running[:, a - lo]
-        start_bits = np.array(start_bits, dtype=bool) ^ at_anchor
-        bits ^= start_bits[:, None]
+        if a > t0:
+            correction = at_anchor ^ s0
+            bits[sel] ^= correction[:, None]
+            parity = parity ^ correction
         if hi > a:
-            for w, bit in zip(wires, start_bits ^ parity):
-                self._anchors[w.tag] = (hi, int(bit))
-        return bits
+            self._anchors.update(zip([w.tag for w in wires],
+                                     zip([hi] * rows, parity.view(np.uint8).tolist())))
