@@ -23,7 +23,7 @@ from . import experiments, oracle, phonebook
 from .dsl import parse_fragments, parse_program
 from .errors import InblError
 from .expr import Expr, Pattern, build_product_string, build_universe, iter_wires
-from .reference import ReferenceSystem, RtwScheme
+from .reference import BLOCK_CLOCKS, ReferenceSystem, RtwScheme
 from .search import (
     DEFAULT_MAX_WAIT,
     DEFAULT_TAU,
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--fragments", help="partial assignment, e.g. 1=0,2=0,4=0")
     p.add_argument("--tau", type=int, default=DEFAULT_TAU,
                    help="observation clocks before a bounded Absent verdict, on a "
-                        "search that one reading cannot settle")
+                        f"search that one reading cannot settle (1 to {BLOCK_CLOCKS})")
     p.add_argument("--oracle-check", action="store_true")
     _add_system_flags(p, waits_for_live_clock=True)
 

@@ -1,24 +1,15 @@
 """Statistical experiments: zero-amplitude statistics, cross-correlation,
 and the complexity-comparison report.
 
-These scan many clocks, so signals are evaluated over whole windows with
-numpy, block by block. Every amplitude is a dyadic rational, and the window
-evaluator keeps each node as exact integers scaled by a static power of two,
-so zero tests, run lengths and correlation sums are exact at every size.
-
-Each (expression, scheme) is compiled once into a cached program: wire
-rows, exponent floors, dtype, and the Sums and Products grouped into levels
-of one height, kind and arity, each holding its children in arity-major
-order. `eval_array` runs it node by node over blocks of clocks, each Sum
-and Product in the narrowest exact dtype for its static bound (int8 below
-2**7, int16 below 2**15, int32 below 2**31, int64 below 2**63, else
-object) and each sign row in int8. A
-`ConfigReader` runs it level by level over switch configurations x a window
-of clocks, one gather and one reduce per level, which is how every protocol
-(the searches, entangle discrimination and the phonebook) reads the
-un-grounded signal, the collapse and the probes of a whole window at once;
-a scan prepares its reader once (program, seed column, grounded wire rows,
-span) and reads every window from it. `eval_configs` is the one-shot read.
+Every amplitude is a dyadic rational, and the one window evaluator,
+`ConfigReader`, keeps each node as exact integers scaled by a static power
+of two, so zero tests, run lengths and correlation sums are exact at every
+size. It runs an (expression, scheme)'s cached program (see _Program) level
+by level over switch configurations x a window of clocks, in passes of at
+most PASS_BYTES. Every protocol reads the un-grounded signal, the collapse
+and the probes of a whole window this way, one reader per scan;
+`eval_configs` is a one-shot read, and `eval_array`, which the statistics
+scan with, is its row 0 with no wire grounded.
 """
 
 from __future__ import annotations
@@ -27,156 +18,194 @@ import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from itertools import chain
+from operator import mul
 from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .expr import Expr, Ref, Sum, topological_order
-from .reference import BLOCK_CLOCKS, ReferenceSystem, RtwScheme, WireId
+from .expr import Expr, Ref, Sum
+from .reference import ReferenceSystem, RtwScheme, WireId
 
 _INT64_LIMIT = 1 << 63
+# bytes one ConfigReader pass holds, over every configuration: its row
+# matrices and its largest gather; larger passes miss the cache and raise
+# the peak memory of a scan
+PASS_BYTES = 1 << 20
 
 
 class _Program:
-    """Everything eval_array and eval_configs need of one (expr, scheme),
-    built once. It holds node indices and wires, never the nodes, so the
-    cache entry does not keep its expression alive.
+    """Everything a ConfigReader needs of one (expr, scheme), built once;
+    never the nodes, so the cache entry does not keep its expression alive.
 
     Each node is held as integers scaled by a static exponent floor: a Ref's
     wire exponent, the minimum over a Sum's terms, the total over a
     Product's factors. bound is the root's static magnitude bound, and
-    dtype is int64 when it fits in 63 bits, otherwise object (Python ints).
-    Every bound is at least 1 and covers each partial sum and product of its
-    node, so the terms of a node may be combined in any order. Coefficients
-    are nonzero, so no node's bound is below a child's, and the root's is
-    the largest. plan gives each Sum and Product the narrowest exact dtype
-    for its own bound (int8, int16, int32, int64, then object), which is
-    never narrower than a child's; it is built on eval_array's first call,
-    so a program only the searches read never pays for it.
+    dtype, that of every read, is int64 when it fits in 63 bits, otherwise
+    object (Python ints). Every bound is at least 1 and covers each partial
+    sum and product of its node, so its terms may be combined in any order.
+    Coefficients are nonzero, so no node's bound is below a child's.
 
     support is the bitmask (bit i for noise-bit i) of the bits every
     product-string of the expansion assigns, one wire each: a Ref's own bit,
     the disjoint union over a Product's factors, the one value all of a
     Sum's terms share. An overlap or a mismatch gives None.
 
-    Nodes are numbered wires first, one row per distinct wire in
-    self.wires, then the Sums and Products grouped by (height, kind, arity),
-    each group a contiguous range of rows that reads only lower groups.
+    A read's rows sit in one matrix per dtype in use, whose row count
+    matrices maps it to; the int8 matrix starts with one sign row per
+    distinct wire in self.wires. levels holds, per level of one height, kind
+    and arity (each reading only lower levels), (dtype, first row, end row,
+    ufunc, arity, kids, weights): its nodes are rows [first, end) of the
+    matrix of the narrowest exact dtype for their largest bound (int8,
+    int16, int32, int64, then object). kids reads their children in
+    arity-major order (child j of every node, j = 0..arity-1), one (dtype,
+    rows, places) per matrix they sit in: rows is a slice if they are an
+    arithmetic progression of rows, else an index array, and places (None
+    if alone) puts them among the children. weights is the Sum weights
+    shaped (arity, nodes, 1, 1), or None when all are 1. Rows are numbered
+    in the order the lowest level reading them reads them, so the levels of
+    U(N), a product-string and EVEN(N) read slices. root is the root's
+    (dtype, row). column_bytes is one configuration-clock's bytes: all rows
+    and the largest gather.
     """
 
     def __init__(self, expr: Expr, scheme: RtwScheme):
-        order = topological_order(expr)
-        position = {id(node): i for i, node in enumerate(order)}
-        self.wires: List[WireId] = []
-        # wire tag -> row
-        wire_row: Dict[int, int] = {}
-        floor: List[int] = []
-        bound: List[int] = []
-        height: List[int] = []
-        support: List[Optional[int]] = []
-        # per position: a wire's row, or (kind, children's positions, weights)
-        nodes: List[object] = []
-        for node in order:
-            if isinstance(node, Ref):
-                floor.append(scheme.magnitude_exp2(node.wire.bit_value))
-                bound.append(1)
-                height.append(0)
-                support.append(1 << node.wire.bit_index)
-                if node.wire.tag not in wire_row:
-                    wire_row[node.wire.tag] = len(self.wires)
-                    self.wires.append(node.wire)
-                nodes.append(wire_row[node.wire.tag])
+        # position: a node's index in info; the Refs of one wire share one
+        position: Dict[int, int] = {}
+        wire_at: Dict[int, WireId] = {}
+        first_ref: Dict[int, int] = {}
+        # per position: (exponent floor, bound, height, support)
+        info: List[Tuple[int, int, int, Optional[int]]] = []
+        # per Sum or Product position: its children's positions, a Sum's weights
+        kids: Dict[int, List[int]] = {}
+        weights: Dict[int, List[int]] = {}
+        # (height, is a Product, arity) -> positions
+        groups: Dict[Tuple[int, bool, int], List[int]] = {}
+        exp2s = _EXP2S[scheme]
+        # one depth-first walk, placing each node after its children; None
+        # on the stack marks that the node below it has all of them placed
+        stack: List[Optional[Expr]] = [expr]
+        while stack:
+            node = stack.pop()
+            if node is not None:
+                if id(node) in position:
+                    continue
+                if isinstance(node, Ref):
+                    wire = node.wire
+                    i = first_ref.get(wire.tag)
+                    if i is None:
+                        i = first_ref[wire.tag] = len(info)
+                        wire_at[i] = wire
+                        info.append((exp2s[wire.bit_value], 1, 0, 1 << wire.bit_index))
+                    position[id(node)] = i
+                    continue
+                stack += (node, None)
+                stack.extend([term for _, term in node.terms] if isinstance(node, Sum)
+                             else node.factors)
                 continue
+            node = stack.pop()
+            i = position[id(node)] = len(info)
             if isinstance(node, Sum):
-                kids = [position[id(term)] for _, term in node.terms]
-                f = min(floor[j] for j in kids)
-                weights = [coeff << (floor[j] - f) for (coeff, _), j in zip(node.terms, kids)]
-                floor.append(f)
-                bound.append(sum(abs(w) * bound[j] for j, w in zip(kids, weights)))
-                nodes.append(("sum", kids, weights))
-                shared = {support[j] for j in kids}
-                support.append(shared.pop() if len(shared) == 1 else None)
+                k = kids[i] = [position[id(term)] for _, term in node.terms]
+                floors, bounds, heights, parts = zip(*map(info.__getitem__, k))
+                f = min(floors)
+                w = weights[i] = [c << (x - f) for (c, _), x in zip(node.terms, floors)]
+                h = 1 + max(heights)
+                info.append((f, sum(map(mul, map(abs, w), bounds)), h,
+                             parts[0] if parts.count(parts[0]) == len(parts) else None))
+                groups.setdefault((h, False, len(k)), []).append(i)
             else:
-                kids = [position[id(factor)] for factor in node.factors]
-                floor.append(sum(floor[j] for j in kids))
-                bound.append(math.prod(bound[j] for j in kids))
-                nodes.append(("product", kids, None))
-                parts = [support[j] for j in kids]
+                k = kids[i] = [position[id(factor)] for factor in node.factors]
+                floors, bounds, heights, parts = zip(*map(info.__getitem__, k))
                 disjoint = None not in parts and sum(parts).bit_count() == sum(
-                    p.bit_count() for p in parts)
-                support.append(sum(parts) if disjoint else None)
-            height.append(1 + max(height[j] for j in kids))
-        self.exp2 = floor[-1]
-        self.support = support[-1]
-        self.bound = bound[-1]
+                    map(int.bit_count, parts))
+                h = 1 + max(heights)
+                info.append((sum(floors), math.prod(bounds), h,
+                             sum(parts) if disjoint else None))
+                groups.setdefault((h, True, len(k)), []).append(i)
+        self.exp2, self.bound, _, self.support = info[-1]
         self.dtype = np.int64 if self.bound < _INT64_LIMIT else object
-        self.wire_row = wire_row
         # the stream seeds of self.wires per system, as ReferenceSystem.seed_column
         self.seeds: "weakref.WeakKeyDictionary[ReferenceSystem, np.ndarray]" = (
             weakref.WeakKeyDictionary())
 
-        groups: Dict[Tuple[int, str, int], List[int]] = {}
-        for i, node in enumerate(nodes):
-            if isinstance(node, tuple):
-                groups.setdefault((height[i], node[0], len(node[1])), []).append(i)
-        # topological position -> row; a group's children sit in lower groups
-        row = {i: node for i, node in enumerate(nodes) if isinstance(node, int)}
-        self.nodes = len(self.wires)
-        # per group: (first row, end row, ufunc, arity, the children in
-        # arity-major order (child j of every target, j = 0..arity-1), Sum
-        # weights shaped (arity, targets, 1) or None when all are 1)
-        self.levels = []
-        # per group: its Sums or Products (topological positions) and their
-        # children's rows, from which plan is built on eval_array's first call
-        self._groups: List[Tuple[List[int], List[List[int]]]] = []
-        self._nodes, self._bound = nodes, bound
-        for (_, kind, arity), targets in sorted(groups.items()):
-            first = self.nodes
-            self.nodes += len(targets)
-            row.update((i, first + k) for k, i in enumerate(targets))
-            kids = [[row[j] for j in nodes[i][1]] for i in targets]
-            self._groups.append((targets, kids))
-            flat = np.array(kids, dtype=np.intp).T.reshape(-1)
-            weights = None
-            if kind == "sum":
-                table = [nodes[i][2] for i in targets]
-                if any(w != 1 for ws in table for w in ws):
-                    weights = np.array(table, dtype=self.dtype).T[:, :, None].copy()
-            ufunc = np.add if kind == "sum" else np.multiply
-            self.levels.append((first, self.nodes, ufunc, arity, flat, weights))
-        self.root = row[len(order) - 1]
-        # rows of the tallest matrix eval_configs makes: the nodes, or the
-        # children a level gathers
-        self.width = max([self.nodes] + [len(level[4]) for level in self.levels])
+        # top level down, order a level's nodes by their key, then key its
+        # children by where it reads them; a lower level's keys are smaller
+        # and overwrite a higher one's. Only the root has no key, and it is
+        # alone in its level: every other node is below it.
+        levels = sorted(groups.items())
+        reader: Dict[int, int] = {}
+        key = 0
+        flats = []
+        for _, targets in reversed(levels):
+            if len(targets) > 1:
+                targets.sort(key=reader.__getitem__)
+            flat = (kids[targets[0]] if len(targets) == 1
+                    else list(chain.from_iterable(zip(*map(kids.__getitem__, targets)))))
+            flats.append(flat)
+            key -= len(flat)
+            reader.update(zip(flat, range(key, key + len(flat))))
+        wires = sorted(wire_at, key=reader.get)
+        self.wires: List[WireId] = list(map(wire_at.__getitem__, wires))
+        self.wire_row = dict(zip([wire.tag for wire in self.wires], range(len(wires))))
 
-    @cached_property
-    def plan(self) -> List[tuple]:
-        """Per Sum or Product row, in row order, for eval_array's node loop:
-        (kind, [(child row, weight)] or child rows, child rows, dtype), dtype
-        the narrowest exact one for the node's static bound."""
-        plan = []
-        for targets, kids in self._groups:
-            for i, k in zip(targets, kids):
-                kind, _, weights = self._nodes[i]
-                operand = list(zip(k, weights)) if kind == "sum" else k
-                plan.append((kind, operand, k, _exact_dtype(self._bound[i])))
-        return plan
+        # per position: its dtype's index in _DTYPES << 32 | its row; the
+        # wires are the first rows of the int8 matrix
+        at = dict(zip(wires, range(len(wires))))
+        self.matrices: Dict[object, int] = {np.int8: len(wires)}
+        self.levels: List[tuple] = []
+        gather = 0
+        for ((_, is_product, arity), targets), flat in zip(levels, reversed(flats)):
+            dtype = _exact_dtype(max([info[i][1] for i in targets]))
+            first = self.matrices.get(dtype, 0)
+            end = self.matrices[dtype] = first + len(targets)
+            base = _DTYPES.index(dtype) << 32
+            at.update(zip(targets, range(base + first, base + end)))
+            w = None
+            if not is_product:
+                table = list(zip(*map(weights.__getitem__, targets)))
+                if set(chain.from_iterable(table)) != {1}:
+                    w = np.array(table, dtype=dtype).reshape(arity, len(targets), 1, 1)
+            reads = _reads(list(map(at.__getitem__, flat)))
+            if w is not None or not isinstance(reads[0][1], slice):
+                gather = max(gather, len(flat) * _ITEMSIZE[dtype])
+            self.levels.append((dtype, first, end, np.multiply if is_product else np.add,
+                                arity, reads, w))
+        rank, row = divmod(at[position[id(expr)]], 1 << 32)
+        self.root = (_DTYPES[rank], row)
+        self.column_bytes = gather + sum([r * _ITEMSIZE[d] for d, r in self.matrices.items()])
 
-    @cached_property
-    def last_use(self) -> List[int]:
-        """Per row, the plan row after which eval_array drops its block array."""
-        last_use = list(range(self.nodes))
-        for i, (_, _, kids, _) in enumerate(self.plan, start=len(self.wires)):
-            for j in kids:
-                last_use[j] = i
-        return last_use
+
+def _reads(places: List[int]) -> tuple:
+    """A level's kids (see _Program) from its children's places, index in
+    _DTYPES << 32 | row, in arity-major order."""
+    first, last = places[0], places[-1]
+    rank, base = first >> 32, first >> 32 << 32
+    step = places[1] - first if len(places) > 1 else 1
+    if last >> 32 == rank and step > 0 and places == list(range(first, last + 1, step)):
+        return ((_DTYPES[rank], slice(first - base, last - base + 1, step), None),)
+    if min(places) >> 32 == max(places) >> 32:
+        rows = [p - base for p in places] if base else places
+        return ((_DTYPES[rank], np.array(rows, dtype=np.intp), None),)
+    by_dtype: Dict[int, List[int]] = {}
+    for k, place in enumerate(places):
+        by_dtype.setdefault(place >> 32, []).append(k)
+    return tuple((_DTYPES[d], np.array([places[k] - (d << 32) for k in ks], dtype=np.intp),
+                  np.array(ks, dtype=np.intp)) for d, ks in sorted(by_dtype.items()))
+
+
+# the exact dtypes from narrowest to widest
+_DTYPES = [np.int8, np.int16, np.int32, np.int64, object]
+_ITEMSIZE = {dtype: np.dtype(dtype).itemsize for dtype in _DTYPES}
+_LIMITS = [(dtype, int(np.iinfo(dtype).max)) for dtype in _DTYPES[:-1]]
+# per scheme: the wire exponents of bit values 0 and 1
+_EXP2S = {scheme: (scheme.magnitude_exp2(0), scheme.magnitude_exp2(1)) for scheme in RtwScheme}
 
 
 def _exact_dtype(bound: int):
     """The narrowest dtype that holds every integer of magnitude <= bound."""
-    for dtype in (np.int8, np.int16, np.int32, np.int64):
-        if bound <= np.iinfo(dtype).max:
+    for dtype, top in _LIMITS:
+        if bound <= top:
             return dtype
     return object
 
@@ -214,47 +243,14 @@ def eval_array(
     t_start: int,
     clocks: int,
 ) -> Tuple[np.ndarray, int]:
-    """Exact signal values over clocks [t_start, t_start + clocks).
+    """Exact signal values over clocks [t_start, t_start + clocks): row 0 of
+    a one-configuration ConfigReader read, with no wire grounded.
 
     Returns (ints, exp2): the value at clock t_start + k is ints[k] * 2**exp2.
     ints is int64 or object by the program's static bound (see _Program).
-    Nodes are evaluated one by one over blocks of clocks, sign rows in int8
-    and every Sum and Product in the narrowest exact dtype for its own bound.
     """
-    program = _program(expr, system.scheme)
-    plan, last_use = program.plan, program.last_use
-    seeds = _seed_column(program, system)
-    first = len(program.wires)
-
-    ints = np.empty(clocks, dtype=program.dtype)
-    for lo in range(0, clocks, BLOCK_CLOCKS):
-        n = min(BLOCK_CLOCKS, clocks - lo)
-        # wire reads stay int8; each node computes in its own dtype, never
-        # narrower than a child's
-        vals: List[Optional[np.ndarray]] = [*system.seeded_sign_rows(
-            program.wires, seeds, t_start + lo, n)]
-        vals.extend([None] * len(plan))
-        for i, (kind, operand, kids, dtype) in enumerate(plan, start=first):
-            if kind == "sum":
-                (j, w), rest = operand[0], operand[1:]
-                value = np.multiply(vals[j], w, dtype=dtype)
-                for j, w in rest:
-                    if w == 1:
-                        np.add(value, vals[j], out=value)
-                    elif w == -1:
-                        np.subtract(value, vals[j], out=value)
-                    else:
-                        np.add(value, np.multiply(vals[j], w, dtype=dtype), out=value)
-            else:
-                value = vals[operand[0]].astype(dtype)
-                for j in operand[1:]:
-                    np.multiply(value, vals[j], out=value)
-            vals[i] = value
-            for j in kids:
-                if last_use[j] == i:
-                    vals[j] = None
-        ints[lo : lo + n] = vals[program.root]
-    return ints, program.exp2
+    ints, exp2 = ConfigReader(expr, system, [frozenset()]).read(t_start, clocks)
+    return ints[0], exp2
 
 
 class ConfigReader:
@@ -262,12 +258,14 @@ class ConfigReader:
     prepared once for a scan that reads window after window.
 
     grounded[r] is the set of wires grounded in configuration r. Preparing
-    resolves the cached program, its seed column on the system, the
-    (wire row, configuration) pairs a grounding zeroes and the span of
-    clocks one pass takes; read() then evaluates windows from them. All
-    configurations see the same wire draws, and each level of the program
-    is one gather and one reduce over an arity x targets x (configurations
-    * clocks) array.
+    resolves the cached program, its seed column on the system, the (wire
+    row, configuration) pairs a grounding zeroes and the span of clocks one
+    pass takes: PASS_BYTES over column_bytes per configuration. A pass holds
+    one matrix of rows x configurations x clocks per dtype of the program.
+    All configurations see the same draws: the first configuration's sign
+    rows are drawn in place and the others copy them. Each level reduces its
+    children, a view or one np.take per matrix they sit in, into its own
+    rows.
     """
 
     __slots__ = ("program", "system", "seeds", "configs", "cut", "span")
@@ -282,34 +280,50 @@ class ConfigReader:
         cut = [(k, r) for r, wires in enumerate(grounded) for w in wires
                if (k := rows.get(w.tag)) is not None]
         self.cut = tuple(np.array(pairs, dtype=np.intp) for pairs in zip(*cut)) if cut else None
-        # clocks per pass: the tallest matrix, program.width rows of
-        # configurations x clocks, stays within BLOCK_CLOCKS entries
-        self.span = max(1, BLOCK_CLOCKS // (program.width * max(self.configs, 1)))
+        self.span = max(1, PASS_BYTES // (program.column_bytes * max(self.configs, 1)))
 
     def read(self, t0: int, clocks: int) -> Tuple[np.ndarray, int]:
         """Exact values over clocks [t0, t0 + clocks), one row per
         configuration: configuration r reads ints[r, k] * 2**exp2 at clock
-        t0 + k, with the dtype rule of eval_array."""
+        t0 + k, ints being int64 or object by the program's static bound."""
         program, configs = self.program, self.configs
-        wires, levels = len(program.wires), program.levels
+        source, root = program.root
+        wires = len(program.wires)
         ints = np.empty((configs, clocks), dtype=program.dtype)
-        for lo in range(0, clocks, self.span):
-            n = min(self.span, clocks - lo)
-            cols = configs * n
-            vals = np.empty((program.nodes, configs, n), dtype=program.dtype)
+        width = max(1, min(self.span, clocks))
+        full = {dtype: np.empty((rows, configs, width), dtype=dtype)
+                for dtype, rows in program.matrices.items()}
+        for lo in range(0, clocks, width):
+            n = min(width, clocks - lo)
+            mats = full if n == width else {d: m[:, :, :n] for d, m in full.items()}
             # every configuration sees the same draws; a grounded wire reads 0
-            vals[:wires] = self.system.seeded_sign_rows(
-                program.wires, self.seeds, t0 + lo, n)[:, None, :]
+            signs = mats[np.int8]
+            self.system.draw_sign_rows(signs[:wires, 0], program.wires, self.seeds, t0 + lo)
+            if configs > 1:
+                signs[:wires, 1:] = signs[:wires, :1]
             if self.cut is not None:
-                vals[self.cut] = 0
-            vals = vals.reshape(program.nodes, cols)
-            for first, end, ufunc, arity, flat, weights in levels:
-                # np.take is about twice as fast as vals[flat] on these rows
-                gathered = np.take(vals, flat, axis=0).reshape(arity, end - first, cols)
+                signs[self.cut] = 0
+            # a child's matrix may be wider than its reader's dtype, by a
+            # sibling's bound; its values still fit, so every cast is unsafe
+            for dtype, first, end, ufunc, arity, reads, weights in program.levels:
+                if len(reads) == 1:
+                    src, rows, _ = reads[0]
+                    kids = (mats[src][rows] if isinstance(rows, slice)
+                            else np.take(mats[src], rows, axis=0))
+                else:
+                    kids = np.empty((arity * (end - first), configs, n), dtype=dtype)
+                    for src, rows, places in reads:
+                        kids[places] = np.take(mats[src], rows, axis=0)
+                kids = kids.reshape(arity, end - first, configs, n)
                 if weights is not None:
-                    gathered *= weights
-                ufunc.reduce(gathered, axis=0, out=vals[first:end])
-            ints[:, lo : lo + n] = vals[program.root].reshape(configs, n)
+                    kids = np.multiply(kids, weights, dtype=dtype, casting="unsafe")
+                # one binary call skips the copy of kids[0] that reduce makes
+                if arity == 2:
+                    ufunc(kids[0], kids[1], out=mats[dtype][first:end], dtype=dtype,
+                          casting="unsafe")
+                else:
+                    ufunc.reduce(kids, axis=0, out=mats[dtype][first:end])
+            ints[:, lo : lo + n] = mats[source][root]
         return ints, program.exp2
 
 

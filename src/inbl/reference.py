@@ -119,6 +119,11 @@ _COUNTER_STEPS *= np.uint64((2 * _GOLDEN) & _MASK64)
 # bit positions 0..63 of a word, for windows that lie inside one word
 _BIT_SHIFTS = np.arange(64, dtype=np.uint64)
 
+# words unpacked at once into one byte per clock: beside the rows it
+# writes, a window's draw holds at most 128 KiB of unpacked bits (smaller
+# pieces cost more calls than they save in memory)
+_UNPACK_WORDS = 1 << 11
+
 # the finalizer's constants as numpy scalars, made once: on the few-row
 # windows of a scan, building them per call costs as much as the arithmetic
 _U1, _U27, _U30, _U31 = (np.uint64(k) for k in (1, 27, 30, 31))
@@ -301,17 +306,20 @@ class ReferenceSystem:
     def sign_rows(self, wires: Sequence[WireId], t0: int, n: int) -> np.ndarray:
         """Signs (int8 +1/-1) of distinct wires over clocks [t0, t0+n): row r
         is wires[r], bit-identical to wire_sign."""
-        return self.seeded_sign_rows(wires, self.seed_column(wires), t0, n)
+        signs = np.empty((len(wires), n), dtype=np.int8)
+        self.draw_sign_rows(signs, wires, self.seed_column(wires), t0)
+        return signs
 
     def seed_column(self, wires: Sequence[WireId]) -> np.ndarray:
         """The wires' stream seeds as one uint64 column, which a caller that
         draws the same wires window after window keeps and passes to
-        seeded_sign_rows."""
+        draw_sign_rows."""
         return np.array([self.wire_seed(w) for w in wires], dtype=np.uint64)[:, None]
 
-    def seeded_sign_rows(self, wires: Sequence[WireId], seeds: np.ndarray,
-                         t0: int, n: int) -> np.ndarray:
-        """sign_rows, given seeds = seed_column(wires).
+    def draw_sign_rows(self, bits: np.ndarray, wires: Sequence[WireId], seeds: np.ndarray,
+                       t0: int) -> None:
+        """Write sign_rows(wires, t0, n) into bits, an int8 array (or view)
+        of len(wires) x n, given seeds = seed_column(wires).
 
         Every draw is a pure function of its (wire, counter), so a block of
         rows x counters is one numpy pass, made in place on the system's two
@@ -326,8 +334,7 @@ class ReferenceSystem:
         if self._buffers is None:
             self._buffers = (np.empty(BLOCK_CLOCKS, np.uint64), np.empty(BLOCK_CLOCKS, np.uint64))
         # bits[r, k] = 1 where wire r's sign at clock t0 + k is +1
-        bits = np.empty((len(wires), n), dtype=np.int8)
-        if n == 0:
+        if bits.shape[1] == 0:
             pass
         elif self._iid:
             self._fair_bits(seeds, t0, bits)
@@ -353,7 +360,6 @@ class ReferenceSystem:
         # sign = 2 * bit - 1; numpy adds int8 many times faster than it shifts them
         bits += bits
         bits -= 1
-        return bits
 
     def _fair_bits(self, seeds: np.ndarray, t0: int, bits: np.ndarray) -> None:
         """Fill bits with the sign bits at flip_prob 1/2: the bit at clock t
@@ -384,10 +390,15 @@ class ReferenceSystem:
                 xv, tv = x[: h * k].reshape(h, k), tmp[: h * k].reshape(h, k)
                 _draw_into(xv, tv, seeds[r : r + h], w0 + lo, _SALT_SIGN)
                 # bit j of word i is clock base + 64 i + j on every host: the
-                # words are read as little-endian bytes, each unpacked bit 0 first
-                u = np.unpackbits(xv.astype("<u8", copy=False).view(np.uint8),
-                                  axis=1, bitorder="little")
-                bits[r : r + h, a - t0 : b - t0] = u[:, a - base : b - base]
+                # words are read as little-endian bytes, each unpacked bit 0
+                # first, at most _UNPACK_WORDS words at a time
+                xb = xv.astype("<u8", copy=False).view(np.uint8)
+                step = max(1, _UNPACK_WORDS // h)
+                for i in range(0, k, step):
+                    c = base + (i << 6)  # clock of the first bit unpacked
+                    lo_i, up_i = max(a, c), min(b, c + (step << 6))
+                    u = np.unpackbits(xb[:, i << 3 : (i + step) << 3], axis=1, bitorder="little")
+                    bits[r : r + h, lo_i - t0 : up_i - t0] = u[:, lo_i - c : up_i - c]
 
     def _flip_bits(self, bits: np.ndarray, sel, wires: Sequence[WireId], seeds: np.ndarray,
                    start_bits: List[int], a: int, t0: int) -> None:

@@ -7,16 +7,17 @@ with a pattern that assigns every bit. A zero reading is exact only when
 the expression is certified (its compiled program's support is not None)
 and the pattern assigns every bit of that support: at most one
 product-string survives and no clock cancels it, so one read decides. Any
-other search reads tau clocks and bounds a negative verdict by 2**-tau.
+other search reads tau clocks, at most BLOCK_CLOCKS since the trace lists
+each read, and bounds a negative verdict by 2**-tau.
 
 The searches make their switch actions first and then read with
 `wait_for_live_clock`, which scans windows that double from the clocks the
 search reads up to BLOCK_CLOCKS, each window one exact call to a prepared
-`experiments.ConfigReader` for the un-grounded signal and the grounded
-configurations; a bounded search makes at most one more call, through
-`eval_configs`, for reads past the window's end. Entangle discrimination
-reads its four recorded probe configurations the same way. Amplitudes
-become `Dyadic` values only in the reported outcome.
+`experiments.ConfigReader` (the one window evaluator) for the un-grounded
+signal and the grounded configurations; a bounded search makes at most one
+more call, through `eval_configs`, for reads past the window's end.
+Entangle discrimination reads its four recorded probe configurations the
+same way. Amplitudes become `Dyadic` values only in the reported outcome.
 """
 
 from __future__ import annotations
@@ -170,9 +171,11 @@ def fragment_search(
     the pattern assigns every bit of its support, the reading at the live
     clock is exact either way. Otherwise the survivors can transiently
     cancel, so after tau zero readings the verdict is Absent within 2**-tau.
+    Every read is listed in the trace, so tau is at most BLOCK_CLOCKS
+    (2**15), where 2**-tau is already below 2**-32768.
     """
-    if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
+    if not 1 <= tau <= BLOCK_CLOCKS:
+        raise ValueError(f"tau must be between 1 and {BLOCK_CLOCKS}, got {tau}")
     switches = ground_inverse(pattern, system.num_bits)
     support = _program(expr, system.scheme).support
     exact = support is not None and not support & ~sum(1 << i for i, _ in pattern.assignments)

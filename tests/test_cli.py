@@ -414,6 +414,20 @@ def test_no_state_leaks_between_calls(capsys, monkeypatch, eq9_file):
     assert run_json(capsys, ["search", eq9_file, "--string", "1010"])[1]["seed"] == 78
 
 
+def test_tau_above_the_cap_exits_2(capsys, tmp_path):
+    # every read of a bounded verdict is listed in its trace, so a huge tau
+    # would hold millions of steps; one past 2**15 is refused up front
+    path = tmp_path / "f.nbl"
+    path.write_text("bits 2;\nR1_1*R2_0\n")
+    argv = ["search", str(path), "--fragments", "1=0", "--seed", "1"]
+    assert main(argv + ["--tau", str(2**15 + 1)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "32768" in err
+    code, report = run_json(capsys, argv + ["--tau", str(2**15)])
+    assert code == 1 and report["outcome"]["verdict"] == "absent_bounded"
+    assert report["outcome"]["clocks_observed"] == 2**15
+
+
 def test_rejected_argv_leaves_no_trace(capsys, eq9_file):
     argv = ["search", eq9_file, "--string", "0010", "--seed", "11"]
     _, alone = run_json(capsys, argv)

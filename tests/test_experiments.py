@@ -24,6 +24,7 @@ from inbl.expr import (
     Pattern,
     Product,
     Sum,
+    build_even,
     build_product_string,
     build_universe,
     evaluate,
@@ -31,7 +32,7 @@ from inbl.expr import (
 )
 from inbl.oracle import expand
 from inbl.phonebook import PhonebookSpec, build_phonebook, lookup
-from inbl.reference import BLOCK_CLOCKS, ReferenceSystem, RtwScheme, WireId
+from inbl.reference import ReferenceSystem, RtwScheme, WireId
 from inbl.switchboard import SwitchState
 
 from conftest import dags, random_canonical_expr, sum_of_strings
@@ -126,12 +127,30 @@ def test_eval_array_node_dtype_at_each_edge(high, low, dtype):
     # the root reaches +/-(high + low) whenever R1_1 and R2_1 agree
     system = ReferenceSystem(2, RtwScheme.SYMMETRIC, master_seed=20)
     e = Sum(((high, ref(1, 1)), (low, ref(2, 1))))
-    assert experiments._program(e, system.scheme).plan[-1][3] is dtype
+    program = experiments._program(e, system.scheme)
+    assert program.levels[-1][0] is dtype and program.root[0] is dtype
     ints, exp2 = eval_array(e, system, 50, 300)
     assert ints.dtype == (object if dtype is object else np.int64)
     assert {-(high + low), high + low} <= set(ints.tolist())
     for k, t in enumerate(range(50, 350)):
         assert Dyadic(int(ints[k]), exp2) == evaluate(e, system, t)
+
+
+def _level_children(level):
+    """A level's children as (source, row), in arity-major order."""
+    _, first, end, _, arity, kids, _ = level
+    children = [None] * (arity * (end - first))
+    for source, rows, places in kids:
+        rows = range(rows.start, rows.stop, rows.step) if isinstance(rows, slice) else rows.tolist()
+        for k, row in zip(range(len(children)) if places is None else places.tolist(), rows):
+            children[k] = (source, row)
+    return children
+
+
+def _pass_edges(reader, clocks):
+    """The first and last clock offset of every pass of a read of clocks."""
+    width = min(reader.span, clocks)
+    return sorted({k for lo in range(0, clocks, width) for k in (lo, min(lo + width, clocks) - 1)})
 
 
 @settings(max_examples=100, deadline=None)
@@ -149,20 +168,32 @@ def test_eval_array_node_dtypes_hold_their_bounds(dag, scheme, seed, t, clocks):
     ints, exp2 = eval_array(expr, system, t, clocks)
     row, row_exp2 = eval_configs(expr, system, t, clocks, [frozenset()])
     assert exp2 == row_exp2 and np.array_equal(ints, row[0])
+    for k in _pass_edges(experiments.ConfigReader(expr, system, [frozenset()]), clocks):
+        assert Dyadic(int(ints[k]), exp2) == evaluate(expr, system, t + k)
     program = experiments._program(expr, scheme)
-    bounds = [1] * len(program.wires)
-    ranks = [0] * len(program.wires)
-    for kind, operand, kids, dtype in program.plan:
-        if kind == "sum":
-            bounds.append(sum(abs(w) * bounds[j] for j, w in operand))
-        else:
-            bounds.append(math.prod(bounds[j] for j in operand))
-        ranks.append(_WIDTHS.index(dtype))
-        # the narrowest dtype that holds the bound, no narrower than a child's
-        fits = [w is object or bounds[-1] <= np.iinfo(w).max for w in _WIDTHS]
-        assert ranks[-1] == fits.index(True)
-        assert all(ranks[-1] >= ranks[j] for j in kids)
+    bounds = {(np.int8, r): 1 for r in range(len(program.wires))}
+    for level in program.levels:
+        dtype, first, end, ufunc, arity, _, weights = level
+        children, nodes = _level_children(level), end - first
+        rank = _WIDTHS.index(dtype)
+        for i in range(nodes):
+            kids = children[i::nodes]
+            if ufunc is np.add:
+                w = [1] * arity if weights is None else weights[:, i].ravel().tolist()
+                bound = sum(abs(c) * bounds[kid] for c, kid in zip(w, kids))
+            else:
+                bound = math.prod(bounds[kid] for kid in kids)
+            bounds[dtype, first + i] = bound
+            # every child's values, cast into the level's dtype, are exact
+            assert all(rank >= _narrowest(bounds[kid]) for kid in kids)
+        # the narrowest dtype that holds the level's largest bound
+        assert rank == _narrowest(max(bounds[dtype, r] for r in range(first, end)))
     assert bounds[program.root] == program.bound
+
+
+def _narrowest(bound):
+    fits = [w is object or bound <= np.iinfo(w).max for w in _WIDTHS]
+    return fits.index(True)
 
 
 def test_zero_stats_asymmetric_universe_never_zero():
@@ -378,15 +409,18 @@ def test_eval_configs_matches_scalar_evaluator(dag, scheme, seed, t, clocks, dat
 
 def test_eval_configs_window_in_spans_matches_eval_array():
     # 256 full 8-bit strings: the product level gathers 2,048 children, so a
-    # window of 300 clocks over 3 configurations is taken in spans of 5 clocks
+    # window of 300 clocks over 3 configurations is taken in several passes
     m = 8
     expr = sum_of_strings([format(x, "08b") for x in range(256)], m)
     system = ReferenceSystem(m, RtwScheme.ASYMMETRIC, master_seed=18, flip_prob=Fraction(1, 4))
     configs = [frozenset(), frozenset({WireId(1, 0)}), frozenset({WireId(2, 1), WireId(5, 0)})]
-    assert experiments._program(expr, system.scheme).width * len(configs) > BLOCK_CLOCKS // 300
+    reader = experiments.ConfigReader(expr, system, configs)
+    assert reader.span < 300
     ints, exp2 = eval_configs(expr, system, 1000, 300, configs)
     row, row_exp2 = eval_array(expr, system, 1000, 300)
     assert row_exp2 == exp2 and np.array_equal(ints[0], row)
+    for k in _pass_edges(reader, 300):
+        assert Dyadic(int(ints[0, k]), exp2) == evaluate(expr, system, 1000 + k)
     for r, grounded in enumerate(configs[1:], start=1):
         switches = SwitchState()
         for wire in grounded:
@@ -416,7 +450,7 @@ def test_eval_configs_mixed_arity_levels():
                frozenset(w.wire for w in wires[::3])]
     program = experiments._program(expr, system.scheme)
     assert program.dtype == object
-    levels = {(ufunc, arity, end - first) for first, end, ufunc, arity, _, _ in program.levels}
+    levels = {(ufunc, arity, end - first) for _, first, end, ufunc, arity, _, _ in program.levels}
     assert levels >= {(ufunc, arity, 3) for ufunc in (np.add, np.multiply) for arity in range(1, 6)}
     clocks = 1000
     assert experiments.ConfigReader(expr, system, configs).span < clocks
@@ -428,6 +462,82 @@ def test_eval_configs_mixed_arity_levels():
             switches.ground(wire)
         for k in range(clocks):
             assert Dyadic(int(ints[r, k]), exp2) == evaluate(expr, system, 40 + k, switches)
+
+
+@pytest.mark.parametrize("scheme", list(RtwScheme))
+def test_factored_levels_read_their_children_as_slices(scheme):
+    # the rows are laid out in the order the levels read them, so none of
+    # these levels gathers: U(N)'s sums and root, a product-string's level,
+    # and EVEN(N)'s sums and root, which reads R1_0 and the sums from the
+    # int8 matrix that starts with the sign rows
+    shapes = [build_universe(6), build_product_string(Pattern.from_string("01101001"), 8),
+              build_even(6)]
+    levels = [level for expr in shapes for level in experiments._program(expr, scheme).levels]
+    for level in levels:
+        (_, rows, places), = level[5]
+        assert isinstance(rows, slice) and places is None
+    sums = experiments._program(build_universe(6), scheme).levels[0]
+    assert sums[5] == ((np.int8, slice(0, 12, 1), None),)
+
+
+def test_window_of_several_passes_matches_scalar_evaluator():
+    # a window of 3 passes and a part, over 3 configurations
+    m = 8
+    expr = sum_of_strings([format(x, "08b") for x in range(0, 256, 3)], m)
+    system = ReferenceSystem(m, RtwScheme.SYMMETRIC, master_seed=23, flip_prob=Fraction(1, 8))
+    configs = [frozenset(), frozenset({WireId(3, 0)}), frozenset({WireId(1, 1), WireId(8, 0)})]
+    reader = experiments.ConfigReader(expr, system, configs)
+    clocks = 3 * reader.span + 5
+    ints, exp2 = reader.read(70, clocks)
+    assert ints.shape == (3, clocks)
+    edges = _pass_edges(reader, clocks)
+    assert len(edges) == 8
+    for r, grounded in enumerate(configs):
+        switches = SwitchState()
+        for wire in grounded:
+            switches.ground(wire)
+        for k in edges:
+            assert Dyadic(int(ints[r, k]), exp2) == evaluate(expr, system, 70 + k, switches)
+    assert np.count_nonzero(ints[0]) > 0
+
+
+def _narrow_over_object():
+    # the height-2 products share one object level, by X's 2**80 bound, so
+    # small Y and Y2 sit in it too; int8 levels read them: P with a weight,
+    # Q with one binary call, each casting its object children down
+    s1 = Sum(((2**40, ref(1, 0)), (1, ref(2, 0))))
+    s2 = Sum(((2**40, ref(3, 1)), (1, ref(1, 1))))
+    x = Product((s1, s2))
+    y = Product((Sum(((1, ref(2, 1)), (1, ref(1, 1)))), ref(3, 0)))
+    y2 = Product((Sum(((1, ref(3, 1)), (1, ref(2, 0)))), ref(1, 0)))
+    return Sum(((1, Product((x, Sum(((3, y),))))), (1, Product((y, y2)))))
+
+
+@pytest.mark.parametrize("expr,root,kids", [
+    (Product((ref(1, 0), Sum(((2**40, ref(2, 0)), (1, ref(2, 1)))))), np.int64, {np.int8, np.int64}),
+    (Sum(((2**70, build_universe(3)), (1, ref(1, 0)))), object, {np.int8}),
+    (_narrow_over_object(), object, {np.int8, object}),
+], ids=["sign-and-int64-factors", "object-root-over-int8", "int8-levels-over-object-rows"])
+def test_mixed_dtype_children_match_scalar_evaluator(expr, root, kids):
+    system = ReferenceSystem(3, RtwScheme.ASYMMETRIC, master_seed=24)
+    level = experiments._program(expr, system.scheme).levels[-1]
+    # the root reads one matrix per dtype its children sit in
+    assert level[0] is root and {dtype for dtype, _, _ in level[5]} == kids
+    configs = [frozenset(), frozenset({WireId(1, 1)}), frozenset({WireId(2, 0)}),
+               frozenset({WireId(1, 0), WireId(3, 1)})]
+    ints, exp2 = eval_configs(expr, system, 9, 200, configs)
+    for r, grounded in enumerate(configs):
+        switches = SwitchState()
+        for wire in grounded:
+            switches.ground(wire)
+        for k in range(200):
+            assert Dyadic(int(ints[r, k]), exp2) == evaluate(expr, system, 9 + k, switches)
+
+
+def test_eval_array_of_no_clocks_is_empty():
+    system = ReferenceSystem(2, RtwScheme.SYMMETRIC, master_seed=25)
+    ints, exp2 = eval_array(build_universe(2), system, 5, 0)
+    assert ints.dtype == np.int64 and ints.shape == (0,) and exp2 == 0
 
 
 @pytest.mark.parametrize("flip", [Fraction(1, 2), Fraction(1, 100)])
