@@ -295,7 +295,11 @@ class ConfigReader:
                 for dtype, rows in program.matrices.items()}
         for lo in range(0, clocks, width):
             n = min(width, clocks - lo)
-            mats = full if n == width else {d: m[:, :, :n] for d, m in full.items()}
+            # a short final pass uses the contiguous front of each matrix: a
+            # reduce into a strided [:, :, :n] view takes numpy's slow path
+            mats = full if n == width else {
+                d: m.reshape(-1)[: len(m) * configs * n].reshape(len(m), configs, n)
+                for d, m in full.items()}
             # every configuration sees the same draws; a grounded wire reads 0
             signs = mats[np.int8]
             self.system.draw_sign_rows(signs[:wires, 0], program.wires, self.seeds, t0 + lo)

@@ -7,7 +7,7 @@ evaluation memoizes shared nodes so the cost stays polynomial too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
@@ -66,18 +66,21 @@ class Pattern:
     """Partial or full assignment of bit values: ((bit_index, bit_value), ...)."""
 
     assignments: Tuple[Tuple[int, int], ...]
+    # bit i of mask is set when the pattern assigns bit index i
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
+        mask = 0
         for idx, val in self.assignments:
             if idx < 1:
                 raise PatternError(f"bit index must be >= 1, got {idx}")
             if val not in (0, 1):
                 raise PatternError(f"bit value must be 0 or 1, got {val}")
-            if idx in seen:
+            if mask >> idx & 1:
                 raise PatternError(f"duplicate bit index {idx}")
-            seen.add(idx)
+            mask |= 1 << idx
         object.__setattr__(self, "assignments", tuple(sorted(self.assignments)))
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def from_string(cls, bits: str) -> "Pattern":
@@ -91,7 +94,7 @@ class Pattern:
         return cls(tuple(assignments.items()))
 
     def is_full(self, num_bits: int) -> bool:
-        return [idx for idx, _ in self.assignments] == list(range(1, num_bits + 1))
+        return self.mask == (1 << num_bits + 1) - 2
 
     def check_fits(self, num_bits: int) -> None:
         for idx, _ in self.assignments:

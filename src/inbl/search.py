@@ -11,19 +11,22 @@ other search reads tau clocks, at most BLOCK_CLOCKS since the trace lists
 each read, and bounds a negative verdict by 2**-tau.
 
 The searches make their switch actions first and then read with
-`wait_for_live_clock`, which scans windows that double from the clocks the
-search reads up to BLOCK_CLOCKS, each window one exact call to a prepared
+`wait_for_live_clock`, which scans windows from the clocks the search reads,
+each later window WINDOW_GROWTH times the one before up to one reader pass
+and BLOCK_CLOCKS. Each window is one exact call to a prepared
 `experiments.ConfigReader` (the one window evaluator) for the un-grounded
 signal and the grounded configurations; a bounded search makes at most one
 more call, through `eval_configs`, for reads past the window's end.
 Entangle discrimination reads its four recorded probe configurations the
-same way. Amplitudes become `Dyadic` values only in the reported outcome.
+same way. Amplitudes become `Dyadic` values only in the reported outcome,
+and a search's trace is built from its readings on first access.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import AbstractSet, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,6 +40,10 @@ from .switchboard import SwitchState, ground_inverse
 
 DEFAULT_MAX_WAIT = 10_000
 DEFAULT_TAU = 64
+# each scan window is this many times the one before: a read's cost barely
+# depends on its width up to a pass, so fewer, wider windows find a sparse
+# signal's live clock for less
+WINDOW_GROWTH = 8
 
 
 class Verdict(Enum):
@@ -69,13 +76,29 @@ class TraceStep:
         }
 
 
+class _LazyTrace:
+    """SearchOutcome.trace: set to a list of steps or to a function that
+    builds them, which the first read calls and replaces with its list."""
+
+    def __get__(self, outcome, owner=None):
+        if outcome is None:
+            return ()  # the field's default, which __set__ copies into a new list
+        trace = outcome._trace
+        if callable(trace):
+            trace = outcome._trace = trace()
+        return trace
+
+    def __set__(self, outcome, trace):
+        outcome._trace = trace if callable(trace) else list(trace)
+
+
 @dataclass
 class SearchOutcome:
     verdict: Verdict
     switch_ops: int
     clocks_waited: int
     clocks_observed: int
-    trace: List[TraceStep] = field(default_factory=list)
+    trace: List[TraceStep] = _LazyTrace()
     witness_clock: Optional[int] = None
     amplitude: Optional[Dyadic] = None
     epsilon: Optional[Dyadic] = None  # bound on false negatives, when bounded
@@ -117,17 +140,20 @@ def wait_for_live_clock(
 ) -> LiveClock:
     """Smallest t >= t_start where the un-grounded superposition is nonzero.
 
-    Scans windows that double from `reads` clocks (the clocks the caller
-    reads from the live clock on) up to BLOCK_CLOCKS, clipped at
-    t_start + max_wait; each window reads the un-grounded signal and every
-    configuration in grounded at once, and the returned LiveClock carries them.
-    max_wait must be >= 0; with 0, t_start itself must be live.
+    The first window is `reads` clocks (the clocks the caller reads from the
+    live clock on); each later one is WINDOW_GROWTH times the one before,
+    capped at one reader pass (or the first window, if wider) and at
+    BLOCK_CLOCKS, and every window is clipped at t_start + max_wait. Each
+    window reads the un-grounded signal and every configuration in grounded
+    at once, and the returned LiveClock carries them. max_wait must be >= 0;
+    with 0, t_start itself must be live.
     """
     if max_wait < 0:
         raise ValueError(f"max_wait must be >= 0, got {max_wait}")
     reader = ConfigReader(expr, system, [frozenset(), *grounded])
     end = t_start + max_wait + 1
     t0, width = t_start, min(max(reads, 1), BLOCK_CLOCKS)
+    cap = min(max(reader.span, width), BLOCK_CLOCKS)
     while t0 < end:
         n = min(width, end - t0)
         ints, exp2 = reader.read(t0, n)
@@ -136,7 +162,7 @@ def wait_for_live_clock(
             k = int(live[0])
             return LiveClock(t0 + k, ints[:, k:], exp2)
         t0 += n
-        width = min(2 * width, BLOCK_CLOCKS)
+        width = min(WINDOW_GROWTH * width, cap)
     raise MaxWaitExceeded(t_start, max_wait)
 
 
@@ -178,7 +204,7 @@ def fragment_search(
         raise ValueError(f"tau must be between 1 and {BLOCK_CLOCKS}, got {tau}")
     switches = ground_inverse(pattern, system.num_bits)
     support = _program(expr, system.scheme).support
-    exact = support is not None and not support & ~sum(1 << i for i, _ in pattern.assignments)
+    exact = support is not None and not support & ~pattern.mask
     n = 1 if exact else tau
     live = wait_for_live_clock(expr, system, t_start, max_wait, [switches.grounded], n)
     t = live.clock
@@ -189,13 +215,6 @@ def fragment_search(
         reads = np.concatenate((reads, more[0]))
         hits = reads.nonzero()[0]
     observed = int(hits[0]) + 1 if len(hits) else n
-    trace = [
-        TraceStep(f"live clock found at t={t}"),
-        TraceStep(f"grounded inverse wires of {pattern}"),
-    ]
-    trace.extend(
-        TraceStep(f"read at t={t + k}", Dyadic(int(reads[k]), live.exp2)) for k in range(observed)
-    )
     present = len(hits) > 0
     verdict = Verdict.PRESENT if present else Verdict.ABSENT if exact else Verdict.ABSENT_BOUNDED
     return SearchOutcome(
@@ -203,11 +222,22 @@ def fragment_search(
         switch_ops=len(switches.grounded),
         clocks_waited=t - t_start,
         clocks_observed=observed,
-        trace=trace,
+        # a copy of the readings, so that the outcome keeps no window alive
+        trace=partial(_search_trace, t, pattern, live.exp2, reads[:observed].copy()),
         witness_clock=t + observed - 1 if present else None,
-        amplitude=trace[-1].amplitude if present or exact else None,
+        amplitude=Dyadic(int(reads[observed - 1]), live.exp2) if present or exact else None,
         epsilon=None if present or exact else Dyadic.pow2(-tau),
     )
+
+
+def _search_trace(clock: int, pattern: Pattern, exp2: int, reads: np.ndarray) -> List[TraceStep]:
+    """A search's trace: its live clock, its grounding and each reading from
+    the live clock on, reads[k] * 2**exp2 at clock + k."""
+    return [
+        TraceStep(f"live clock found at t={clock}"),
+        TraceStep(f"grounded inverse wires of {pattern}"),
+        *(TraceStep(f"read at t={clock + k}", Dyadic(int(x), exp2)) for k, x in enumerate(reads)),
+    ]
 
 
 def entangle_discriminate(

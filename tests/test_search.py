@@ -1,5 +1,7 @@
+import gc
 import random
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 from inbl.dsl import parse_dsl
 from inbl.dyadic import Dyadic
 from inbl.errors import IllegalClass, MaxWaitExceeded
-from inbl.experiments import _program
+from inbl import experiments, search
+from inbl.experiments import ConfigReader, _program
 from inbl.expr import (
     Pattern,
     Product,
@@ -25,7 +28,7 @@ from inbl.expr import (
 )
 from inbl.oracle import expand, legal_bell_class, member, surviving
 from inbl.phonebook import PhonebookSpec, build_phonebook, inverse_lookup, lookup
-from inbl.reference import ReferenceSystem, RtwScheme, WireId
+from inbl.reference import BLOCK_CLOCKS, ReferenceSystem, RtwScheme, WireId
 from inbl.search import (
     DEFAULT_TAU,
     BellClass,
@@ -505,7 +508,7 @@ def test_windowed_searches_match_scalar_reference(
 @pytest.mark.parametrize("flip", [Fraction(1, 2), Fraction(1, 100)])
 def test_windowed_searches_match_reference_on_long_waits(flip):
     # symmetric 3-bit strings cancel pairwise for long runs at flip 1/100, so
-    # the doubling windows grow; a 2**70 coefficient takes the object path
+    # the scan windows grow; a 2**70 coefficient takes the object path
     a = build_product_string(Pattern.from_string("010"), 3)
     b = build_product_string(Pattern.from_string("100"), 3)
     exprs = [Sum(((1, a), (1, b))), Sum(((2**70, a), (2**70, b)))]
@@ -553,6 +556,92 @@ def test_live_clock_carries_the_window_readings():
         assert Dyadic(int(live.readings[0, k]), live.exp2) == evaluate(expr, system, t + k)
         assert Dyadic(int(live.readings[1, k]), live.exp2) == evaluate(
             expr, system, t + k, collapse)
+
+
+@pytest.mark.parametrize("flip", [Fraction(1, 2), Fraction(1, 100)])
+@pytest.mark.parametrize("pass_bytes", [experiments.PASS_BYTES, 4096])
+def test_scan_windows_grow_eightfold_within_their_caps(monkeypatch, flip, pass_bytes):
+    # a symmetric U(8) is live at about one clock in 256, and at flip 1/100
+    # its dead runs last thousands of clocks; from clock 41 on this system
+    # waits 671 or 1,670 clocks, so each scan crosses several windows, and a
+    # 4 KiB pass caps them at 78 clocks within that wait
+    monkeypatch.setattr(experiments, "PASS_BYTES", pass_bytes)
+    expr = build_universe(8)
+    make_system = lambda: ReferenceSystem(8, RtwScheme.SYMMETRIC, master_seed=1, flip_prob=flip)
+    windows = []
+    real_read = ConfigReader.read
+
+    def recorded(reader, t0, clocks):
+        windows.append((t0, clocks, reader.span))
+        return real_read(reader, t0, clocks)
+
+    monkeypatch.setattr(ConfigReader, "read", recorded)
+    # a certified full string reads one clock from the live clock on, and
+    # the fragment reads tau; both are present at their first read
+    for pattern, tau, reads in ((Pattern.from_string("01100101"), None, 1),
+                                (Pattern.fragments({1: 0}), 16, 16)):
+        want = scalar_search(expr, make_system(), pattern, tau, 10_000, 41)
+        live = 41 + want.clocks_waited
+        # the second scan is live at exactly t_start + max_wait
+        for max_wait in (10_000, want.clocks_waited):
+            del windows[:]
+            assert windowed_search(expr, make_system(), pattern, tau, max_wait, 41) == want
+            end = 41 + max_wait + 1
+            t0, clocks, span = windows[0]
+            assert (t0, clocks) == (41, reads)
+            cap = min(max(span, reads), BLOCK_CLOCKS)
+            for (t0, clocks, _), (last_t0, last_clocks, _) in zip(windows[1:], windows):
+                assert t0 == last_t0 + last_clocks
+                assert clocks == min(8 * last_clocks, cap, end - t0)
+            t0, clocks, _ = windows[-1]
+            assert t0 <= live < t0 + clocks
+            assert len(windows) >= 3
+        assert t0 + clocks == end
+        with pytest.raises(MaxWaitExceeded):
+            windowed_search(expr, make_system(), pattern, tau, want.clocks_waited - 1, 41)
+
+
+def test_trace_matches_the_reference_and_keeps_no_window(monkeypatch):
+    windows, traces = [], []
+    real_read, real_trace = ConfigReader.read, search._search_trace
+
+    def recorded(reader, t0, clocks):
+        ints, exp2 = real_read(reader, t0, clocks)
+        windows.append(weakref.ref(ints))
+        return ints, exp2
+
+    def counted(*args):
+        traces.append(args)
+        return real_trace(*args)
+
+    monkeypatch.setattr(ConfigReader, "read", recorded)
+    monkeypatch.setattr(search, "_search_trace", counted)
+    # dead runs and cancelling survivors (see the every-offset test) put the
+    # bounded reads past a window's end at some starts
+    expr = sum_of_strings(["0011", "0101", "0000", "1000"], 4)
+    make_system = lambda: ReferenceSystem(4, RtwScheme.SYMMETRIC, master_seed=22)
+    queries = [(Pattern.from_string("0101"), None), (Pattern.from_string("1111"), None),
+               (Pattern.fragments({4: 1}), 16), (Pattern.fragments({1: 1, 2: 1}), 8)]
+    verdicts = set()
+    for t_start in range(40):
+        for pattern, tau in queries:
+            del windows[:], traces[:]
+            got = windowed_search(expr, make_system(), pattern, tau, 5000, t_start)
+            gc.collect()
+            assert windows and not any(window() for window in windows)
+            # the trace is built once, on its first access
+            assert not traces
+            want = scalar_search(expr, make_system(), pattern, tau, 5000, t_start)
+            assert got.trace == want.trace and got.trace is got.trace
+            assert len(traces) == 1
+            assert got.to_json() == want.to_json() and got == want
+            verdicts.add(got.verdict)
+    assert verdicts == set(Verdict)
+    # a trace given as a list reads back equal, and each default is a new list
+    steps = [TraceStep("live clock found at t=0")]
+    assert SearchOutcome(Verdict.PRESENT, 0, 0, 1, trace=steps).trace == steps
+    first, second = SearchOutcome(Verdict.PRESENT, 0, 0, 1), SearchOutcome(Verdict.PRESENT, 0, 0, 1)
+    assert first.trace == [] and first.trace is not second.trace
 
 
 def test_searches_on_a_deep_chain_without_recursion():
