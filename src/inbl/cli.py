@@ -28,7 +28,7 @@ from .search import (
     DEFAULT_MAX_WAIT,
     DEFAULT_TAU,
     Verdict,
-    entangle_discriminate,
+    _bell_probes,
     fragment_search,
     full_string_search,
 )
@@ -157,16 +157,13 @@ def _cmd_search(args) -> Tuple[dict, int]:
 
 def _cmd_entangle(args) -> Tuple[dict, int]:
     expr, bits = _load_expr(args.file, num_bits=2)
+    # entangle_discriminate's own check, on the one expansion that the
+    # oracle check also reads
     expected = oracle.legal_bell_class(oracle.expand(expr, 2))
     if expected is None:
         raise InblError(f"{args.file}: the signal is none of the six legal two-bit classes")
     system = _make_system(args, 2)
-    bell, trace = entangle_discriminate(
-        expr,
-        system,
-        max_wait=args.max_wait,
-        probe_partner_value=args.probe_partner,
-    )
+    bell, trace = _bell_probes(expr, system, args.max_wait, 0, args.probe_partner)
     report = _base_report(
         args,
         {

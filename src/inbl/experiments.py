@@ -10,6 +10,11 @@ most PASS_BYTES. Every protocol reads the un-grounded signal, the collapse
 and the probes of a whole window this way, one reader per scan;
 `eval_configs` is a one-shot read, and `eval_array`, which the statistics
 scan with, is its row 0 with no wire grounded.
+
+A read of at most STREAM_CLOCKS clocks takes its signs from the (program,
+system)'s sign stream (see _SignStream), which keeps the last block of
+whole 64-clock words it drew; wider reads, such as every pass of the
+statistics, draw in place.
 """
 
 from __future__ import annotations
@@ -32,6 +37,9 @@ _INT64_LIMIT = 1 << 63
 # matrices and its largest gather; larger passes miss the cache and raise
 # the peak memory of a scan
 PASS_BYTES = 1 << 20
+# reads of at most this many clocks copy their sign rows from a sign stream
+# (see _SignStream); a block costs wires x its clocks bytes per stream
+STREAM_CLOCKS = 1 << 12
 
 
 class _Program:
@@ -125,8 +133,8 @@ class _Program:
                 groups.setdefault((h, True, len(k)), []).append(i)
         self.exp2, self.bound, _, self.support = info[-1]
         self.dtype = np.int64 if self.bound < _INT64_LIMIT else object
-        # the stream seeds of self.wires per system, as ReferenceSystem.seed_column
-        self.seeds: "weakref.WeakKeyDictionary[ReferenceSystem, np.ndarray]" = (
+        # the sign stream of self.wires per system, for as long as both live
+        self.streams: "weakref.WeakKeyDictionary[ReferenceSystem, _SignStream]" = (
             weakref.WeakKeyDictionary())
 
         # top level down, order a level's nodes by their key, then key its
@@ -228,13 +236,50 @@ def _program(expr: Expr, scheme: RtwScheme) -> _Program:
     return program
 
 
-def _seed_column(program: _Program, system: ReferenceSystem) -> np.ndarray:
-    """The stream seeds of the program's wires on system, kept with the
-    program for as long as both live."""
-    seeds = program.seeds.get(system)
-    if seeds is None:
-        seeds = program.seeds[system] = system.seed_column(program.wires)
-    return seeds
+class _SignStream:
+    """The sign rows of one program's wires on one system: their tags, their
+    seed column (ReferenceSystem.seed_column) and the last block drawn, int8
+    signs of every wire over clocks [start, start + block width).
+
+    A window inside the block is a view of it. Any other window draws its
+    cover, from the 64-clock word that holds its first clock to the end of
+    the word that holds its last, into a new block, where the following
+    reads of a scan or of the next query, which move forward in simulated
+    time, mostly find their clocks; at flip_prob != 1/2 the draw leaves the
+    wires' anchors at the block's end. Every sign is a pure function of
+    (wire, clock), so a window reads the same signs either way. The stream
+    holds no reference to its program or system: the program keeps it in a
+    weak-keyed table of systems, and ConfigReader passes the system in.
+    """
+
+    __slots__ = ("tags", "seeds", "start", "block")
+
+    def __init__(self, program: _Program, system: ReferenceSystem):
+        self.tags = np.array([wire.tag for wire in program.wires], dtype=np.intp)
+        self.seeds = system.seed_column(program.wires)
+        self.start = 0
+        self.block = np.empty((len(self.tags), 0), dtype=np.int8)
+
+    def window(self, system: ReferenceSystem, t0: int, clocks: int) -> np.ndarray:
+        """The sign rows over clocks [t0, t0 + clocks), a view of the block."""
+        k = t0 - self.start
+        if k < 0 or k + clocks > self.block.shape[1]:
+            if t0 < 0:
+                raise ValueError(f"clock must be >= 0, got {t0}")
+            start = t0 & -64
+            self.block = np.empty((len(self.tags), ((t0 + clocks + 63) & -64) - start),
+                                  dtype=np.int8)
+            system.draw_sign_rows(self.block, self.tags, self.seeds, start)
+            self.start, k = start, t0 - start
+        return self.block[:, k : k + clocks]
+
+
+def _stream(program: _Program, system: ReferenceSystem) -> _SignStream:
+    """The program's sign stream on system, made on first use."""
+    stream = program.streams.get(system)
+    if stream is None:
+        stream = program.streams[system] = _SignStream(program, system)
+    return stream
 
 
 def eval_array(
@@ -258,23 +303,24 @@ class ConfigReader:
     prepared once for a scan that reads window after window.
 
     grounded[r] is the set of wires grounded in configuration r. Preparing
-    resolves the cached program, its seed column on the system, the (wire
+    resolves the cached program, its sign stream on the system, the (wire
     row, configuration) pairs a grounding zeroes and the span of clocks one
     pass takes: PASS_BYTES over column_bytes per configuration. A pass holds
     one matrix of rows x configurations x clocks per dtype of the program.
-    All configurations see the same draws: the first configuration's sign
-    rows are drawn in place and the others copy them. Each level reduces its
-    children, a view or one np.take per matrix they sit in, into its own
-    rows.
+    All configurations see the same draws: a read of at most STREAM_CLOCKS
+    clocks copies every configuration's sign rows from the stream's block;
+    a wider one draws the first configuration's in place and the others
+    copy them. Each level reduces its children, a view or one np.take per
+    matrix they sit in, into its own rows.
     """
 
-    __slots__ = ("program", "system", "seeds", "configs", "cut", "span")
+    __slots__ = ("program", "system", "stream", "configs", "cut", "span")
 
     def __init__(self, expr: Expr, system: ReferenceSystem,
                  grounded: Sequence[AbstractSet[WireId]]):
         program = self.program = _program(expr, system.scheme)
         self.system = system
-        self.seeds = _seed_column(program, system)
+        self.stream = _stream(program, system)
         self.configs = len(grounded)
         rows = program.wire_row
         cut = [(k, r) for r, wires in enumerate(grounded) for w in wires
@@ -293,6 +339,8 @@ class ConfigReader:
         width = max(1, min(self.span, clocks))
         full = {dtype: np.empty((rows, configs, width), dtype=dtype)
                 for dtype, rows in program.matrices.items()}
+        stream = self.stream
+        block = stream.window(self.system, t0, clocks) if 0 < clocks <= STREAM_CLOCKS else None
         for lo in range(0, clocks, width):
             n = min(width, clocks - lo)
             # a short final pass uses the contiguous front of each matrix: a
@@ -302,9 +350,12 @@ class ConfigReader:
                 for d, m in full.items()}
             # every configuration sees the same draws; a grounded wire reads 0
             signs = mats[np.int8]
-            self.system.draw_sign_rows(signs[:wires, 0], program.wires, self.seeds, t0 + lo)
-            if configs > 1:
-                signs[:wires, 1:] = signs[:wires, :1]
+            if block is not None:
+                signs[:wires] = block[:, None, lo : lo + n]
+            else:
+                self.system.draw_sign_rows(signs[:wires, 0], stream.tags, stream.seeds, t0 + lo)
+                if configs > 1:
+                    signs[:wires, 1:] = signs[:wires, :1]
             if self.cut is not None:
                 signs[self.cut] = 0
             # a child's matrix may be wider than its reader's dtype, by a

@@ -9,13 +9,13 @@ exponential; a hard size cap fails loudly instead of thrashing.
 
 from __future__ import annotations
 
+from enum import Enum
 from typing import Dict, Optional, Tuple
 
 from .dyadic import Dyadic, ZERO
 from .errors import OracleLimitExceeded
 from .expr import Expr, Pattern, Ref, Sum, topological_order
 from .reference import ReferenceSystem, WireId
-from .search import BellClass
 from .switchboard import SwitchState
 
 DEFAULT_ORACLE_LIMIT = 24
@@ -165,6 +165,18 @@ def eval_via_expansion(
                 break
         total = total + value
     return total
+
+
+class BellClass(Enum):
+    """The six two-noise-bit configurations where each bit value appears in
+    at most one string."""
+
+    S01_PLUS_10 = "S01+10"
+    S00_PLUS_11 = "S00+11"
+    S00 = "S00"
+    S01 = "S01"
+    S10 = "S10"
+    S11 = "S11"
 
 
 _BELL_BY_STRINGS = {

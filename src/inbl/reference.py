@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -139,6 +139,11 @@ def _draw_into(x: np.ndarray, tmp: np.ndarray, seeds: np.ndarray, c0: int, salt:
         np.add(seeds, start, out=x)
     else:
         np.add(_COUNTER_STEPS[: x.shape[1]], seeds + start, out=x)
+    _mix_into(x, tmp)
+
+
+def _mix_into(x: np.ndarray, tmp: np.ndarray) -> None:
+    """x = mix64(x), elementwise and in place; tmp is scratch of x's shape."""
     np.right_shift(x, _U30, out=tmp)
     x ^= tmp
     x *= _UMIX1
@@ -151,6 +156,14 @@ def _draw_into(x: np.ndarray, tmp: np.ndarray, seeds: np.ndarray, c0: int, salt:
 
 _U63 = np.uint64(63)
 _PREFIX_SHIFTS = tuple(np.uint64(1 << k) for k in range(6))
+
+
+def _first_bits(seeds: np.ndarray) -> np.ndarray:
+    """The sign bits at clock 0 of the column of stream seeds at flip_prob !=
+    1/2, as uint8: bit 63 of _draw(seed, 0, _SALT_SIGN) = mix64(seed)."""
+    x = seeds[:, 0].copy()
+    _mix_into(x, np.empty_like(x))
+    return (x >> _U63).astype(np.uint8)
 
 
 def _parity_prefix(flips: np.ndarray, carry: np.ndarray) -> np.ndarray:
@@ -189,9 +202,10 @@ class ReferenceSystem:
     from its predecessor. At the default 1/2, successive signs are independent
     fair coin flips, 64 clocks to a draw, and every clock is addressable in
     O(1); other flip probabilities, 4 clocks to a draw, count flips from a
-    per-wire anchor (the last clock counted and the sign there), forward or
-    backward, whichever of the anchor and clock 0 is nearer, so scans that
-    move forward or step back a little stay O(distance).
+    per-wire anchor (the last clock counted and the sign there, which the
+    scalar and the array paths share), forward or backward, whichever of the
+    anchor and clock 0 is nearer, so scans that move forward or step back a
+    little stay O(distance).
     """
 
     def __init__(
@@ -216,10 +230,12 @@ class ReferenceSystem:
         self._lane_threshold, self._tie_rem = divmod(flip_prob.numerator << 16,
                                                      flip_prob.denominator)
         self._lane_limit = np.uint16(min(self._lane_threshold, 0xFFFF))  # flip_prob 1: unused
-        # per wire tag: the stream seed, and for flip_prob != 1/2 the anchor
-        # (anchor clock, sign bit there), where sign bit 1 means +1
+        # per wire tag: the stream seed, and for flip_prob != 1/2 the anchor,
+        # its clock (-1: none yet) and sign bit there (1 means +1), in two
+        # arrays indexed by tag that grow to the largest tag counted
         self._seeds: Dict[int, int] = {}
-        self._anchors: Dict[int, Tuple[int, int]] = {}
+        self._anchor_clock = np.empty(0, dtype=np.int64)
+        self._anchor_bit = np.empty(0, dtype=np.uint8)
         # two uint64 draw buffers of BLOCK_CLOCKS entries, made on first use
         # and reused by every sign_rows call, so one system is not safe to
         # share between threads
@@ -258,17 +274,28 @@ class ReferenceSystem:
             return 1 if _draw(seed, t >> 6, _SALT_SIGN) >> (t & 63) & 1 else -1
         return 1 if self._sign_bit(wire, seed, t) else -1
 
-    def _start(self, wire: WireId, seed: int, t: int) -> Tuple[int, int]:
+    def _start(self, tag: int, seed: int, t: int) -> Tuple[int, int]:
         """Where to count the sign at clock t from, as (clock, sign bit
-        there): the wire's anchor, unless clock 0 is nearer."""
-        anchor = self._anchors.get(wire.tag)
-        if anchor is None or anchor[0] - t >= t:
-            return 0, _draw(seed, 0, _SALT_SIGN) >> 63
-        return anchor
+        there): the wire's anchor, unless clock 0 is nearer or it has none."""
+        if tag < len(self._anchor_clock):
+            a = int(self._anchor_clock[tag])
+            if 0 <= a < 2 * t:
+                return a, int(self._anchor_bit[tag])
+        return 0, _draw(seed, 0, _SALT_SIGN) >> 63
+
+    def _anchor_room(self, top: int) -> None:
+        """Grow the anchor arrays to hold tag top."""
+        have = len(self._anchor_clock)
+        if top >= have:
+            size = max(top + 1, 2 * have)
+            self._anchor_clock = np.concatenate(
+                (self._anchor_clock, np.full(size - have, -1, dtype=np.int64)))
+            self._anchor_bit = np.concatenate(
+                (self._anchor_bit, np.zeros(size - have, dtype=np.uint8)))
 
     def _sign_bit(self, wire: WireId, seed: int, t: int) -> int:
         # the sign bit at t is the anchor's XOR the flips between the two
-        a, bit = self._start(wire, seed, t)
+        a, bit = self._start(wire.tag, seed, t)
         threshold, counter, word = self._lane_threshold, -1, 0
         for k in range(min(a, t) + 1, max(a, t) + 1):
             if k >> 2 != counter:
@@ -278,7 +305,8 @@ class ReferenceSystem:
             if lane < threshold or lane == threshold and self._tie_flips(seed, k):
                 bit ^= 1
         if t > a:
-            self._anchors[wire.tag] = (t, bit)
+            self._anchor_room(wire.tag)
+            self._anchor_clock[wire.tag], self._anchor_bit[wire.tag] = t, bit
         return bit
 
     def _tie_flips(self, seed: int, t: int) -> bool:
@@ -307,7 +335,8 @@ class ReferenceSystem:
         """Signs (int8 +1/-1) of distinct wires over clocks [t0, t0+n): row r
         is wires[r], bit-identical to wire_sign."""
         signs = np.empty((len(wires), n), dtype=np.int8)
-        self.draw_sign_rows(signs, wires, self.seed_column(wires), t0)
+        tags = np.array([w.tag for w in wires], dtype=np.intp)
+        self.draw_sign_rows(signs, tags, self.seed_column(wires), t0)
         return signs
 
     def seed_column(self, wires: Sequence[WireId]) -> np.ndarray:
@@ -316,47 +345,59 @@ class ReferenceSystem:
         draw_sign_rows."""
         return np.array([self.wire_seed(w) for w in wires], dtype=np.uint64)[:, None]
 
-    def draw_sign_rows(self, bits: np.ndarray, wires: Sequence[WireId], seeds: np.ndarray,
+    def draw_sign_rows(self, bits: np.ndarray, tags: np.ndarray, seeds: np.ndarray,
                        t0: int) -> None:
         """Write sign_rows(wires, t0, n) into bits, an int8 array (or view)
-        of len(wires) x n, given seeds = seed_column(wires).
+        of len(wires) x n, given the wires' tags as an intp array and seeds =
+        seed_column(wires).
 
         Every draw is a pure function of its (wire, counter), so a block of
         rows x counters is one numpy pass, made in place on the system's two
         uint64 buffers of BLOCK_CLOCKS entries; at flip_prob 1/2 a counter is
         a word of 64 clocks, and a window inside one word draws one counter
         per row and shifts out its clocks. For flip_prob != 1/2 a counter is
-        4 clocks, the wires whose anchors sit at the same clock are counted
-        together, and each anchor is left at the last clock counted.
+        4 clocks: every wire's start (its anchor, or clock 0 if that is
+        nearer) is found with array operations, the wires that start at the
+        same clock are counted together, and each anchor is left at the last
+        clock counted. The evaluator calls it once per sign block of a
+        (program, system) sign stream, whose ends are whole 64-clock words,
+        and directly for reads wider than a block (experiments._SignStream).
         """
         if t0 < 0:
             raise ValueError(f"clock must be >= 0, got {t0}")
         if self._buffers is None:
             self._buffers = (np.empty(BLOCK_CLOCKS, np.uint64), np.empty(BLOCK_CLOCKS, np.uint64))
         # bits[r, k] = 1 where wire r's sign at clock t0 + k is +1
-        if bits.shape[1] == 0:
+        if not bits.size:
             pass
         elif self._iid:
             self._fair_bits(seeds, t0, bits)
         elif self.flip_prob == 1:  # every clock flips: the sign bit at t is s0 ^ (t & 1)
-            s0 = np.array([_draw(s, 0, _SALT_SIGN) >> 63 for s in seeds[:, 0].tolist()],
-                          dtype=np.int8)
+            s0 = _first_bits(seeds)
             bits[:, 0::2] = (s0 ^ (t0 & 1))[:, None]
             bits[:, 1::2] = (s0 ^ (t0 & 1) ^ 1)[:, None]
         else:
+            self._anchor_room(int(tags.max()))
+            # start from the anchor where it is nearer than clock 0 (see _start)
+            start = self._anchor_clock[tags]
+            near = (start >= 0) & (start < 2 * t0)
+            start_bits = self._anchor_bit[tags]
+            if not near.all():
+                far = ~near
+                start[far] = 0
+                start_bits[far] = _first_bits(seeds[far])
             # rows counted from the same clock share one pass
-            starts = [self._start(w, s, t0) for w, s in zip(wires, seeds[:, 0].tolist())]
-            groups: Dict[int, List[int]] = {}
-            for r, (clock, _) in enumerate(starts):
-                groups.setdefault(clock, []).append(r)
-            for rows in groups.values():
-                for i in range(0, len(rows), BLOCK_CLOCKS):
-                    part = rows[i : i + BLOCK_CLOCKS]
-                    # consecutive rows, as when all anchors agree, are a slice
-                    r0 = part[0]
-                    sel = slice(r0, r0 + len(part)) if part[-1] - r0 == len(part) - 1 else part
-                    self._flip_bits(bits, sel, [wires[r] for r in part], seeds[sel],
-                                    [starts[r][1] for r in part], starts[r0][0], t0)
+            first = int(start[0])
+            if (start == first).all():
+                groups = [(None, first)]
+            else:
+                clocks, group = np.unique(start, return_inverse=True)
+                groups = [(np.flatnonzero(group == g), int(c)) for g, c in enumerate(clocks)]
+            for rows, a in groups:
+                count = len(tags) if rows is None else len(rows)
+                for i in range(0, count, BLOCK_CLOCKS):
+                    sel = slice(i, i + BLOCK_CLOCKS) if rows is None else rows[i : i + BLOCK_CLOCKS]
+                    self._flip_bits(bits, sel, tags[sel], seeds[sel], start_bits[sel], a, t0)
         # sign = 2 * bit - 1; numpy adds int8 many times faster than it shifts them
         bits += bits
         bits -= 1
@@ -400,11 +441,11 @@ class ReferenceSystem:
                     u = np.unpackbits(xb[:, i << 3 : (i + step) << 3], axis=1, bitorder="little")
                     bits[r : r + h, lo_i - t0 : up_i - t0] = u[:, lo_i - c : up_i - c]
 
-    def _flip_bits(self, bits: np.ndarray, sel, wires: Sequence[WireId], seeds: np.ndarray,
-                   start_bits: List[int], a: int, t0: int) -> None:
-        """Write the sign bits over [t0, t0+n) of at most BLOCK_CLOCKS wires
-        into their rows bits[sel], counted from clock a, where their sign
-        bits are start_bits (see _start).
+    def _flip_bits(self, bits: np.ndarray, sel, tags: np.ndarray, seeds: np.ndarray,
+                   start_bits: np.ndarray, a: int, t0: int) -> None:
+        """Write the sign bits over [t0, t0+n) of at most BLOCK_CLOCKS wires,
+        whose tags are tags, into their rows bits[sel], counted from clock a,
+        where their sign bits are start_bits (see _start).
 
         Flips are counted over (start, hi] into a running parity that starts
         from start_bits. From an anchor before t0 the start is the anchor,
@@ -412,10 +453,10 @@ class ReferenceSystem:
         t0, the start is t0, and every bit is put right at the end by the
         flips from t0 up to the anchor (the parity there XOR start_bits).
         """
-        rows, n = len(wires), bits.shape[1]
+        rows, n = len(tags), bits.shape[1]
         end = t0 + n - 1
         start, hi = (a, end) if a <= t0 else (t0, max(a, end))
-        s0 = np.array(start_bits, dtype=bool)
+        s0 = start_bits.view(bool)
         parity = at_anchor = s0  # parity: at the last clock counted
         if t0 == start:
             bits[sel, 0] = s0
@@ -445,5 +486,5 @@ class ReferenceSystem:
             bits[sel] ^= correction[:, None]
             parity = parity ^ correction
         if hi > a:
-            self._anchors.update(zip([w.tag for w in wires],
-                                     zip([hi] * rows, parity.view(np.uint8).tolist())))
+            self._anchor_clock[tags] = hi
+            self._anchor_bit[tags] = parity

@@ -16,10 +16,14 @@ each later window WINDOW_GROWTH times the one before up to one reader pass
 and BLOCK_CLOCKS. Each window is one exact call to a prepared
 `experiments.ConfigReader` (the one window evaluator) for the un-grounded
 signal and the grounded configurations; a bounded search makes at most one
-more call, through `eval_configs`, for reads past the window's end.
-Entangle discrimination reads its four recorded probe configurations the
-same way. Amplitudes become `Dyadic` values only in the reported outcome,
-and a search's trace is built from its readings on first access.
+more call, through `eval_configs`, for reads past the window's end. A
+read of at most STREAM_CLOCKS clocks copies its signs from the
+(expression, system)'s sign stream, whose block the previous search on
+the system has mostly drawn already. Entangle discrimination checks its
+signal's class on the oracle's 2-bit expansion and reads its four
+recorded probe configurations the same way. Amplitudes become `Dyadic`
+values only in the reported outcome, and a search's trace is built from
+its readings on first access.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .dyadic import Dyadic
 from .errors import IllegalClass, MaxWaitExceeded
 from .experiments import ConfigReader, _program, eval_configs
 from .expr import Expr, Pattern
+from .oracle import BellClass, expand, legal_bell_class
 from .reference import BLOCK_CLOCKS, ReferenceSystem, WireId, wire_id
 from .switchboard import SwitchState, ground_inverse
 
@@ -50,18 +55,6 @@ class Verdict(Enum):
     PRESENT = "present"
     ABSENT = "absent"
     ABSENT_BOUNDED = "absent_bounded"
-
-
-class BellClass(Enum):
-    """The six two-noise-bit configurations where each bit value appears in
-    at most one string."""
-
-    S01_PLUS_10 = "S01+10"
-    S00_PLUS_11 = "S00+11"
-    S00 = "S00"
-    S01 = "S01"
-    S10 = "S10"
-    S11 = "S11"
 
 
 @dataclass
@@ -249,11 +242,11 @@ def entangle_discriminate(
 ) -> Tuple[BellClass, List[TraceStep]]:
     """Identify which of the six legal two-bit configurations a signal is.
 
-    Precondition: expr expands to one of the six legal classes (coefficient
-    1 on each of its strings). The probes cannot tell every other signal
-    from a legal one: such an input may raise IllegalClass or name a wrong
-    class, which may differ from seed to seed. Check the precondition on
-    the oracle expansion first, as the `inbl entangle` command does.
+    expr must expand to one of the six legal classes (coefficient 1 on each
+    of its strings), or IllegalClass is raised before any switch action:
+    the probes cannot tell every other signal from a legal one, and would
+    name a wrong class on some seeds. The check is the oracle's 2-bit
+    expansion, at most 9 monomials per node, so O(nodes).
 
     All probing happens inside one live clock; groundings are applied and
     reverted freely while the wire draws stay frozen. probe_partner_value
@@ -264,6 +257,15 @@ def entangle_discriminate(
         raise ValueError("entanglement discrimination is defined for 2 noise-bits")
     if probe_partner_value not in (0, 1):
         raise ValueError("probe_partner_value must be 0 or 1")
+    if legal_bell_class(expand(expr, 2)) is None:
+        raise IllegalClass("the signal is none of the six legal two-bit classes")
+    return _bell_probes(expr, system, max_wait, t_start, probe_partner_value)
+
+
+def _bell_probes(expr: Expr, system: ReferenceSystem, max_wait: int, t_start: int,
+                 probe_partner_value: int) -> Tuple[BellClass, List[TraceStep]]:
+    """entangle_discriminate past its checks: the probes alone, for a caller
+    that has checked the signal's class on an expansion of its own."""
     # the switch actions come first: per bit-1 value v, ground R1_(1-v) and
     # then R2_p, recording each configuration; the scan reads all four at
     # the live clock as rows 1-4, after the un-grounded row 0

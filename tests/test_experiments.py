@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from inbl import experiments
 from inbl.experiments import (
+    ConfigReader,
     eval_array,
     eval_configs,
     run_crosscorr,
@@ -564,12 +565,14 @@ def test_seed_column_is_kept_per_program_and_system(flip):
                 assert ints[r, k] == want
     for expr in (first, second):
         program = experiments._program(expr, RtwScheme.SYMMETRIC)
-        columns = dict(program.seeds)
-        assert set(columns) == (set(systems) if expr is first else {systems[0]})
-        for system, column in columns.items():
+        streams = dict(program.streams)
+        assert set(streams) == (set(systems) if expr is first else {systems[0]})
+        for system, stream in streams.items():
+            column = stream.seeds
             assert column.tolist() == [[system.wire_seed(w)] for w in program.wires]
             eval_configs(expr, system, 7, 3, configs)
-            assert program.seeds[system] is column  # reused, not rebuilt
+            # reused, not rebuilt
+            assert program.streams[system] is stream and stream.seeds is column
 
 
 def test_seed_column_dies_with_its_program_or_system():
@@ -581,14 +584,139 @@ def test_seed_column_dies_with_its_program_or_system():
         for system in (keep, dropped):
             eval_configs(e, system, 0, 2, [frozenset()])
         program = experiments._program(e, keep.scheme)
-        assert len(program.seeds) == 2
-        del system, dropped
-        assert list(program.seeds) == [keep]
-        column, program = weakref.ref(program.seeds[keep]), weakref.ref(program)
-        del e  # reference counting alone drops the program and its columns
-        assert program() is None and column() is None
+        assert len(program.streams) == 2
+        # the stream holds no reference to its system: it dies with it
+        stream = program.streams[dropped]
+        gone = weakref.ref(stream.seeds), weakref.ref(stream.block)
+        assert stream.block.shape == (3, 64)
+        del system, dropped, stream
+        assert list(program.streams) == [keep] and gone[0]() is None and gone[1]() is None
+        stream = program.streams[keep]
+        column, block = weakref.ref(stream.seeds), weakref.ref(stream.block)
+        program = weakref.ref(program)
+        del e, stream  # reference counting alone drops the program and its streams
+        assert program() is None and column() is None and block() is None
     finally:
         gc.enable()
+
+
+def _spelling_sum(wires):
+    """A symmetric signal that spells out its wires' signs: weight 2**i on
+    wires[i], so every sign row can be checked from one read."""
+    return Sum(tuple((1 << i, ref(w.bit_index, w.bit_value)) for i, w in enumerate(wires)))
+
+
+def _tie_clocks(flip, seed, wires, clocks):
+    """The clocks below `clocks` whose flip lane ties on one of the wires."""
+    seen = set()
+    system = ReferenceSystem(4, RtwScheme.SYMMETRIC, master_seed=seed, flip_prob=flip)
+    real = ReferenceSystem._tie_flips
+
+    def recording(self, stream_seed, t):
+        seen.add(t)
+        return real(self, stream_seed, t)
+
+    ReferenceSystem._tie_flips = recording
+    try:
+        system.sign_rows(wires, 0, clocks)
+    finally:
+        ReferenceSystem._tie_flips = real
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("flip", [Fraction(1, 2), Fraction(1, 100), Fraction(1, 3), Fraction(1)])
+def test_stream_reads_are_bit_identical_to_fresh_draws(flip):
+    # two programs share one system, and one program reads two systems;
+    # their wires overlap, so at flip != 1/2 they share anchors
+    wires_a = [WireId(b, v) for b in (1, 2, 3) for v in (0, 1)]
+    wires_b = [WireId(b, v) for b in (4, 3, 2) for v in (1, 0)]
+    a, b = _spelling_sum(wires_a), _spelling_sum(wires_b)
+    seeds = (31, 32)
+    systems = [ReferenceSystem(4, RtwScheme.SYMMETRIC, master_seed=s, flip_prob=flip)
+               for s in seeds]
+    pairs = [(a, wires_a, 0), (b, wires_b, 0), (a, wires_a, 1)]
+    cap, top = experiments.STREAM_CLOCKS, 40_000
+    ties = _tie_clocks(flip, seeds[0], sorted(set(wires_a + wires_b), key=lambda w: w.tag), top)
+    if flip == Fraction(1, 3):
+        assert ties  # the reads below straddle them
+    rng = random.Random(f"stream-{flip}")
+    reads = 0
+    last = {i: (0, 1) for i in range(len(pairs))}
+    for step in range(160):
+        i = rng.randrange(len(pairs))
+        expr, wires, s = pairs[i]
+        system = systems[s]
+        t, n = last[i]
+        stream = experiments._program(expr, RtwScheme.SYMMETRIC).streams.get(system)
+        kind = rng.choice(["forward", "backward", "overlap", "word", "block", "wide", "empty",
+                           "negative", "tie"])
+        if kind == "forward":
+            t0, n = t + n + rng.randrange(70), rng.randint(1, 100)
+        elif kind == "backward":
+            t0, n = max(0, t - rng.randint(1, 300)), rng.randint(1, 100)
+        elif kind == "overlap":
+            t0, n = t + rng.randrange(n), rng.randint(1, 200)
+        elif kind == "word":  # across a 64-clock word edge
+            t0, n = 64 * rng.randint(1, 600) - rng.randint(1, 5), rng.randint(2, 12)
+        elif kind == "block" and stream is not None and stream.block.size:  # across its end
+            t0, n = stream.start + stream.block.shape[1] - rng.randint(1, 8), rng.randint(2, 100)
+        elif kind == "wide":  # at and above the cap, drawn in place
+            t0, n = rng.randrange(top), cap + rng.choice([0, 1, rng.randint(2, 600)])
+        elif kind == "tie" and ties:
+            t0 = max(0, rng.choice(ties) - rng.randint(0, 3))
+            n = rng.randint(1, 8)
+        elif kind == "negative":
+            t0 = -rng.randint(1, 100)
+            with pytest.raises(ValueError):
+                ConfigReader(expr, system, [frozenset()]).read(t0, rng.randint(1, 50))
+            continue
+        else:  # empty
+            t0, n = rng.choice([-rng.randint(1, 9), rng.randrange(top)]), 0
+        grounded = wires[rng.randrange(len(wires))]
+        ints, exp2 = ConfigReader(expr, system, [frozenset(), {grounded}]).read(t0, n)
+        assert exp2 == 0 and ints.shape == (2, n)
+        if n == 0:
+            continue
+        fresh = ReferenceSystem(4, RtwScheme.SYMMETRIC, master_seed=seeds[s], flip_prob=flip)
+        want = fresh.sign_rows(wires, t0, n).astype(np.int64)
+        weights = np.array([1 << r for r in range(len(wires))])
+        assert np.array_equal(ints[0], weights @ want), (step, kind, t0, n)
+        weights[wires.index(grounded)] = 0
+        assert np.array_equal(ints[1], weights @ want), (step, kind, t0, n)
+        # the scalar path reads and moves the same anchors
+        for k in {0, n - 1, rng.randrange(n)}:
+            r = rng.randrange(len(wires))
+            assert system.wire_sign(wires[r], t0 + k) == want[r, k], (step, kind, t0 + k)
+        last[i] = (t0, n)
+        reads += 1
+    assert reads > 80
+
+
+def test_a_window_inside_the_block_draws_nothing(monkeypatch):
+    wires = [WireId(1, 0), WireId(1, 1), WireId(2, 0)]
+    expr = _spelling_sum(wires)
+    system = ReferenceSystem(2, RtwScheme.SYMMETRIC, master_seed=33, flip_prob=Fraction(1, 100))
+    drawn = []
+    real = ReferenceSystem.draw_sign_rows
+
+    def counting(self, bits, tags, seeds, t0):
+        drawn.append((t0, bits.shape[1]))
+        return real(self, bits, tags, seeds, t0)
+
+    monkeypatch.setattr(ReferenceSystem, "draw_sign_rows", counting)
+    reader = ConfigReader(expr, system, [frozenset()])
+    reader.read(70, 5)
+    assert drawn == [(64, 64)]  # the window's word-aligned cover
+    for t0, n in ((70, 5), (64, 64), (100, 20), (127, 1)):
+        reader.read(t0, n)
+        ConfigReader(expr, system, [frozenset(), {wires[0]}]).read(t0, n)
+    assert drawn == [(64, 64)]
+    reader.read(126, 3)  # crosses the block's end: the next cover, two words
+    assert drawn[1:] == [(64, 128)]
+    reader.read(0, experiments.STREAM_CLOCKS + 1)  # above the cap: drawn in place
+    assert drawn[2:] == [(0, experiments.STREAM_CLOCKS + 1)]
+    reader.read(150, 2)  # the stream still holds its block
+    assert len(drawn) == 3
 
 
 def test_program_cache_entry_dies_with_its_expression():

@@ -250,6 +250,15 @@ def test_entangle_illegal_class_detected():
         entangle_discriminate(expr, system)
 
 
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_entangle_refuses_a_signal_outside_the_legal_classes(seed):
+    # three strings: the probes alone named S01+10 or S10, by seed
+    expr = parse_dsl("R1_0*R2_0 + R1_0*R2_1 + R1_1*R2_0")
+    system = ReferenceSystem(2, RtwScheme.SYMMETRIC, master_seed=seed)
+    with pytest.raises(IllegalClass, match="none of the six legal two-bit classes"):
+        entangle_discriminate(expr, system)
+
+
 def test_entangle_requires_two_bits():
     system = ReferenceSystem(3, master_seed=15)
     with pytest.raises(ValueError):
@@ -384,8 +393,10 @@ BELL_BY_PROBES = {
 
 
 def scalar_entangle(expr, system, max_wait, t_start, probe_partner_value):
-    """Reference for entangle_discriminate: a scalar wait, then one scalar
-    evaluate per probe at the live clock."""
+    """Reference for entangle_discriminate: the oracle's precondition, a
+    scalar wait, then one scalar evaluate per probe at the live clock."""
+    if legal_bell_class(expand(expr, 2)) is None:
+        raise IllegalClass("the signal is none of the six legal two-bit classes")
     for t in range(t_start, t_start + max_wait + 1):
         if not evaluate(expr, system, t).is_zero():
             break
