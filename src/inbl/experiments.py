@@ -7,14 +7,14 @@ of two, so zero tests, run lengths and correlation sums are exact at every
 size. It runs an (expression, scheme)'s cached program (see _Program) level
 by level over switch configurations x a window of clocks, in passes of at
 most PASS_BYTES. Every protocol reads the un-grounded signal, the collapse
-and the probes of a whole window this way, one reader per scan;
-`eval_configs` is a one-shot read, and `eval_array`, which the statistics
-scan with, is its row 0 with no wire grounded.
+and the probes of a whole window this way, one reader per scan, and
+`eval_array`, which the statistics scan with, is the row of a
+one-configuration reader with no wire grounded.
 
 A read of at most STREAM_CLOCKS clocks takes its signs from the (program,
 system)'s sign stream (see _SignStream), which keeps the last block of
 whole 64-clock words it drew; wider reads, such as every pass of the
-statistics, draw in place.
+statistics, draw in place, each pass counting flips on from the one before.
 """
 
 from __future__ import annotations
@@ -237,28 +237,35 @@ def _program(expr: Expr, scheme: RtwScheme) -> _Program:
 
 
 class _SignStream:
-    """The sign rows of one program's wires on one system: their tags, their
-    seed column (ReferenceSystem.seed_column) and the last block drawn, int8
-    signs of every wire over clocks [start, start + block width).
+    """The sign rows of one program's wires on one system: their seed column
+    (ReferenceSystem.seed_column) and the last block drawn, int8 signs of
+    every wire over clocks [start, start + block width).
 
     A window inside the block is a view of it. Any other window draws its
     cover, from the 64-clock word that holds its first clock to the end of
     the word that holds its last, into a new block, where the following
     reads of a scan or of the next query, which move forward in simulated
-    time, mostly find their clocks; at flip_prob != 1/2 the draw leaves the
-    wires' anchors at the block's end. Every sign is a pure function of
-    (wire, clock), so a window reads the same signs either way. The stream
-    holds no reference to its program or system: the program keeps it in a
+    time, mostly find their clocks. At flip_prob != 1/2 the draw counts
+    flips from the old block's last clock at or before the cover's first,
+    else from clock 0 (see origin). Every sign is a pure function of (wire,
+    clock), so a window reads the same signs either way. The stream holds
+    no reference to its program or system: the program keeps it in a
     weak-keyed table of systems, and ConfigReader passes the system in.
     """
 
-    __slots__ = ("tags", "seeds", "start", "block")
+    __slots__ = ("seeds", "start", "block")
 
     def __init__(self, program: _Program, system: ReferenceSystem):
-        self.tags = np.array([wire.tag for wire in program.wires], dtype=np.intp)
         self.seeds = system.seed_column(program.wires)
         self.start = 0
-        self.block = np.empty((len(self.tags), 0), dtype=np.int8)
+        self.block = np.empty((len(self.seeds), 0), dtype=np.int8)
+
+    def origin(self, t0: int) -> Optional[Tuple[int, np.ndarray]]:
+        """Where a draw from clock t0 counts flips from (the start of
+        ReferenceSystem.draw_sign_rows): the block's last clock at or before
+        t0 and the sign bits there, or None (clock 0) if it holds none."""
+        k = min(t0 - self.start, self.block.shape[1] - 1)
+        return (self.start + k, self.block[:, k] > 0) if k >= 0 else None
 
     def window(self, system: ReferenceSystem, t0: int, clocks: int) -> np.ndarray:
         """The sign rows over clocks [t0, t0 + clocks), a view of the block."""
@@ -267,10 +274,9 @@ class _SignStream:
             if t0 < 0:
                 raise ValueError(f"clock must be >= 0, got {t0}")
             start = t0 & -64
-            self.block = np.empty((len(self.tags), ((t0 + clocks + 63) & -64) - start),
-                                  dtype=np.int8)
-            system.draw_sign_rows(self.block, self.tags, self.seeds, start)
-            self.start, k = start, t0 - start
+            block = np.empty((len(self.seeds), ((t0 + clocks + 63) & -64) - start), dtype=np.int8)
+            system.draw_sign_rows(block, self.seeds, start, self.origin(start))
+            self.block, self.start, k = block, start, t0 - start
         return self.block[:, k : k + clocks]
 
 
@@ -340,7 +346,10 @@ class ConfigReader:
         full = {dtype: np.empty((rows, configs, width), dtype=dtype)
                 for dtype, rows in program.matrices.items()}
         stream = self.stream
-        block = stream.window(self.system, t0, clocks) if 0 < clocks <= STREAM_CLOCKS else None
+        if 0 < clocks <= STREAM_CLOCKS:
+            block = stream.window(self.system, t0, clocks)
+        else:
+            block, start = None, stream.origin(t0)
         for lo in range(0, clocks, width):
             n = min(width, clocks - lo)
             # a short final pass uses the contiguous front of each matrix: a
@@ -353,7 +362,9 @@ class ConfigReader:
             if block is not None:
                 signs[:wires] = block[:, None, lo : lo + n]
             else:
-                self.system.draw_sign_rows(signs[:wires, 0], stream.tags, stream.seeds, t0 + lo)
+                self.system.draw_sign_rows(signs[:wires, 0], stream.seeds, t0 + lo, start)
+                # the next pass counts flips from this one's last clock
+                start = (t0 + lo + n - 1, signs[:wires, 0, n - 1] > 0)
                 if configs > 1:
                     signs[:wires, 1:] = signs[:wires, :1]
             if self.cut is not None:
@@ -380,23 +391,6 @@ class ConfigReader:
                     ufunc.reduce(kids, axis=0, out=mats[dtype][first:end])
             ints[:, lo : lo + n] = mats[source][root]
         return ints, program.exp2
-
-
-def eval_configs(
-    expr: Expr,
-    system: ReferenceSystem,
-    t0: int,
-    clocks: int,
-    grounded: Sequence[AbstractSet[WireId]],
-) -> Tuple[np.ndarray, int]:
-    """Exact signal values over clocks [t0, t0 + clocks), one row per switch
-    configuration, grounded[r] being the wires configuration r grounds: the
-    one-shot read ConfigReader(expr, system, grounded).read(t0, clocks).
-
-    Returns (ints, exp2): configuration r reads ints[r, k] * 2**exp2 at
-    clock t0 + k, with the dtype rule of eval_array.
-    """
-    return ConfigReader(expr, system, grounded).read(t0, clocks)
 
 
 @dataclass

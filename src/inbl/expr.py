@@ -188,7 +188,7 @@ def evaluate(
     """Exact amplitude of the superposition at clock t.
 
     The scalar reference evaluator: no protocol calls it (they all read
-    through `experiments.eval_configs`); tests compare the window evaluators
+    through `experiments.ConfigReader`); tests compare the window evaluator
     against it. Grounded wires read as exactly zero. Each distinct node is
     evaluated once per call, children first, over expr's topological order,
     so nesting depth is limited only by memory (the clock and switch

@@ -202,10 +202,12 @@ class ReferenceSystem:
     from its predecessor. At the default 1/2, successive signs are independent
     fair coin flips, 64 clocks to a draw, and every clock is addressable in
     O(1); other flip probabilities, 4 clocks to a draw, count flips from a
-    per-wire anchor (the last clock counted and the sign there, which the
-    scalar and the array paths share), forward or backward, whichever of the
-    anchor and clock 0 is nearer, so scans that move forward or step back a
-    little stay O(distance).
+    start clock whose sign is known. The array path counts forward from the
+    start its caller passes, else from clock 0, and keeps no state between
+    calls. The scalar path counts from a per-wire anchor of its own (the
+    last clock it counted and the sign there), forward or backward,
+    whichever of the anchor and clock 0 is nearer, so scans that move
+    forward or step back a little stay O(distance).
     """
 
     def __init__(
@@ -230,12 +232,10 @@ class ReferenceSystem:
         self._lane_threshold, self._tie_rem = divmod(flip_prob.numerator << 16,
                                                      flip_prob.denominator)
         self._lane_limit = np.uint16(min(self._lane_threshold, 0xFFFF))  # flip_prob 1: unused
-        # per wire tag: the stream seed, and for flip_prob != 1/2 the anchor,
-        # its clock (-1: none yet) and sign bit there (1 means +1), in two
-        # arrays indexed by tag that grow to the largest tag counted
+        # per wire tag: the stream seed, and for flip_prob != 1/2 the scalar
+        # path's anchor, (clock, sign bit there), the bit 1 meaning +1
         self._seeds: Dict[int, int] = {}
-        self._anchor_clock = np.empty(0, dtype=np.int64)
-        self._anchor_bit = np.empty(0, dtype=np.uint8)
+        self._anchors: Dict[int, Tuple[int, int]] = {}
         # two uint64 draw buffers of BLOCK_CLOCKS entries, made on first use
         # and reused by every sign_rows call, so one system is not safe to
         # share between threads
@@ -274,28 +274,12 @@ class ReferenceSystem:
             return 1 if _draw(seed, t >> 6, _SALT_SIGN) >> (t & 63) & 1 else -1
         return 1 if self._sign_bit(wire, seed, t) else -1
 
-    def _start(self, tag: int, seed: int, t: int) -> Tuple[int, int]:
-        """Where to count the sign at clock t from, as (clock, sign bit
-        there): the wire's anchor, unless clock 0 is nearer or it has none."""
-        if tag < len(self._anchor_clock):
-            a = int(self._anchor_clock[tag])
-            if 0 <= a < 2 * t:
-                return a, int(self._anchor_bit[tag])
-        return 0, _draw(seed, 0, _SALT_SIGN) >> 63
-
-    def _anchor_room(self, top: int) -> None:
-        """Grow the anchor arrays to hold tag top."""
-        have = len(self._anchor_clock)
-        if top >= have:
-            size = max(top + 1, 2 * have)
-            self._anchor_clock = np.concatenate(
-                (self._anchor_clock, np.full(size - have, -1, dtype=np.int64)))
-            self._anchor_bit = np.concatenate(
-                (self._anchor_bit, np.zeros(size - have, dtype=np.uint8)))
-
     def _sign_bit(self, wire: WireId, seed: int, t: int) -> int:
-        # the sign bit at t is the anchor's XOR the flips between the two
-        a, bit = self._start(wire.tag, seed, t)
+        # the sign bit at t is the anchor's XOR the flips between the two;
+        # count from clock 0 where it is nearer or the wire has no anchor
+        a, bit = self._anchors.get(wire.tag, (-1, 0))
+        if not 0 <= a < 2 * t:
+            a, bit = 0, _draw(seed, 0, _SALT_SIGN) >> 63
         threshold, counter, word = self._lane_threshold, -1, 0
         for k in range(min(a, t) + 1, max(a, t) + 1):
             if k >> 2 != counter:
@@ -305,8 +289,7 @@ class ReferenceSystem:
             if lane < threshold or lane == threshold and self._tie_flips(seed, k):
                 bit ^= 1
         if t > a:
-            self._anchor_room(wire.tag)
-            self._anchor_clock[wire.tag], self._anchor_bit[wire.tag] = t, bit
+            self._anchors[wire.tag] = t, bit
         return bit
 
     def _tie_flips(self, seed: int, t: int) -> bool:
@@ -335,8 +318,7 @@ class ReferenceSystem:
         """Signs (int8 +1/-1) of distinct wires over clocks [t0, t0+n): row r
         is wires[r], bit-identical to wire_sign."""
         signs = np.empty((len(wires), n), dtype=np.int8)
-        tags = np.array([w.tag for w in wires], dtype=np.intp)
-        self.draw_sign_rows(signs, tags, self.seed_column(wires), t0)
+        self.draw_sign_rows(signs, self.seed_column(wires), t0)
         return signs
 
     def seed_column(self, wires: Sequence[WireId]) -> np.ndarray:
@@ -345,23 +327,21 @@ class ReferenceSystem:
         draw_sign_rows."""
         return np.array([self.wire_seed(w) for w in wires], dtype=np.uint64)[:, None]
 
-    def draw_sign_rows(self, bits: np.ndarray, tags: np.ndarray, seeds: np.ndarray,
-                       t0: int) -> None:
+    def draw_sign_rows(self, bits: np.ndarray, seeds: np.ndarray, t0: int,
+                       start: Optional[Tuple[int, np.ndarray]] = None) -> None:
         """Write sign_rows(wires, t0, n) into bits, an int8 array (or view)
-        of len(wires) x n, given the wires' tags as an intp array and seeds =
-        seed_column(wires).
+        of len(wires) x n, given seeds = seed_column(wires).
 
         Every draw is a pure function of its (wire, counter), so a block of
         rows x counters is one numpy pass, made in place on the system's two
         uint64 buffers of BLOCK_CLOCKS entries; at flip_prob 1/2 a counter is
         a word of 64 clocks, and a window inside one word draws one counter
         per row and shifts out its clocks. For flip_prob != 1/2 a counter is
-        4 clocks: every wire's start (its anchor, or clock 0 if that is
-        nearer) is found with array operations, the wires that start at the
-        same clock are counted together, and each anchor is left at the last
-        clock counted. The evaluator calls it once per sign block of a
-        (program, system) sign stream, whose ends are whole 64-clock words,
-        and directly for reads wider than a block (experiments._SignStream).
+        4 clocks, and flips are counted forward from start = (a clock a <=
+        t0, the rows' sign bits there as bool or 0/1 uint8), else from clock
+        0; other flip probabilities ignore start. No call leaves state
+        behind: the evaluator's sign stream (experiments._SignStream) passes
+        as start the last clock of its block at or before t0.
         """
         if t0 < 0:
             raise ValueError(f"clock must be >= 0, got {t0}")
@@ -377,27 +357,12 @@ class ReferenceSystem:
             bits[:, 0::2] = (s0 ^ (t0 & 1))[:, None]
             bits[:, 1::2] = (s0 ^ (t0 & 1) ^ 1)[:, None]
         else:
-            self._anchor_room(int(tags.max()))
-            # start from the anchor where it is nearer than clock 0 (see _start)
-            start = self._anchor_clock[tags]
-            near = (start >= 0) & (start < 2 * t0)
-            start_bits = self._anchor_bit[tags]
-            if not near.all():
-                far = ~near
-                start[far] = 0
-                start_bits[far] = _first_bits(seeds[far])
-            # rows counted from the same clock share one pass
-            first = int(start[0])
-            if (start == first).all():
-                groups = [(None, first)]
-            else:
-                clocks, group = np.unique(start, return_inverse=True)
-                groups = [(np.flatnonzero(group == g), int(c)) for g, c in enumerate(clocks)]
-            for rows, a in groups:
-                count = len(tags) if rows is None else len(rows)
-                for i in range(0, count, BLOCK_CLOCKS):
-                    sel = slice(i, i + BLOCK_CLOCKS) if rows is None else rows[i : i + BLOCK_CLOCKS]
-                    self._flip_bits(bits, sel, tags[sel], seeds[sel], start_bits[sel], a, t0)
+            a, start_bits = (0, _first_bits(seeds)) if start is None else start
+            if a > t0:
+                raise ValueError(f"flips are counted forward: start {a} is after {t0}")
+            for i in range(0, len(seeds), BLOCK_CLOCKS):
+                rows = slice(i, i + BLOCK_CLOCKS)
+                self._flip_bits(bits[rows], seeds[rows], start_bits[rows], a, t0)
         # sign = 2 * bit - 1; numpy adds int8 many times faster than it shifts them
         bits += bits
         bits -= 1
@@ -441,32 +406,24 @@ class ReferenceSystem:
                     u = np.unpackbits(xb[:, i << 3 : (i + step) << 3], axis=1, bitorder="little")
                     bits[r : r + h, lo_i - t0 : up_i - t0] = u[:, lo_i - c : up_i - c]
 
-    def _flip_bits(self, bits: np.ndarray, sel, tags: np.ndarray, seeds: np.ndarray,
-                   start_bits: np.ndarray, a: int, t0: int) -> None:
-        """Write the sign bits over [t0, t0+n) of at most BLOCK_CLOCKS wires,
-        whose tags are tags, into their rows bits[sel], counted from clock a,
-        where their sign bits are start_bits (see _start).
-
-        Flips are counted over (start, hi] into a running parity that starts
-        from start_bits. From an anchor before t0 the start is the anchor,
-        and the parity is the sign bit. Walking back from an anchor after
-        t0, the start is t0, and every bit is put right at the end by the
-        flips from t0 up to the anchor (the parity there XOR start_bits).
-        """
-        rows, n = len(tags), bits.shape[1]
+    def _flip_bits(self, bits: np.ndarray, seeds: np.ndarray, start_bits: np.ndarray,
+                   a: int, t0: int) -> None:
+        """Write the sign bits over [t0, t0+n) of at most BLOCK_CLOCKS wires
+        into bits, counted from clock a <= t0, where their sign bits are
+        start_bits: the flips over (a, t0+n-1] make a running parity that
+        starts from start_bits and is the sign bit at every clock."""
+        rows, n = bits.shape
         end = t0 + n - 1
-        start, hi = (a, end) if a <= t0 else (t0, max(a, end))
-        s0 = start_bits.view(bool)
-        parity = at_anchor = s0  # parity: at the last clock counted
-        if t0 == start:
-            bits[sel, 0] = s0
+        parity = start_bits.view(bool)  # at the last clock counted
+        if t0 == a:
+            bits[:, 0] = parity
         x, tmp = self._buffers
         m = BLOCK_CLOCKS // rows  # flip draws per row in one pass, 4 clocks each
-        for c in range((start + 1) >> 2, (hi >> 2) + 1 if hi > start else 0, m):
-            k = min(m, (hi >> 2) + 1 - c)
+        for c in range((a + 1) >> 2, (end >> 2) + 1 if end > a else 0, m):
+            k = min(m, (end >> 2) + 1 - c)
             xv, tv = x[: rows * k].reshape(rows, k), tmp[: rows * k].reshape(rows, k)
             _draw_into(xv, tv, seeds, c, _SALT_FLIP)
-            lo, up = max(c << 2, start + 1), min((c + k) << 2, hi + 1)  # clocks counted here
+            lo, up = max(c << 2, a + 1), min((c + k) << 2, end + 1)  # clocks counted here
             # lane j is bits 16j..16j+15 on every host: clock 4c + i at column i
             lanes = xv.astype("<u8", copy=False).view("<u2")[:, lo - (c << 2) : up - (c << 2)]
             flips = lanes < self._lane_limit
@@ -476,15 +433,6 @@ class ReferenceSystem:
                     flips[r, j] = self._tie_flips(int(seeds[r, 0]), lo + j)
             running = _parity_prefix(flips, parity)
             parity = running[:, -1]
-            w0, w1 = max(lo, t0), min(up, end + 1)  # window clocks in this pass
-            if w0 < w1:
-                bits[sel, w0 - t0 : w1 - t0] = running[:, w0 - lo : w1 - lo]
-            if lo <= a < up:
-                at_anchor = running[:, a - lo]
-        if a > t0:
-            correction = at_anchor ^ s0
-            bits[sel] ^= correction[:, None]
-            parity = parity ^ correction
-        if hi > a:
-            self._anchor_clock[tags] = hi
-            self._anchor_bit[tags] = parity
+            if t0 < up:  # window clocks in this pass
+                w0 = max(lo, t0)
+                bits[:, w0 - t0 : up - t0] = running[:, w0 - lo :]

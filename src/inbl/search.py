@@ -16,14 +16,14 @@ each later window WINDOW_GROWTH times the one before up to one reader pass
 and BLOCK_CLOCKS. Each window is one exact call to a prepared
 `experiments.ConfigReader` (the one window evaluator) for the un-grounded
 signal and the grounded configurations; a bounded search makes at most one
-more call, through `eval_configs`, for reads past the window's end. A
-read of at most STREAM_CLOCKS clocks copies its signs from the
-(expression, system)'s sign stream, whose block the previous search on
-the system has mostly drawn already. Entangle discrimination checks its
-signal's class on the oracle's 2-bit expansion and reads its four
-recorded probe configurations the same way. Amplitudes become `Dyadic`
-values only in the reported outcome, and a search's trace is built from
-its readings on first access.
+more read, through a reader of its grounded configuration alone, for the
+clocks past the window's end. A read of at most STREAM_CLOCKS clocks
+copies its signs from the (expression, system)'s sign stream, whose block
+the previous search on the system has mostly drawn already. Entangle
+discrimination checks its signal's class on the oracle's 2-bit expansion
+and reads its four recorded probe configurations the same way. Amplitudes
+become `Dyadic` values only in the reported outcome, and a search's trace
+is built from its readings on first access.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .dyadic import Dyadic
 from .errors import IllegalClass, MaxWaitExceeded
-from .experiments import ConfigReader, _program, eval_configs
+from .experiments import ConfigReader, _program
 from .expr import Expr, Pattern
 from .oracle import BellClass, expand, legal_bell_class
 from .reference import BLOCK_CLOCKS, ReferenceSystem, WireId, wire_id
@@ -204,7 +204,8 @@ def fragment_search(
     reads = live.readings[1, :n]
     hits = reads.nonzero()[0]
     if len(reads) < n and not len(hits):
-        more, _ = eval_configs(expr, system, t + len(reads), n - len(reads), [switches.grounded])
+        tail = ConfigReader(expr, system, [switches.grounded])
+        more, _ = tail.read(t + len(reads), n - len(reads))
         reads = np.concatenate((reads, more[0]))
         hits = reads.nonzero()[0]
     observed = int(hits[0]) + 1 if len(hits) else n

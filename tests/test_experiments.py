@@ -14,7 +14,6 @@ from inbl import experiments
 from inbl.experiments import (
     ConfigReader,
     eval_array,
-    eval_configs,
     run_crosscorr,
     run_zero_stats,
     speedup_report,
@@ -167,7 +166,7 @@ def test_eval_array_node_dtypes_hold_their_bounds(dag, scheme, seed, t, clocks):
     m, expr, _ = dag
     system = ReferenceSystem(m, scheme, master_seed=seed)
     ints, exp2 = eval_array(expr, system, t, clocks)
-    row, row_exp2 = eval_configs(expr, system, t, clocks, [frozenset()])
+    row, row_exp2 = ConfigReader(expr, system, [frozenset()]).read(t, clocks)
     assert exp2 == row_exp2 and np.array_equal(ints, row[0])
     for k in _pass_edges(experiments.ConfigReader(expr, system, [frozenset()]), clocks):
         assert Dyadic(int(ints[k]), exp2) == evaluate(expr, system, t + k)
@@ -396,7 +395,7 @@ def test_eval_configs_matches_scalar_evaluator(dag, scheme, seed, t, clocks, dat
     wires = [WireId(i, v) for i in range(1, m + 1) for v in (0, 1)]
     configs = data.draw(st.lists(st.frozensets(st.sampled_from(wires)), min_size=1, max_size=6))
     system = ReferenceSystem(m, scheme, master_seed=seed)
-    ints, exp2 = eval_configs(expr, system, t, clocks, configs)
+    ints, exp2 = ConfigReader(expr, system, configs).read(t, clocks)
     assert ints.shape == (len(configs), clocks)
     if wide:
         assert ints.dtype == object
@@ -417,7 +416,7 @@ def test_eval_configs_window_in_spans_matches_eval_array():
     configs = [frozenset(), frozenset({WireId(1, 0)}), frozenset({WireId(2, 1), WireId(5, 0)})]
     reader = experiments.ConfigReader(expr, system, configs)
     assert reader.span < 300
-    ints, exp2 = eval_configs(expr, system, 1000, 300, configs)
+    ints, exp2 = ConfigReader(expr, system, configs).read(1000, 300)
     row, row_exp2 = eval_array(expr, system, 1000, 300)
     assert row_exp2 == exp2 and np.array_equal(ints[0], row)
     for k in _pass_edges(reader, 300):
@@ -455,7 +454,7 @@ def test_eval_configs_mixed_arity_levels():
     assert levels >= {(ufunc, arity, 3) for ufunc in (np.add, np.multiply) for arity in range(1, 6)}
     clocks = 1000
     assert experiments.ConfigReader(expr, system, configs).span < clocks
-    ints, exp2 = eval_configs(expr, system, 40, clocks, configs)
+    ints, exp2 = ConfigReader(expr, system, configs).read(40, clocks)
     assert ints.shape == (len(configs), clocks)
     for r, grounded in enumerate(configs):
         switches = SwitchState()
@@ -526,7 +525,7 @@ def test_mixed_dtype_children_match_scalar_evaluator(expr, root, kids):
     assert level[0] is root and {dtype for dtype, _, _ in level[5]} == kids
     configs = [frozenset(), frozenset({WireId(1, 1)}), frozenset({WireId(2, 0)}),
                frozenset({WireId(1, 0), WireId(3, 1)})]
-    ints, exp2 = eval_configs(expr, system, 9, 200, configs)
+    ints, exp2 = ConfigReader(expr, system, configs).read(9, 200)
     for r, grounded in enumerate(configs):
         switches = SwitchState()
         for wire in grounded:
@@ -554,7 +553,7 @@ def test_seed_column_is_kept_per_program_and_system(flip):
     reads = [(first, systems[0], 0), (second, systems[0], 50), (first, systems[1], 30),
              (second, systems[0], 10), (first, systems[0], 400), (first, systems[1], 5)]
     for expr, system, t0 in reads:
-        ints, exp2 = eval_configs(expr, system, t0, 64, configs)
+        ints, exp2 = ConfigReader(expr, system, configs).read(t0, 64)
         assert exp2 == 0
         bit = 1 if expr is first else 3
         wires = [WireId(bit, 0), WireId(bit, 1), WireId(bit + 1, 0), WireId(bit + 1, 1)]
@@ -570,7 +569,7 @@ def test_seed_column_is_kept_per_program_and_system(flip):
         for system, stream in streams.items():
             column = stream.seeds
             assert column.tolist() == [[system.wire_seed(w)] for w in program.wires]
-            eval_configs(expr, system, 7, 3, configs)
+            ConfigReader(expr, system, configs).read(7, 3)
             # reused, not rebuilt
             assert program.streams[system] is stream and stream.seeds is column
 
@@ -582,7 +581,7 @@ def test_seed_column_dies_with_its_program_or_system():
         e = Sum(((1, Product((ref(1, 0), ref(2, 1)))), (3, ref(3, 0))))
         keep, dropped = ReferenceSystem(3, master_seed=22), ReferenceSystem(3, master_seed=23)
         for system in (keep, dropped):
-            eval_configs(e, system, 0, 2, [frozenset()])
+            ConfigReader(e, system, [frozenset()]).read(0, 2)
         program = experiments._program(e, keep.scheme)
         assert len(program.streams) == 2
         # the stream holds no reference to its system: it dies with it
@@ -627,7 +626,8 @@ def _tie_clocks(flip, seed, wires, clocks):
 @pytest.mark.parametrize("flip", [Fraction(1, 2), Fraction(1, 100), Fraction(1, 3), Fraction(1)])
 def test_stream_reads_are_bit_identical_to_fresh_draws(flip):
     # two programs share one system, and one program reads two systems;
-    # their wires overlap, so at flip != 1/2 they share anchors
+    # their wires overlap, and at flip != 1/2 each stream counts flips on
+    # from its own block
     wires_a = [WireId(b, v) for b in (1, 2, 3) for v in (0, 1)]
     wires_b = [WireId(b, v) for b in (4, 3, 2) for v in (1, 0)]
     a, b = _spelling_sum(wires_a), _spelling_sum(wires_b)
@@ -683,7 +683,7 @@ def test_stream_reads_are_bit_identical_to_fresh_draws(flip):
         assert np.array_equal(ints[0], weights @ want), (step, kind, t0, n)
         weights[wires.index(grounded)] = 0
         assert np.array_equal(ints[1], weights @ want), (step, kind, t0, n)
-        # the scalar path reads and moves the same anchors
+        # scalar reads on the same system, which move only the scalar anchors
         for k in {0, n - 1, rng.randrange(n)}:
             r = rng.randrange(len(wires))
             assert system.wire_sign(wires[r], t0 + k) == want[r, k], (step, kind, t0 + k)
@@ -699,9 +699,9 @@ def test_a_window_inside_the_block_draws_nothing(monkeypatch):
     drawn = []
     real = ReferenceSystem.draw_sign_rows
 
-    def counting(self, bits, tags, seeds, t0):
+    def counting(self, bits, seeds, t0, start=None):
         drawn.append((t0, bits.shape[1]))
-        return real(self, bits, tags, seeds, t0)
+        return real(self, bits, seeds, t0, start)
 
     monkeypatch.setattr(ReferenceSystem, "draw_sign_rows", counting)
     reader = ConfigReader(expr, system, [frozenset()])
@@ -719,6 +719,59 @@ def test_a_window_inside_the_block_draws_nothing(monkeypatch):
     assert len(drawn) == 3
 
 
+@pytest.mark.parametrize("flip", [Fraction(1, 100), Fraction(1, 3), Fraction(1, 8)])
+def test_wide_reads_count_on_from_each_pass(flip, monkeypatch):
+    # a span of 20 clocks makes every wide read hundreds of passes, and
+    # configuration 0 grounds a wire: each pass cuts its sign rows after
+    # the draw, so the next pass must count on from the draw, not the cut
+    wires = [WireId(b, v) for b in (1, 2, 3) for v in (0, 1)]
+    expr = _spelling_sum(wires)
+    configs = [frozenset({wires[2]}), frozenset()]
+    column_bytes = experiments._program(expr, RtwScheme.SYMMETRIC).column_bytes
+    monkeypatch.setattr(experiments, "PASS_BYTES", 20 * column_bytes * len(configs))
+    system = ReferenceSystem(4, RtwScheme.SYMMETRIC, master_seed=31, flip_prob=flip)
+    reader = ConfigReader(expr, system, configs)
+    assert reader.span == 20
+    top, cap = 40_000, experiments.STREAM_CLOCKS
+    if flip == Fraction(1, 3):
+        assert _tie_clocks(flip, 31, wires, top)  # the first read straddles them
+    weights = np.array([1 << r for r in range(len(wires))])
+    cut = np.where(np.arange(len(wires)) == 2, 0, weights)
+    fresh = ReferenceSystem(4, RtwScheme.SYMMETRIC, master_seed=31, flip_prob=flip)
+    # from clock 0, from inside the stream's block, from after it, and back
+    for t0, n in ((0, top), (5000, 30), (5010, cap + 7), (top - 9000, 9000), (700, cap + 1)):
+        ints, _ = reader.read(t0, n)
+        want = fresh.sign_rows(wires, t0, n).astype(np.int64)
+        assert np.array_equal(ints[0], cut @ want), (t0, n)
+        assert np.array_equal(ints[1], weights @ want), (t0, n)
+
+
+@pytest.mark.parametrize("flip", [Fraction(1, 100), Fraction(1, 3)])
+def test_scalar_and_stream_reads_share_no_state(flip):
+    # the same reads on three systems: stream reads alone, scalar reads
+    # alone, and both interleaved; neither kind changes what the other reads
+    wires = [WireId(b, v) for b in (1, 2, 3) for v in (0, 1)]
+    expr = _spelling_sum(wires)
+    configs = [frozenset(), frozenset({wires[4]})]
+    stream_only, scalar_only, mixed = (
+        ReferenceSystem(3, RtwScheme.SYMMETRIC, master_seed=35, flip_prob=flip) for _ in range(3))
+    rng = random.Random(f"share-{flip}")
+    for step in range(40):
+        t0 = rng.randrange(20_000)
+        n = rng.choice([1, 7, 64, 300, experiments.STREAM_CLOCKS + 9])
+        clocks = [max(0, t0 + rng.randint(-500, n + 500)) for _ in range(3)]
+        for t in clocks:  # scalar reads before, in and after the window
+            w = rng.choice(wires)
+            assert mixed.wire_sign(w, t) == scalar_only.wire_sign(w, t), (step, t)
+        anchors, state = dict(mixed._anchors), set(vars(mixed))
+        got, _ = ConfigReader(expr, mixed, configs).read(t0, n)
+        want, _ = ConfigReader(expr, stream_only, configs).read(t0, n)
+        assert np.array_equal(got, want), (step, t0, n)
+        # the stream read moved no scalar anchor and added no state
+        assert mixed._anchors == anchors and set(vars(mixed)) == state
+    assert mixed._anchors and not stream_only._anchors
+
+
 def test_program_cache_entry_dies_with_its_expression():
     system = ReferenceSystem(3, master_seed=16)
     gc.collect()
@@ -727,7 +780,7 @@ def test_program_cache_entry_dies_with_its_expression():
         before = len(experiments._PROGRAMS)
         e = Sum(((1, Product((ref(1, 0), ref(2, 1)))), (3, ref(3, 0))))
         key = id(e)
-        eval_configs(e, system, 0, 1, [frozenset()])
+        ConfigReader(e, system, [frozenset()]).read(0, 1)
         eval_array(e, system, 0, 4)
         assert experiments._program(e, system.scheme) is experiments._program(e, system.scheme)
         assert len(experiments._PROGRAMS) == before + 1 and key in experiments._PROGRAMS
@@ -743,8 +796,8 @@ def test_program_cache_keeps_one_program_per_scheme():
     asym = ReferenceSystem(2, RtwScheme.ASYMMETRIC, master_seed=17)
     sym = ReferenceSystem(2, RtwScheme.SYMMETRIC, master_seed=17)
     configs = [frozenset(), frozenset({WireId(2, 1)})]
-    asym_ints, asym_exp2 = eval_configs(e, asym, 3, 1, configs)
-    sym_ints, sym_exp2 = eval_configs(e, sym, 3, 1, configs)
+    asym_ints, asym_exp2 = ConfigReader(e, asym, configs).read(3, 1)
+    sym_ints, sym_exp2 = ConfigReader(e, sym, configs).read(3, 1)
     assert (asym_exp2, sym_exp2) == (-2, 0)
     assert set(experiments._PROGRAMS[id(e)]) == {RtwScheme.ASYMMETRIC, RtwScheme.SYMMETRIC}
     assert asym_ints.tolist() == sym_ints.tolist()  # same seed, same signs

@@ -6,6 +6,8 @@ import pytest
 
 from inbl.dyadic import Dyadic
 from inbl.errors import InvalidWireError
+from inbl.experiments import ConfigReader
+from inbl.expr import Ref, Sum
 from inbl.reference import (
     _SALT_FLIP,
     _SALT_SIGN,
@@ -169,7 +171,8 @@ def test_flip_prob_validation():
     "flip", [Fraction(1, 2), Fraction(1, 4), Fraction(1, 100), Fraction(1, 1), Fraction(1, 3)])
 def test_sign_rows_match_wire_sign(flip):
     # several wires at once: windows spanning more than one block, unaligned
-    # and backward starts, and wires whose anchors sit at different clocks
+    # and backward starts, and wires whose scalar anchors sit at different
+    # clocks
     n = 2 * BLOCK_CLOCKS + 777
     t_end = 3000 + n
     scalar = ReferenceSystem(3, master_seed=23, flip_prob=flip)
@@ -186,8 +189,9 @@ def test_sign_rows_match_wire_sign(flip):
         signs = system.sign_rows(wires, t0, length)
         assert signs.dtype == np.int8 and signs.shape == (len(wires), length)
         assert np.array_equal(signs, expected[:, t0 : t0 + length]), (t0, length)
-    # move single anchors apart, then read all wires again: each group of
-    # wires counted from one clock gets its own pass
+    # move the scalar anchors of single wires apart, then read all wires
+    # again: the array path counts every wire from clock 0 whatever the
+    # anchors, and the scalar path from its own anchors
     system.wire_sign(wires[0], t_end - 1)
     system.sign_array(wires[1], 40, 3)
     system.sign_rows(wires[2:4], 2000, 100)
@@ -207,8 +211,7 @@ def test_backward_reads_cost_their_distance(monkeypatch):
     fresh = ReferenceSystem(1, master_seed=24, flip_prob=flip)
     expected = fresh.sign_array(w, 0, far + 1)
     system = ReferenceSystem(1, master_seed=24, flip_prob=flip)
-    system.sign_array(w, 0, far)  # anchor at far - 1
-    system.wire_sign(w, far)  # anchor at far
+    system.wire_sign(w, far)  # the scalar anchor at far
     drawn, scalar_draws = [], []
     real_draw_into, real_draw = reference._draw_into, reference._draw
 
@@ -222,12 +225,9 @@ def test_backward_reads_cost_their_distance(monkeypatch):
 
     monkeypatch.setattr(reference, "_draw_into", counting_draw_into)
     monkeypatch.setattr(reference, "_draw", counting_draw)
-    # a window 100 clocks behind the anchor walks back 100 clocks, 4 to a draw
-    assert np.array_equal(system.sign_array(w, far - 100, 50), expected[far - 100 : far - 50])
-    assert sum(drawn) <= 100 // 4 + 1 and not scalar_draws
-    # so does a scalar read
+    # a scalar read 10 clocks behind its anchor walks back 10 clocks, 4 to a draw
     assert system.wire_sign(w, far - 10) == expected[far - 10]
-    assert len(scalar_draws) <= -(-10 // 4) + 1 and sum(drawn) <= 100 // 4 + 1
+    assert len(scalar_draws) <= -(-10 // 4) + 1 and not drawn
     # a read nearer to clock 0 than to the anchor counts from clock 0
     del drawn[:], scalar_draws[:]
     assert np.array_equal(system.sign_array(w, 20, 5), expected[20:25])
@@ -240,6 +240,29 @@ def test_backward_reads_cost_their_distance(monkeypatch):
     del drawn[:], scalar_draws[:]
     assert np.array_equal(system.sign_array(w, 0, far), expected[:far])
     assert sum(drawn) == far // 4  # clocks 1..far - 1
+    # the array path never walks back: a start after the window is refused
+    with pytest.raises(ValueError):
+        system.draw_sign_rows(np.empty((1, 3), np.int8), system.seed_column([w]), 10,
+                              (11, np.ones(1, dtype=bool)))
+
+    # a sign stream counts on from the block it holds: a read that crosses
+    # the block's end draws its word-aligned cover's flips, 4 clocks to a
+    # draw, and a read before the block counts from clock 0
+    wires = [WireId(1, 0), w]
+    expr = Sum(((1, Ref(wires[0])), (2, Ref(w))))
+    stream_system = ReferenceSystem(1, RtwScheme.SYMMETRIC, master_seed=24, flip_prob=flip)
+    want = np.array([1, 2]) @ fresh.sign_rows(wires, 0, far + 1).astype(np.int64)
+    reader = ConfigReader(expr, stream_system, [frozenset()])
+    stream = reader.stream
+    for t0, n, crosses in ((far - 200, 10, False), (far - 130, 5, True), (far - 70, 60, True),
+                           (20, 5, False)):
+        assert crosses == (stream.start <= t0 < stream.start + stream.block.shape[1] < t0 + n)
+        del drawn[:]
+        ints, _ = reader.read(t0, n)
+        assert np.array_equal(ints[0], want[t0 : t0 + n]), (t0, n)
+        if crosses:
+            assert sum(drawn) <= len(wires) * (stream.block.shape[1] // 4 + 1), (t0, n)
+    assert stream.start == 0 and sum(drawn) == len(wires) * 64 // 4  # clocks 1..63
 
 
 # the fair-sign layout: clock t is bit t & 63 of the draw at counter t >> 6
