@@ -21,14 +21,14 @@ from typing import Optional, Tuple
 
 from . import experiments, oracle, phonebook
 from .dsl import parse_fragments, parse_program
-from .errors import InblError
+from .errors import IllegalClass, InblError
 from .expr import Expr, Pattern, build_product_string, build_universe, iter_wires
 from .reference import BLOCK_CLOCKS, ReferenceSystem, RtwScheme
 from .search import (
     DEFAULT_MAX_WAIT,
     DEFAULT_TAU,
     Verdict,
-    _bell_probes,
+    entangle_discriminate,
     fragment_search,
     full_string_search,
 )
@@ -157,13 +157,11 @@ def _cmd_search(args) -> Tuple[dict, int]:
 
 def _cmd_entangle(args) -> Tuple[dict, int]:
     expr, bits = _load_expr(args.file, num_bits=2)
-    # entangle_discriminate's own check, on the one expansion that the
-    # oracle check also reads
-    expected = oracle.legal_bell_class(oracle.expand(expr, 2))
-    if expected is None:
-        raise InblError(f"{args.file}: the signal is none of the six legal two-bit classes")
     system = _make_system(args, 2)
-    bell, trace = _bell_probes(expr, system, args.max_wait, 0, args.probe_partner)
+    try:
+        bell, trace = entangle_discriminate(expr, system, args.max_wait, 0, args.probe_partner)
+    except IllegalClass as exc:  # a signal outside the legal classes: name its file
+        raise InblError(f"{args.file}: {exc}") from None
     report = _base_report(
         args,
         {
@@ -174,6 +172,7 @@ def _cmd_entangle(args) -> Tuple[dict, int]:
     report["bell_class"] = bell.value
     report["trace"] = [step.to_json() for step in trace]
     if args.oracle_check:
+        expected = oracle.legal_bell_class(oracle.expand(expr, 2))
         report["oracle_check"] = {"bell_class": expected.value, "agrees": expected is bell}
     return report, EXIT_OK
 

@@ -29,7 +29,7 @@ from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .expr import Expr, Ref, Sum
+from .expr import Expr, Ref, Sum, topological_order
 from .reference import ReferenceSystem, RtwScheme, WireId
 
 _INT64_LIMIT = 1 << 63
@@ -90,28 +90,17 @@ class _Program:
         # (height, is a Product, arity) -> positions
         groups: Dict[Tuple[int, bool, int], List[int]] = {}
         exp2s = _EXP2S[scheme]
-        # one depth-first walk, placing each node after its children; None
-        # on the stack marks that the node below it has all of them placed
-        stack: List[Optional[Expr]] = [expr]
-        while stack:
-            node = stack.pop()
-            if node is not None:
-                if id(node) in position:
-                    continue
-                if isinstance(node, Ref):
-                    wire = node.wire
-                    i = first_ref.get(wire.tag)
-                    if i is None:
-                        i = first_ref[wire.tag] = len(info)
-                        wire_at[i] = wire
-                        info.append((exp2s[wire.bit_value], 1, 0, 1 << wire.bit_index))
-                    position[id(node)] = i
-                    continue
-                stack += (node, None)
-                stack.extend([term for _, term in node.terms] if isinstance(node, Sum)
-                             else node.factors)
+        # each node after its children, in topological_order's order
+        for node in topological_order(expr):
+            if isinstance(node, Ref):
+                wire = node.wire
+                i = first_ref.get(wire.tag)
+                if i is None:
+                    i = first_ref[wire.tag] = len(info)
+                    wire_at[i] = wire
+                    info.append((exp2s[wire.bit_value], 1, 0, 1 << wire.bit_index))
+                position[id(node)] = i
                 continue
-            node = stack.pop()
             i = position[id(node)] = len(info)
             if isinstance(node, Sum):
                 k = kids[i] = [position[id(term)] for _, term in node.terms]

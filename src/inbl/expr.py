@@ -153,24 +153,26 @@ def build_odd(num_bits: int) -> Sum:
 
 
 def topological_order(expr: Expr) -> List[Expr]:
-    """The DAG's distinct nodes, each after all of its children, so the root
-    comes last. Iterative, so nesting depth is limited only by memory."""
+    """The DAG's distinct nodes (by identity), each after all of its
+    children, so the root comes last: a depth-first walk that visits a
+    node's children last to first. Iterative, so nesting depth is limited
+    only by memory; None on the stack marks that the node below it has all
+    of its children placed."""
     order: List[Expr] = []
     seen = set()
-    stack = [(expr, False)]
+    stack: List[Optional[Expr]] = [expr]
     while stack:
-        node, children_done = stack.pop()
-        if children_done:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        if isinstance(node, Sum):
-            stack.extend((term, False) for _, term in node.terms)
-        elif isinstance(node, Product):
-            stack.extend((factor, False) for factor in node.factors)
+        node = stack.pop()
+        if node is None:
+            order.append(stack.pop())
+        elif id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, Ref):
+                order.append(node)
+            else:
+                stack += (node, None)
+                stack.extend([term for _, term in node.terms] if isinstance(node, Sum)
+                             else node.factors)
     return order
 
 

@@ -116,9 +116,6 @@ BLOCK_CLOCKS = 1 << 15
 _COUNTER_STEPS = np.arange(BLOCK_CLOCKS, dtype=np.uint64)
 _COUNTER_STEPS *= np.uint64((2 * _GOLDEN) & _MASK64)
 
-# bit positions 0..63 of a word, for windows that lie inside one word
-_BIT_SHIFTS = np.arange(64, dtype=np.uint64)
-
 # words unpacked at once into one byte per clock: beside the rows it
 # writes, a window's draw holds at most 128 KiB of unpacked bits (smaller
 # pieces cost more calls than they save in memory)
@@ -126,7 +123,7 @@ _UNPACK_WORDS = 1 << 11
 
 # the finalizer's constants as numpy scalars, made once: on the few-row
 # windows of a scan, building them per call costs as much as the arithmetic
-_U1, _U27, _U30, _U31 = (np.uint64(k) for k in (1, 27, 30, 31))
+_U27, _U30, _U31 = (np.uint64(k) for k in (27, 30, 31))
 _UMIX1, _UMIX2 = np.uint64(_MIX1), np.uint64(_MIX2)
 
 
@@ -135,10 +132,7 @@ def _draw_into(x: np.ndarray, tmp: np.ndarray, seeds: np.ndarray, c0: int, salt:
     stream seeds; tmp is scratch of x's shape (uint64 arithmetic wraps
     modulo 2**64)."""
     start = np.uint64((_GOLDEN * ((c0 << 1) | salt)) & _MASK64)
-    if x.shape[1] == 1:  # one counter per row, as on a one-word window
-        np.add(seeds, start, out=x)
-    else:
-        np.add(_COUNTER_STEPS[: x.shape[1]], seeds + start, out=x)
+    np.add(_COUNTER_STEPS[: x.shape[1]], seeds + start, out=x)
     _mix_into(x, tmp)
 
 
@@ -228,10 +222,11 @@ class ReferenceSystem:
         self.flip_prob = flip_prob
         self._iid = flip_prob == Fraction(1, 2)
         # lanes flip below floor(p * 2**16); a tie reads the digits of the
-        # fraction part _tie_rem / flip_prob.denominator (0: never a tie)
+        # fraction part _tie_rem / flip_prob.denominator (0: never a tie).
+        # At flip_prob 1 the threshold is 2**16, above every 16-bit lane, so
+        # every clock flips and none ties
         self._lane_threshold, self._tie_rem = divmod(flip_prob.numerator << 16,
                                                      flip_prob.denominator)
-        self._lane_limit = np.uint16(min(self._lane_threshold, 0xFFFF))  # flip_prob 1: unused
         # per wire tag: the stream seed, and for flip_prob != 1/2 the scalar
         # path's anchor, (clock, sign bit there), the bit 1 meaning +1
         self._seeds: Dict[int, int] = {}
@@ -335,13 +330,12 @@ class ReferenceSystem:
         Every draw is a pure function of its (wire, counter), so a block of
         rows x counters is one numpy pass, made in place on the system's two
         uint64 buffers of BLOCK_CLOCKS entries; at flip_prob 1/2 a counter is
-        a word of 64 clocks, and a window inside one word draws one counter
-        per row and shifts out its clocks. For flip_prob != 1/2 a counter is
-        4 clocks, and flips are counted forward from start = (a clock a <=
-        t0, the rows' sign bits there as bool or 0/1 uint8), else from clock
-        0; other flip probabilities ignore start. No call leaves state
-        behind: the evaluator's sign stream (experiments._SignStream) passes
-        as start the last clock of its block at or before t0.
+        a word of 64 clocks. At any other flip_prob a counter is 4 clocks,
+        and flips are counted forward from start = (a clock a <= t0, the
+        rows' sign bits there as bool or 0/1 uint8), else from clock 0;
+        flip_prob 1/2 ignores start. No call leaves state behind: the
+        evaluator's sign stream (experiments._SignStream) passes as start the
+        last clock of its block at or before t0.
         """
         if t0 < 0:
             raise ValueError(f"clock must be >= 0, got {t0}")
@@ -352,10 +346,6 @@ class ReferenceSystem:
             pass
         elif self._iid:
             self._fair_bits(seeds, t0, bits)
-        elif self.flip_prob == 1:  # every clock flips: the sign bit at t is s0 ^ (t & 1)
-            s0 = _first_bits(seeds)
-            bits[:, 0::2] = (s0 ^ (t0 & 1))[:, None]
-            bits[:, 1::2] = (s0 ^ (t0 & 1) ^ 1)[:, None]
         else:
             a, start_bits = (0, _first_bits(seeds)) if start is None else start
             if a > t0:
@@ -374,17 +364,6 @@ class ReferenceSystem:
         x, tmp = self._buffers
         w0 = t0 >> 6
         words = ((t0 + n - 1) >> 6) - w0 + 1
-        if words == 1:
-            # the window lies inside one word: shift it down to each clock's bit
-            shifts = _BIT_SHIFTS[t0 & 63 : (t0 & 63) + n]
-            g = BLOCK_CLOCKS // n
-            for r in range(0, rows, g):
-                h = min(g, rows - r)
-                xv, tv = x[:h, None], tmp[: h * n].reshape(h, n)
-                _draw_into(xv, tmp[:h, None], seeds[r : r + h], w0, _SALT_SIGN)
-                np.right_shift(xv, shifts, out=tv)
-                np.bitwise_and(tv, _U1, out=bits[r : r + h], casting="unsafe")
-            return
         m = min(words, BLOCK_CLOCKS)
         g = BLOCK_CLOCKS // m
         for lo in range(0, words, m):
@@ -426,9 +405,9 @@ class ReferenceSystem:
             lo, up = max(c << 2, a + 1), min((c + k) << 2, end + 1)  # clocks counted here
             # lane j is bits 16j..16j+15 on every host: clock 4c + i at column i
             lanes = xv.astype("<u8", copy=False).view("<u2")[:, lo - (c << 2) : up - (c << 2)]
-            flips = lanes < self._lane_limit
+            flips = lanes < self._lane_threshold
             if self._tie_rem:
-                for i in np.flatnonzero(lanes == self._lane_limit).tolist():
+                for i in np.flatnonzero(lanes == self._lane_threshold).tolist():
                     r, j = divmod(i, up - lo)
                     flips[r, j] = self._tie_flips(int(seeds[r, 0]), lo + j)
             running = _parity_prefix(flips, parity)

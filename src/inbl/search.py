@@ -260,13 +260,6 @@ def entangle_discriminate(
         raise ValueError("probe_partner_value must be 0 or 1")
     if legal_bell_class(expand(expr, 2)) is None:
         raise IllegalClass("the signal is none of the six legal two-bit classes")
-    return _bell_probes(expr, system, max_wait, t_start, probe_partner_value)
-
-
-def _bell_probes(expr: Expr, system: ReferenceSystem, max_wait: int, t_start: int,
-                 probe_partner_value: int) -> Tuple[BellClass, List[TraceStep]]:
-    """entangle_discriminate past its checks: the probes alone, for a caller
-    that has checked the signal's class on an expansion of its own."""
     # the switch actions come first: per bit-1 value v, ground R1_(1-v) and
     # then R2_p, recording each configuration; the scan reads all four at
     # the live clock as rows 1-4, after the un-grounded row 0

@@ -115,6 +115,40 @@ def test_entangle_refuses_a_signal_outside_the_legal_classes(tmp_path, capsys, s
             f"error: {path}: the signal is none of the six legal two-bit classes\n")
 
 
+def test_entangle_makes_one_library_call(tmp_path, capsys, monkeypatch, eq7_file):
+    # the command's class check is entangle_discriminate's own: one call per
+    # run, legal or not, with or without the oracle check, and the same
+    # output as the unwrapped routine gives
+    three = tmp_path / "three.nbl"
+    three.write_text("bits 2;\nR1_0*R2_0 + R1_0*R2_1 + R1_1*R2_0\n")
+    runs = [["entangle", eq7_file, "--seed", "4"],
+            ["entangle", eq7_file, "--seed", "4", "--oracle-check"],
+            ["entangle", str(three), "--scheme", "sym", "--seed", "1"]]
+
+    def run(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        report = json.loads(out) if out else None
+        if report is not None:
+            del report["duration_s"]
+        return code, report, err
+
+    unwrapped = [run(argv) for argv in runs]
+    assert [code for code, _, _ in unwrapped] == [0, 0, 2]
+    calls = []
+    real = inbl.cli.entangle_discriminate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(inbl.cli, "entangle_discriminate", counting)
+    for argv, expected in zip(runs, unwrapped):
+        calls.clear()
+        assert run(argv) == expected
+        assert len(calls) == 1
+
+
 def test_search_string_on_an_uncertified_file(tmp_path, capsys):
     # the un-grounded R1_0 term is not a full string, so one reading of 00
     # could be a cancellation: seed 4 reads 0 at the live clock

@@ -23,12 +23,15 @@ from inbl.dyadic import Dyadic
 from inbl.expr import (
     Pattern,
     Product,
+    Ref,
     Sum,
     build_even,
+    build_odd,
     build_product_string,
     build_universe,
     evaluate,
     ref,
+    topological_order,
 )
 from inbl.oracle import expand
 from inbl.phonebook import PhonebookSpec, build_phonebook, lookup
@@ -803,3 +806,83 @@ def test_program_cache_keeps_one_program_per_scheme():
     assert asym_ints.tolist() == sym_ints.tolist()  # same seed, same signs
     assert Dyadic(int(asym_ints[0, 0]), asym_exp2) == evaluate(e, asym, 3)
     assert asym_ints[1, 0] == 0
+
+
+def _level_table(expr):
+    """The asymmetric program of expr as plain values: dtypes by name, row
+    index arrays as lists, a Sum level's weights as arity x nodes lists."""
+    program = experiments._program(expr, RtwScheme.ASYMMETRIC)
+    name = lambda dtype: np.dtype(dtype).name
+    levels = [(name(dtype), first, end, ufunc.__name__, arity,
+               [(name(src), rows if isinstance(rows, slice) else rows.tolist(),
+                 None if places is None else places.tolist()) for src, rows, places in reads],
+               None if weights is None else weights.reshape(arity, -1).tolist())
+              for dtype, first, end, ufunc, arity, reads, weights in program.levels]
+    return {"levels": levels, "wires": [w.tag for w in program.wires],
+            "root": (name(program.root[0]), program.root[1]),
+            "column_bytes": program.column_bytes,
+            "matrices": {name(d): rows for d, rows in program.matrices.items()}}
+
+
+def _node_order(expr):
+    """topological_order(expr) with each node as its wire tag (a Ref), its
+    (weight, child index) pairs (a Sum) or its child indices (a Product)."""
+    order = topological_order(expr)
+    at = {id(node): k for k, node in enumerate(order)}
+    return [node.wire.tag if isinstance(node, Ref)
+            else [(c, at[id(term)]) for c, term in node.terms] if isinstance(node, Sum)
+            else [at[id(factor)] for factor in node.factors] for node in order]
+
+
+def test_compiled_level_table_is_pinned():
+    # pinned tables and node orders of three shapes: a rewrite of the
+    # compile or of topological_order must keep the same table, the same
+    # row order and the same walk
+    u3 = {
+        "levels": [
+            ("int8", 6, 9, "add", 2, [("int8", slice(0, 6, 1), None)], [[1, 1, 1], [2, 2, 2]]),
+            ("int8", 9, 10, "multiply", 3, [("int8", slice(6, 9, 1), None)], None),
+        ],
+        "wires": [2, 4, 6, 3, 5, 7], "root": ("int8", 9), "column_bytes": 16,
+        "matrices": {"int8": 10},
+    }
+    assert _level_table(build_universe(3)) == u3
+    assert _node_order(build_universe(3)) == [
+        7, 6, [(1, 1), (1, 0)], 5, 4, [(1, 4), (1, 3)], 3, 2, [(1, 7), (1, 6)], [8, 5, 2]]
+
+    # ODD(3): a -1 weight, and Refs that U(3) and EVEN(3) share
+    odd3 = {
+        "levels": [
+            ("int8", 6, 11, "add", 2, [("int8", [0, 1, 1, 2, 2, 3, 4, 4, 5, 5], None)],
+             [[1, 1, 1, 1, 1], [2, 2, 2, 2, 2]]),
+            ("int8", 11, 13, "multiply", 3, [("int8", [6, 0, 7, 8, 9, 10], None)], None),
+            ("int8", 13, 14, "add", 2, [("int8", slice(11, 13, 1), None)], [[1], [-1]]),
+        ],
+        "wires": [2, 4, 6, 3, 5, 7], "root": ("int8", 13), "column_bytes": 24,
+        "matrices": {"int8": 14},
+    }
+    assert _level_table(build_odd(3)) == odd3
+    assert _node_order(build_odd(3)) == [
+        7, 6, [(1, 1), (1, 0)], 5, 4, [(1, 4), (1, 3)], 2, [6, 5, 2], [(1, 1), (1, 0)],
+        [(1, 4), (1, 3)], 3, [(1, 6), (1, 10)], [11, 9, 8], [(1, 12), (-1, 7)]]
+
+    # one Ref object r in three terms, beside the interned Ref of its wire:
+    # both take the one sign row of R1_0
+    r = Ref(WireId(1, 0))
+    mixed = Sum(((1, Product((r, ref(2, 1), ref(3, 0), ref(4, 1)))),
+                 (2, Product((r, ref(2, 0), ref(3, 1), ref(4, 1)))),
+                 (-1, Product((ref(1, 0), ref(2, 1), ref(3, 1), ref(4, 0)))),
+                 (3, Product((ref(1, 1), ref(2, 0), ref(3, 0), r)))))
+    pinned = {
+        "levels": [
+            ("int8", 8, 12, "multiply", 4,
+             [("int8", [7, 7, 7, 0, 1, 2, 1, 2, 4, 3, 3, 4, 5, 5, 6, 7], None)], None),
+            ("int8", 12, 13, "add", 4, [("int8", slice(8, 12, 1), None)], [[2], [4], [-2], [3]]),
+        ],
+        "wires": [3, 5, 4, 7, 6, 9, 8, 2], "root": ("int8", 12), "column_bytes": 29,
+        "matrices": {"int8": 13},
+    }
+    assert _level_table(mixed) == pinned
+    assert _node_order(mixed) == [
+        2, 6, 4, 3, [3, 2, 1, 0], 8, 7, 5, 2, [8, 7, 6, 5], 9, [0, 2, 6, 10], [0, 7, 1, 10],
+        [(1, 12), (2, 11), (-1, 9), (3, 4)]]
