@@ -20,9 +20,9 @@ from .switchboard import SwitchState
 
 DEFAULT_ORACLE_LIMIT = 24
 
-# A monomial maps bit_index -> bit_value for the bits its wires use.
-# Rendered keys use '-' for unused bits, e.g. "10-0" at M=4.
-_Monomial = Tuple[Tuple[int, int], ...]
+# A monomial is (mask, values), as in Pattern.mask: bit i of mask is set when
+# it uses noise-bit i, and bit i of values is that bit's value. Rendered keys
+# use '-' for unused bits, e.g. "10-0" at M=4.
 
 
 class Expansion:
@@ -54,11 +54,10 @@ class Expansion:
         return frozenset(self.entries)
 
 
-def _render(mono: _Monomial, num_bits: int) -> str:
-    chars = ["-"] * num_bits
-    for idx, val in mono:
-        chars[idx - 1] = "01"[val]
-    return "".join(chars)
+def _render(mask: int, values: int, num_bits: int) -> str:
+    return "".join(
+        ["01"[values >> i & 1] if mask >> i & 1 else "-" for i in range(1, num_bits + 1)]
+    )
 
 
 def expand(expr: Expr, num_bits: int, limit: int = DEFAULT_ORACLE_LIMIT) -> Expansion:
@@ -68,7 +67,7 @@ def expand(expr: Expr, num_bits: int, limit: int = DEFAULT_ORACLE_LIMIT) -> Expa
             f"expansion over {num_bits} bits exceeds the cap of {limit}"
         )
     noncanonical = False
-    tables: Dict[int, Dict[_Monomial, int]] = {}
+    tables: Dict[int, Dict[Tuple[int, int], int]] = {}
     for node in topological_order(expr):
         if isinstance(node, Ref):
             w = node.wire
@@ -76,9 +75,9 @@ def expand(expr: Expr, num_bits: int, limit: int = DEFAULT_ORACLE_LIMIT) -> Expa
                 raise ValueError(
                     f"wire bit_index {w.bit_index} exceeds num_bits {num_bits}"
                 )
-            table = {((w.bit_index, w.bit_value),): 1}
+            table = {(1 << w.bit_index, w.bit_value << w.bit_index): 1}
         elif isinstance(node, Sum):
-            acc: Dict[_Monomial, int] = {}
+            acc: Dict[Tuple[int, int], int] = {}
             for coeff, term in node.terms:
                 for mono, c in tables[id(term)].items():
                     acc[mono] = acc.get(mono, 0) + coeff * c
@@ -87,30 +86,19 @@ def expand(expr: Expr, num_bits: int, limit: int = DEFAULT_ORACLE_LIMIT) -> Expa
             # Product: fold pairwise symbolic multiplication
             table = tables[id(node.factors[0])]
             for factor in node.factors[1:]:
-                rhs = tables[id(factor)]
-                merged: Dict[_Monomial, int] = {}
-                for mono_a, ca in table.items():
-                    da = dict(mono_a)
-                    for mono_b, cb in rhs.items():
-                        d = dict(da)
-                        dead = False
-                        for idx, val in mono_b:
-                            prev = d.get(idx)
-                            if prev is None:
-                                d[idx] = val
-                            else:
-                                noncanonical = True
-                                if prev != val:
-                                    dead = True
-                                    break
-                        if dead:
-                            continue
-                        key = tuple(sorted(d.items()))
+                merged: Dict[Tuple[int, int], int] = {}
+                for (ma, va), ca in table.items():
+                    for (mb, vb), cb in tables[id(factor)].items():
+                        if ma & mb:
+                            noncanonical = True
+                            if (va ^ vb) & ma & mb:
+                                continue
+                        key = ma | mb, va | vb
                         merged[key] = merged.get(key, 0) + ca * cb
                 table = {m: c for m, c in merged.items() if c != 0}
         tables[id(node)] = table
     return Expansion(
-        {_render(m, num_bits): c for m, c in tables[id(expr)].items()},
+        {_render(m, v, num_bits): c for (m, v), c in tables[id(expr)].items()},
         num_bits,
         noncanonical,
     )

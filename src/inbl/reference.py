@@ -341,49 +341,44 @@ class ReferenceSystem:
             raise ValueError(f"clock must be >= 0, got {t0}")
         if self._buffers is None:
             self._buffers = (np.empty(BLOCK_CLOCKS, np.uint64), np.empty(BLOCK_CLOCKS, np.uint64))
-        # bits[r, k] = 1 where wire r's sign at clock t0 + k is +1
         if not bits.size:
-            pass
-        elif self._iid:
-            self._fair_bits(seeds, t0, bits)
-        else:
+            return
+        if not self._iid:
             a, start_bits = (0, _first_bits(seeds)) if start is None else start
             if a > t0:
                 raise ValueError(f"flips are counted forward: start {a} is after {t0}")
-            for i in range(0, len(seeds), BLOCK_CLOCKS):
-                rows = slice(i, i + BLOCK_CLOCKS)
+        # bits[r, k] = 1 where wire r's sign at clock t0 + k is +1
+        for i in range(0, len(seeds), BLOCK_CLOCKS):
+            rows = slice(i, i + BLOCK_CLOCKS)
+            if self._iid:
+                self._fair_bits(bits[rows], seeds[rows], t0)
+            else:
                 self._flip_bits(bits[rows], seeds[rows], start_bits[rows], a, t0)
         # sign = 2 * bit - 1; numpy adds int8 many times faster than it shifts them
         bits += bits
         bits -= 1
 
-    def _fair_bits(self, seeds: np.ndarray, t0: int, bits: np.ndarray) -> None:
-        """Fill bits with the sign bits at flip_prob 1/2: the bit at clock t
-        is bit t & 63 of the draw at counter t >> 6 (see the module doc)."""
+    def _fair_bits(self, bits: np.ndarray, seeds: np.ndarray, t0: int) -> None:
+        """Fill bits (at most BLOCK_CLOCKS rows) with the sign bits at flip_prob
+        1/2: the bit at clock t is bit t & 63 of the draw at counter t >> 6."""
         rows, n = bits.shape
+        end = t0 + n - 1
         x, tmp = self._buffers
-        w0 = t0 >> 6
-        words = ((t0 + n - 1) >> 6) - w0 + 1
-        m = min(words, BLOCK_CLOCKS)
-        g = BLOCK_CLOCKS // m
-        for lo in range(0, words, m):
-            k = min(m, words - lo)
-            base = (w0 + lo) << 6  # clock of the first bit of this pass
-            a, b = max(t0, base), min(t0 + n, base + (k << 6))  # window clocks in it
-            for r in range(0, rows, g):
-                h = min(g, rows - r)
-                xv, tv = x[: h * k].reshape(h, k), tmp[: h * k].reshape(h, k)
-                _draw_into(xv, tv, seeds[r : r + h], w0 + lo, _SALT_SIGN)
-                # bit j of word i is clock base + 64 i + j on every host: the
-                # words are read as little-endian bytes, each unpacked bit 0
-                # first, at most _UNPACK_WORDS words at a time
-                xb = xv.astype("<u8", copy=False).view(np.uint8)
-                step = max(1, _UNPACK_WORDS // h)
-                for i in range(0, k, step):
-                    c = base + (i << 6)  # clock of the first bit unpacked
-                    lo_i, up_i = max(a, c), min(b, c + (step << 6))
-                    u = np.unpackbits(xb[:, i << 3 : (i + step) << 3], axis=1, bitorder="little")
-                    bits[r : r + h, lo_i - t0 : up_i - t0] = u[:, lo_i - c : up_i - c]
+        m = BLOCK_CLOCKS // rows  # words per row in one pass, 64 clocks each
+        step = max(1, _UNPACK_WORDS // rows)
+        for c in range(t0 >> 6, (end >> 6) + 1, m):
+            k = min(m, (end >> 6) + 1 - c)
+            xv, tv = x[: rows * k].reshape(rows, k), tmp[: rows * k].reshape(rows, k)
+            _draw_into(xv, tv, seeds, c, _SALT_SIGN)
+            # bit j of word i is clock 64 (c + i) + j on every host: the words
+            # are read as little-endian bytes, each unpacked bit 0 first, at
+            # most _UNPACK_WORDS words at a time
+            xb = xv.astype("<u8", copy=False).view(np.uint8)
+            for i in range(0, k, step):
+                base = (c + i) << 6  # clock of the first bit unpacked
+                lo, up = max(t0, base), min(end + 1, (c + min(i + step, k)) << 6)
+                u = np.unpackbits(xb[:, i << 3 : (i + step) << 3], axis=1, bitorder="little")
+                bits[:, lo - t0 : up - t0] = u[:, lo - base : up - base]
 
     def _flip_bits(self, bits: np.ndarray, seeds: np.ndarray, start_bits: np.ndarray,
                    a: int, t0: int) -> None:

@@ -251,6 +251,48 @@ def test_crosscorr_strings(capsys):
     assert abs(report["estimate"]) <= report["bound_5_over_sqrt_T"]
 
 
+def test_crosscorr_files_of_unequal_width(capsys, tmp_path):
+    a, b = tmp_path / "a.nbl", tmp_path / "b.nbl"
+    a.write_text("bits 2;\nR1_0*R2_1\n")
+    b.write_text("bits 3;\nR1_1*R2_0*R3_1\n")
+    code, report = run_json(capsys, ["crosscorr", str(a), str(b), "--clocks", "1000", "--seed", "3"])
+    assert code == 0
+    assert report["parameters"]["bits"] == 3
+    assert report["parameters"]["signals"] == [str(a), str(b)]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["one.nbl"], "crosscorr needs two .nbl files or --strings"),
+    (["--strings", "10,01,11"], "--strings takes exactly two comma-separated bit strings"),
+])
+def test_crosscorr_without_two_signals_exits_2(capsys, args, message):
+    assert main(["crosscorr", *args, "--clocks", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_zero_stats_of_a_file(capsys, eq9_file):
+    code, report = run_json(capsys, ["zero-stats", "--expr", eq9_file, "--clocks", "2000", "--seed", "4"])
+    assert code == 0
+    assert report["parameters"]["expr"] == eq9_file
+    assert report["parameters"]["bits"] == 4
+    assert 0 <= report["zero_stats"]["zero_fraction"] <= 1
+
+
+def test_unexpected_exception_exits_2_with_its_traceback(capsys, monkeypatch):
+    import inbl.experiments
+
+    def fail(*args):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(inbl.experiments, "run_zero_stats", fail)
+    assert main(["zero-stats", "--bits", "2", "--clocks", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback")
+    assert err.splitlines()[-1] == "error: RuntimeError: injected failure"
+
+
 def test_speedup(capsys):
     code, report = run_json(
         capsys, ["speedup", "--bits", "4", "--name-bits", "8", "--number-bits", "8"]
@@ -299,6 +341,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("bits 4;\nR1_0 + * R2_1\n")
     assert main(["search", str(bad), "--string", "1010"]) == 2
     assert main(["search", str(tmp_path / "missing.nbl"), "--string", "1"]) == 2
+
+
+def test_declared_size_zero_exits_2(tmp_path, capsys):
+    bad = tmp_path / "zero.nbl"
+    bad.write_text("bits 0;\nR1_0\n")
+    assert main(["search", str(bad), "--string", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "declared size must be >= 1" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("fragments", ["1=0,1=1", "1=0,1=0"])

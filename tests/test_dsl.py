@@ -68,6 +68,11 @@ def test_bit_index_exceeding_declared_size():
         parse_program("bits 2;\nU(3)")
 
 
+def test_declared_size_zero_rejected():
+    with pytest.raises(ParseError, match="declared size must be >= 1"):
+        parse_program("bits 0;\nR1_0")
+
+
 def test_trailing_junk_rejected():
     with pytest.raises(ParseError):
         parse_dsl("R1_0 R2_0")

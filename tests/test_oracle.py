@@ -64,6 +64,23 @@ def test_squared_wire_flagged_noncanonical():
     assert exp.noncanonical
 
 
+@pytest.mark.parametrize("text, entries", [
+    # the middle step cancels its cross terms and leaves two squares
+    ("(R1_0 + R2_0)*(R2_0 - R1_0)*R3_1", [("0-1", -1), ("-01", 1)]),
+    # the middle step annihilates two pairs and keeps two
+    ("(R1_0 + R2_1)*(R1_1 + R2_0)*R3_1", [("001", 1), ("111", 1)]),
+    # two pairs of the last step merge into one monomial and cancel
+    ("(R1_0 + R2_0)*(R1_0 - R2_0)*(R1_0 + R2_0)", [("0--", 1), ("-0-", -1)]),
+    ("(R1_0 - R1_1)*(R1_0 + R1_1)*R2_0", [("00-", 1), ("10-", -1)]),
+    # the middle step leaves nothing, yet the flag stays set
+    ("R2_0*(R1_0*R1_1)*R3_1", []),
+])
+def test_product_chain_entries_and_flag(text, entries):
+    exp = expand(parse_dsl(text), 3)
+    assert list(exp.entries.items()) == entries
+    assert exp.noncanonical
+
+
 def test_member():
     exp = expand(parse_dsl(EQ9_TEXT), 4)
     assert member(exp, Pattern.from_string("1010")) == 1
