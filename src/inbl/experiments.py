@@ -6,10 +6,11 @@ Every amplitude is a dyadic rational, and the one window evaluator,
 of two, so zero tests, run lengths and correlation sums are exact at every
 size. It runs an (expression, scheme)'s cached program (see _Program) level
 by level over switch configurations x a window of clocks, in passes of at
-most PASS_BYTES. Every protocol reads the un-grounded signal, the collapse
-and the probes of a whole window this way, one reader per scan, and
-`eval_array`, which the statistics scan with, is the row of a
-one-configuration reader with no wire grounded.
+most PASS_BYTES; a configuration is a wire mask (see switchboard). Every
+protocol reads the un-grounded signal, the collapse and the probes of a
+whole window this way, one reader per scan, and `eval_array`, which the
+statistics scan with, is the row of a one-configuration reader with no wire
+grounded.
 
 A read of at most STREAM_CLOCKS clocks takes its signs from the (program,
 system)'s sign stream (see _SignStream), which keeps the last block of
@@ -24,8 +25,9 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import mul
-from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
+from functools import reduce
+from operator import mul, or_
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,7 +76,9 @@ class _Program:
     in the order the lowest level reading them reads them, so the levels of
     U(N), a product-string and EVEN(N) read slices. root is the root's
     (dtype, row). column_bytes is one configuration-clock's bytes: all rows
-    and the largest gather.
+    and the largest gather. wire_mask is the wire mask (see switchboard) of
+    every wire, words the 64-bit words it takes, and wire_words the wires'
+    masks as _words, words x 1 x wires.
     """
 
     def __init__(self, expr: Expr, scheme: RtwScheme):
@@ -144,7 +148,9 @@ class _Program:
             reader.update(zip(flat, range(key, key + len(flat))))
         wires = sorted(wire_at, key=reader.get)
         self.wires: List[WireId] = list(map(wire_at.__getitem__, wires))
-        self.wire_row = dict(zip([wire.tag for wire in self.wires], range(len(wires))))
+        self.wire_mask = sum([1 << wire.tag for wire in self.wires])
+        self.words = (self.wire_mask.bit_length() + 63) >> 6
+        self.wire_words = _words([1 << wire.tag for wire in self.wires], self).transpose(0, 2, 1)
 
         # per position: its dtype's index in _DTYPES << 32 | its row; the
         # wires are the first rows of the int8 matrix
@@ -191,9 +197,19 @@ def _reads(places: List[int]) -> tuple:
                   np.array(ks, dtype=np.intp)) for d, ks in sorted(by_dtype.items()))
 
 
+def _words(masks: Sequence[int], program: _Program) -> np.ndarray:
+    """Wire masks (see switchboard) restricted to the program's wires, as
+    uint64 words x masks x 1, the lowest word first: two masks share a wire
+    where their words share a bit."""
+    wires, shifts = program.wire_mask, range(0, program.words << 6, 64)
+    words = [(mask & wires) >> shift & _WORD for shift in shifts for mask in masks]
+    return np.array(words, dtype=np.uint64).reshape(program.words, len(masks), 1)
+
+
 # the exact dtypes from narrowest to widest
 _DTYPES = [np.int8, np.int16, np.int32, np.int64, object]
 _ITEMSIZE = {dtype: np.dtype(dtype).itemsize for dtype in _DTYPES}
+_WORD = (1 << 64) - 1
 _LIMITS = [(dtype, int(np.iinfo(dtype).max)) for dtype in _DTYPES[:-1]]
 # per scheme: the wire exponents of bit values 0 and 1
 _EXP2S = {scheme: (scheme.magnitude_exp2(0), scheme.magnitude_exp2(1)) for scheme in RtwScheme}
@@ -230,16 +246,18 @@ class _SignStream:
     (ReferenceSystem.seed_column) and the last block drawn, int8 signs of
     every wire over clocks [start, start + block width).
 
-    A window inside the block is a view of it. Any other window draws its
+    A window inside the block is a view of it. Any other window takes its
     cover, from the 64-clock word that holds its first clock to the end of
     the word that holds its last, into a new block, where the following
     reads of a scan or of the next query, which move forward in simulated
-    time, mostly find their clocks. At flip_prob != 1/2 the draw counts
-    flips from the old block's last clock at or before the cover's first,
-    else from clock 0 (see origin). Every sign is a pure function of (wire,
-    clock), so a window reads the same signs either way. The stream holds
-    no reference to its program or system: the program keeps it in a
-    weak-keyed table of systems, and ConfigReader passes the system in.
+    time, mostly find their clocks. A cover that starts inside the old block
+    copies the words it holds and draws only the rest. At flip_prob != 1/2
+    the draw counts flips from the old block's last clock at or before the
+    first clock drawn, else from clock 0 (see origin). Every sign is a pure
+    function of (wire, clock), so a window reads the same signs either way.
+    The stream holds no reference to its program or system: the program
+    keeps it in a weak-keyed table of systems, and ConfigReader passes the
+    system in.
     """
 
     __slots__ = ("seeds", "start", "block")
@@ -264,7 +282,11 @@ class _SignStream:
                 raise ValueError(f"clock must be >= 0, got {t0}")
             start = t0 & -64
             block = np.empty((len(self.seeds), ((t0 + clocks + 63) & -64) - start), dtype=np.int8)
-            system.draw_sign_rows(block, self.seeds, start, self.origin(start))
+            # the words the old block holds from start on are copied, not drawn
+            held = self.block[:, start - self.start :] if k >= 0 else block[:, :0]
+            block[:, : held.shape[1]] = held
+            rest = start + held.shape[1]
+            system.draw_sign_rows(block[:, held.shape[1] :], self.seeds, rest, self.origin(rest))
             self.block, self.start, k = block, start, t0 - start
         return self.block[:, k : k + clocks]
 
@@ -289,7 +311,7 @@ def eval_array(
     Returns (ints, exp2): the value at clock t_start + k is ints[k] * 2**exp2.
     ints is int64 or object by the program's static bound (see _Program).
     """
-    ints, exp2 = ConfigReader(expr, system, [frozenset()]).read(t_start, clocks)
+    ints, exp2 = ConfigReader(expr, system, [0]).read(t_start, clocks)
     return ints[0], exp2
 
 
@@ -297,31 +319,36 @@ class ConfigReader:
     """One expression's reads of fixed switch configurations on one system,
     prepared once for a scan that reads window after window.
 
-    grounded[r] is the set of wires grounded in configuration r. Preparing
-    resolves the cached program, its sign stream on the system, the (wire
-    row, configuration) pairs a grounding zeroes and the span of clocks one
-    pass takes: PASS_BYTES over column_bytes per configuration. A pass holds
-    one matrix of rows x configurations x clocks per dtype of the program.
-    All configurations see the same draws: a read of at most STREAM_CLOCKS
-    clocks copies every configuration's sign rows from the stream's block;
-    a wider one draws the first configuration's in place and the others
-    copy them. Each level reduces its children, a view or one np.take per
-    matrix they sit in, into its own rows.
+    grounded[r] is the wire mask of configuration r (see switchboard): bit
+    WireId.tag set for every grounded wire. Preparing resolves the cached
+    program, its sign stream on the system, the wires' alive factors, 0 for
+    a wire that a configuration grounds and 1 for any other, from the masks
+    in a fixed number of numpy calls, and the span of clocks one pass takes:
+    PASS_BYTES over column_bytes per configuration. A pass holds one matrix
+    of rows x configurations x clocks per dtype of the program. All
+    configurations see the same draws: a read of at most STREAM_CLOCKS
+    clocks takes the sign rows from the stream's block, a wider one draws
+    the first configuration's in place, and every configuration's sign rows
+    are those signs times its alive factors, one multiply. Each level
+    reduces its children, a view or one np.take per matrix they sit in, into
+    its own rows.
     """
 
-    __slots__ = ("program", "system", "stream", "configs", "cut", "span")
+    __slots__ = ("program", "system", "stream", "configs", "alive", "span")
 
-    def __init__(self, expr: Expr, system: ReferenceSystem,
-                 grounded: Sequence[AbstractSet[WireId]]):
+    def __init__(self, expr: Expr, system: ReferenceSystem, grounded: Sequence[int]):
         program = self.program = _program(expr, system.scheme)
         self.system = system
         self.stream = _stream(program, system)
-        self.configs = len(grounded)
-        rows = program.wire_row
-        cut = [(k, r) for r, wires in enumerate(grounded) for w in wires
-               if (k := rows.get(w.tag)) is not None]
-        self.cut = tuple(np.array(pairs, dtype=np.intp) for pairs in zip(*cut)) if cut else None
-        self.span = max(1, PASS_BYTES // (program.column_bytes * max(self.configs, 1)))
+        configs = self.configs = len(grounded)
+        # alive[k, r, 0] is 0 where configuration r grounds wire row k, else 1;
+        # one un-grounded configuration reads its signs as drawn
+        self.alive = None
+        if configs > 1 or reduce(or_, grounded, 0) & program.wire_mask:
+            hit = np.bitwise_and(program.wire_words, _words(grounded, program))
+            hit = hit[0] if len(hit) == 1 else np.bitwise_or.reduce(hit, axis=0)
+            self.alive = (hit == 0).view(np.int8).T[:, :, None]
+        self.span = max(1, PASS_BYTES // (program.column_bytes * max(configs, 1)))
 
     def read(self, t0: int, clocks: int) -> Tuple[np.ndarray, int]:
         """Exact values over clocks [t0, t0 + clocks), one row per
@@ -346,18 +373,19 @@ class ConfigReader:
             mats = full if n == width else {
                 d: m.reshape(-1)[: len(m) * configs * n].reshape(len(m), configs, n)
                 for d, m in full.items()}
-            # every configuration sees the same draws; a grounded wire reads 0
-            signs = mats[np.int8]
+            # every configuration sees the same draws, times its alive factors
+            signs, alive = mats[np.int8], self.alive
             if block is not None:
-                signs[:wires] = block[:, None, lo : lo + n]
+                if alive is None:
+                    signs[:wires] = block[:, None, lo : lo + n]
+                else:
+                    np.multiply(block[:, None, lo : lo + n], alive, out=signs[:wires])
             else:
                 self.system.draw_sign_rows(signs[:wires, 0], stream.seeds, t0 + lo, start)
                 # the next pass counts flips from this one's last clock
                 start = (t0 + lo + n - 1, signs[:wires, 0, n - 1] > 0)
-                if configs > 1:
-                    signs[:wires, 1:] = signs[:wires, :1]
-            if self.cut is not None:
-                signs[self.cut] = 0
+                if alive is not None:
+                    np.multiply(signs[:wires, :1], alive, out=signs[:wires])
             # a child's matrix may be wider than its reader's dtype, by a
             # sibling's bound; its values still fit, so every cast is unsafe
             for dtype, first, end, ufunc, arity, reads, weights in program.levels:

@@ -55,9 +55,17 @@ class Expansion:
 
 
 def _render(mask: int, values: int, num_bits: int) -> str:
-    return "".join(
-        ["01"[values >> i & 1] if mask >> i & 1 else "-" for i in range(1, num_bits + 1)]
-    )
+    """The key of monomial (mask, values) over bits 1..num_bits. Read as
+    hexadecimal, the binary digits of mask >> 1 and values >> 1 add digit by
+    digit with no carry (values is within mask), to one digit 0, 1 or 2 per
+    bit, highest bit first; reversed, each names '-', '0' or '1'. Every
+    conversion has a power-of-two base, so it takes linear time and has no
+    digit limit."""
+    digits = int(format(mask >> 1, "b"), 16) + int(format(values >> 1, "b"), 16)
+    return format(digits, f"0{num_bits}x")[::-1].translate(_KEY_CHARS)
+
+
+_KEY_CHARS = str.maketrans("012", "-01")
 
 
 def expand(expr: Expr, num_bits: int, limit: int = DEFAULT_ORACLE_LIMIT) -> Expansion:

@@ -8,16 +8,17 @@ the other side's wires one by one: grounding the survivor's own wire zeroes
 the signal, grounding the other wire of the same digit does nothing.
 
 Every reading of a lookup is taken at one frozen clock, so the switch
-actions are made first and each configuration they pass through is recorded;
-`search.wait_for_live_clock` then reads the un-grounded signal, the collapse
-and every probe in one exact call per window of clocks, and the first clock
-where the un-grounded signal is nonzero is the one read.
+actions are made first and each configuration they pass through is recorded
+as its wire mask (see switchboard), one int; `search.wait_for_live_clock`
+then reads the un-grounded signal, the collapse and every probe in one exact
+call per window of clocks, and the first clock where the un-grounded signal
+is nonzero is the one read.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 from .errors import (
@@ -40,6 +41,8 @@ class PhonebookSpec:
     name_bits: int
     number_bits: int
     entries: Tuple[Tuple[str, str], ...]  # (name bitstring, number bitstring)
+    # whether every number is distinct, which an inverse lookup needs
+    bijective: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.name_bits < 1 or self.number_bits < 1:
@@ -55,14 +58,15 @@ class PhonebookSpec:
             seen.add(name)
         if not self.entries:
             raise PatternError("phonebook needs at least one entry")
+        numbers = {number for _, number in self.entries}
+        object.__setattr__(self, "bijective", len(numbers) == len(self.entries))
 
     @property
     def total_bits(self) -> int:
         return self.name_bits + self.number_bits
 
     def is_bijective(self) -> bool:
-        numbers = [number for _, number in self.entries]
-        return len(set(numbers)) == len(numbers)
+        return self.bijective
 
 
 @dataclass(frozen=True)
@@ -122,17 +126,18 @@ def _collapse_and_probe(
     # after the un-grounded row 0
     key_pattern = Pattern(tuple((key_offset + i + 1, int(c)) for i, c in enumerate(key)))
     switches = ground_inverse(key_pattern, system.num_bits)
-    ops = len(switches.grounded)
-    configs = [switches.grounded]
+    ops = switches.mask.bit_count()
+    configs = [switches.mask]
     probe_bits = range(probe_offset + 1, probe_offset + probe_width + 1)
     for j in probe_bits:
         for v in (0, 1):
             wire = wire_id(j, v)
             ops += switches.ground(wire)
-            configs.append(switches.grounded)
+            configs.append(switches.mask)
             switches.restore(wire)
     # the wire draws freeze at the first clock where row 0 is nonzero
-    readings = wait_for_live_clock(pb.expr, system, t_start, max_wait, configs).readings[:, 0]
+    live = wait_for_live_clock(pb.expr, system, t_start, max_wait, configs)
+    readings = live.readings[:, 0].tolist()
     if readings[1] == 0:
         raise absent(f"{key} is not in the book")
     digits = []

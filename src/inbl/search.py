@@ -10,16 +10,17 @@ product-string survives and no clock cancels it, so one read decides. Any
 other search reads tau clocks, at most BLOCK_CLOCKS since the trace lists
 each read, and bounds a negative verdict by 2**-tau.
 
-The searches make their switch actions first and then read with
-`wait_for_live_clock`, which scans windows from the clocks the search reads,
-each later window WINDOW_GROWTH times the one before up to one reader pass
-and BLOCK_CLOCKS. Each window is one exact call to a prepared
+The searches make their switch actions first, recording each configuration
+as its wire mask (see switchboard), one int, and then read with
+`wait_for_live_clock`, which scans windows from the clocks the search
+reads, each later window WINDOW_GROWTH times the one before up to one
+reader pass and BLOCK_CLOCKS. Each window is one exact call to a prepared
 `experiments.ConfigReader` (the one window evaluator) for the un-grounded
 signal and the grounded configurations; a bounded search makes at most one
 more read, through a reader of its grounded configuration alone, for the
-clocks past the window's end. A read of at most STREAM_CLOCKS clocks
-copies its signs from the (expression, system)'s sign stream, whose block
-the previous search on the system has mostly drawn already. Entangle
+clocks past the window's end. A read of at most STREAM_CLOCKS clocks copies
+its signs from the (expression, system)'s sign stream, whose block the
+previous search on the system has mostly drawn already. Entangle
 discrimination checks its signal's class on the oracle's 2-bit expansion
 and reads its four recorded probe configurations the same way. Amplitudes
 become `Dyadic` values only in the reported outcome, and a search's trace
@@ -31,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import AbstractSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .errors import IllegalClass, MaxWaitExceeded
 from .experiments import ConfigReader, _program
 from .expr import Expr, Pattern
 from .oracle import BellClass, expand, legal_bell_class
-from .reference import BLOCK_CLOCKS, ReferenceSystem, WireId, wire_id
+from .reference import BLOCK_CLOCKS, ReferenceSystem, wire_id
 from .switchboard import SwitchState, ground_inverse
 
 DEFAULT_MAX_WAIT = 10_000
@@ -128,7 +129,7 @@ def wait_for_live_clock(
     system: ReferenceSystem,
     t_start: int = 0,
     max_wait: int = DEFAULT_MAX_WAIT,
-    grounded: Sequence[AbstractSet[WireId]] = (),
+    grounded: Sequence[int] = (),
     reads: int = 1,
 ) -> LiveClock:
     """Smallest t >= t_start where the un-grounded superposition is nonzero.
@@ -137,13 +138,14 @@ def wait_for_live_clock(
     live clock on); each later one is WINDOW_GROWTH times the one before,
     capped at one reader pass (or the first window, if wider) and at
     BLOCK_CLOCKS, and every window is clipped at t_start + max_wait. Each
-    window reads the un-grounded signal and every configuration in grounded
-    at once, and the returned LiveClock carries them. max_wait must be >= 0;
+    window reads the un-grounded signal and every configuration in grounded,
+    a wire mask each (see switchboard), at once, and the returned LiveClock
+    carries them. max_wait must be >= 0;
     with 0, t_start itself must be live.
     """
     if max_wait < 0:
         raise ValueError(f"max_wait must be >= 0, got {max_wait}")
-    reader = ConfigReader(expr, system, [frozenset(), *grounded])
+    reader = ConfigReader(expr, system, [0, *grounded])
     end = t_start + max_wait + 1
     t0, width = t_start, min(max(reads, 1), BLOCK_CLOCKS)
     cap = min(max(reader.span, width), BLOCK_CLOCKS)
@@ -199,12 +201,12 @@ def fragment_search(
     support = _program(expr, system.scheme).support
     exact = support is not None and not support & ~pattern.mask
     n = 1 if exact else tau
-    live = wait_for_live_clock(expr, system, t_start, max_wait, [switches.grounded], n)
+    live = wait_for_live_clock(expr, system, t_start, max_wait, [switches.mask], n)
     t = live.clock
     reads = live.readings[1, :n]
     hits = reads.nonzero()[0]
     if len(reads) < n and not len(hits):
-        tail = ConfigReader(expr, system, [switches.grounded])
+        tail = ConfigReader(expr, system, [switches.mask])
         more, _ = tail.read(t + len(reads), n - len(reads))
         reads = np.concatenate((reads, more[0]))
         hits = reads.nonzero()[0]
@@ -213,7 +215,7 @@ def fragment_search(
     verdict = Verdict.PRESENT if present else Verdict.ABSENT if exact else Verdict.ABSENT_BOUNDED
     return SearchOutcome(
         verdict=verdict,
-        switch_ops=len(switches.grounded),
+        switch_ops=switches.mask.bit_count(),
         clocks_waited=t - t_start,
         clocks_observed=observed,
         # a copy of the readings, so that the outcome keeps no window alive
@@ -269,9 +271,9 @@ def entangle_discriminate(
     for bit1_value in (0, 1):
         side_wire = wire_id(1, 1 - bit1_value)
         switches.ground(side_wire)
-        configs.append(switches.grounded)
+        configs.append(switches.mask)
         switches.ground(partner_wire)
-        configs.append(switches.grounded)
+        configs.append(switches.mask)
         switches.restore(partner_wire)
         switches.restore(side_wire)
     live = wait_for_live_clock(expr, system, t_start, max_wait, configs)

@@ -1,8 +1,11 @@
 """Two-state switches on the reference wires.
 
 Every wire is either Live (connected to its reference source) or Grounded
-(forced to exactly zero). Grounding and restoring are idempotent and
-report whether they changed the state, so a protocol can count the switch
+(forced to exactly zero). A configuration is one int, its wire mask: bit
+`WireId.tag` is set for every grounded wire, so recording a configuration
+copies one int and the window evaluator (`experiments.ConfigReader`) reads
+a sequence of them. Grounding and restoring are idempotent and report
+whether they changed the state, so a protocol can count the switch
 operations it actually made.
 """
 
@@ -15,32 +18,39 @@ from .reference import WireId, wire_id
 
 
 class SwitchState:
+    __slots__ = ("mask",)
+
     def __init__(self):
-        self._grounded: set = set()
+        # bit WireId.tag is set for every grounded wire
+        self.mask = 0
 
     def is_grounded(self, wire: WireId) -> bool:
-        return wire in self._grounded
+        return self.mask >> wire.tag & 1 == 1
 
     @property
     def grounded(self) -> FrozenSet[WireId]:
-        return frozenset(self._grounded)
+        mask = self.mask
+        return frozenset([wire_id(tag >> 1, tag & 1)
+                          for tag in range(mask.bit_length()) if mask >> tag & 1])
 
     def ground(self, wire: WireId) -> bool:
         """Force the wire to zero. Returns True if the state changed."""
-        if wire in self._grounded:
+        bit = 1 << wire.tag
+        if self.mask & bit:
             return False
-        self._grounded.add(wire)
+        self.mask |= bit
         return True
 
     def restore(self, wire: WireId) -> bool:
         """Reconnect the wire to its reference source."""
-        if wire not in self._grounded:
+        bit = 1 << wire.tag
+        if not self.mask & bit:
             return False
-        self._grounded.discard(wire)
+        self.mask ^= bit
         return True
 
     def __repr__(self) -> str:
-        wires = sorted((w.bit_index, w.bit_value) for w in self._grounded)
+        wires = sorted((w.bit_index, w.bit_value) for w in self.grounded)
         return f"SwitchState(grounded={wires})"
 
 

@@ -85,6 +85,15 @@ def random_switches(rng: random.Random, num_bits: int, p: float = 0.25) -> Switc
     return switches
 
 
+def wire_mask(wires) -> int:
+    """The wire mask of the configuration that grounds the given wires: bit
+    WireId.tag set per wire, as ConfigReader and wait_for_live_clock take."""
+    mask = 0
+    for wire in wires:
+        mask |= 1 << wire.tag
+    return mask
+
+
 def make_system(num_bits, **kwargs) -> ReferenceSystem:
     return ReferenceSystem(num_bits, **kwargs)
 

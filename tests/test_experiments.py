@@ -38,7 +38,7 @@ from inbl.phonebook import PhonebookSpec, build_phonebook, lookup
 from inbl.reference import ReferenceSystem, RtwScheme, WireId
 from inbl.switchboard import SwitchState
 
-from conftest import dags, random_canonical_expr, sum_of_strings
+from conftest import dags, random_canonical_expr, sum_of_strings, wire_mask
 
 
 def test_eval_array_matches_scalar_evaluator():
@@ -169,9 +169,9 @@ def test_eval_array_node_dtypes_hold_their_bounds(dag, scheme, seed, t, clocks):
     m, expr, _ = dag
     system = ReferenceSystem(m, scheme, master_seed=seed)
     ints, exp2 = eval_array(expr, system, t, clocks)
-    row, row_exp2 = ConfigReader(expr, system, [frozenset()]).read(t, clocks)
+    row, row_exp2 = ConfigReader(expr, system, [wire_mask(frozenset())]).read(t, clocks)
     assert exp2 == row_exp2 and np.array_equal(ints, row[0])
-    for k in _pass_edges(experiments.ConfigReader(expr, system, [frozenset()]), clocks):
+    for k in _pass_edges(experiments.ConfigReader(expr, system, [wire_mask(frozenset())]), clocks):
         assert Dyadic(int(ints[k]), exp2) == evaluate(expr, system, t + k)
     program = experiments._program(expr, scheme)
     bounds = {(np.int8, r): 1 for r in range(len(program.wires))}
@@ -398,7 +398,7 @@ def test_eval_configs_matches_scalar_evaluator(dag, scheme, seed, t, clocks, dat
     wires = [WireId(i, v) for i in range(1, m + 1) for v in (0, 1)]
     configs = data.draw(st.lists(st.frozensets(st.sampled_from(wires)), min_size=1, max_size=6))
     system = ReferenceSystem(m, scheme, master_seed=seed)
-    ints, exp2 = ConfigReader(expr, system, configs).read(t, clocks)
+    ints, exp2 = ConfigReader(expr, system, list(map(wire_mask, configs))).read(t, clocks)
     assert ints.shape == (len(configs), clocks)
     if wide:
         assert ints.dtype == object
@@ -410,6 +410,64 @@ def test_eval_configs_matches_scalar_evaluator(dag, scheme, seed, t, clocks, dat
             assert Dyadic(int(ints[r, k]), exp2) == evaluate(expr, system, t + k, switches)
 
 
+@st.composite
+def _reader_shapes(draw):
+    """(num_bits, expr) for the reader's mask tests: a random DAG, a
+    product-string (a root whose factors are all wires), or a sum whose
+    height-2 Product level holds a product of wires beside a product over a
+    sum."""
+    kind = draw(st.sampled_from(["dag", "string", "mixed"]))
+    if kind == "dag":
+        m, expr, _ = draw(dags())
+        return m, expr
+    m = draw(st.integers(1, 4)) if kind == "string" else 3
+    bits = [draw(st.integers(0, 1)) for _ in range(m)]
+    if kind == "string":
+        return m, build_product_string(Pattern.from_string("".join(map(str, bits))), m)
+    pure = Product((Product((ref(1, bits[0]), ref(2, bits[1]))), ref(3, bits[2])))
+    impure = Product((Sum(((1, ref(1, 1 - bits[0])), (3, ref(2, bits[1])))), ref(3, 1)))
+    return m, Sum(((1, pure), (-2, impure)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=_reader_shapes(),
+    scheme=st.sampled_from(RtwScheme),
+    flip=st.sampled_from([Fraction(1, 2), Fraction(1, 100)]),
+    seed=st.integers(0, 2**32),
+    t=st.integers(0, 300),
+    clocks=st.integers(1, 24),
+    span=st.sampled_from([1, 3, 8, None]),
+    data=st.data(),
+)
+def test_reader_masks_match_scalar_evaluator(shape, scheme, flip, seed, t, clocks, span, data):
+    # configuration 0 may ground wires, as a fragment search's tail reader
+    # does; a mask may ground wires outside the expression or the system
+    m, expr = shape
+    tags = st.frozensets(st.integers(2, 2 * m + 3), max_size=2 * m + 2)
+    groundings = data.draw(st.lists(tags, min_size=1, max_size=20))
+    masks = [sum(1 << tag for tag in grounded) for grounded in groundings]
+    system = ReferenceSystem(m, scheme, master_seed=seed, flip_prob=flip)
+    pass_bytes = experiments.PASS_BYTES
+    if span is not None:  # windows of several passes
+        column_bytes = experiments._program(expr, scheme).column_bytes
+        experiments.PASS_BYTES = column_bytes * len(masks) * span
+    try:
+        reader = ConfigReader(expr, system, masks)
+        assert span is None or reader.span == span
+        ints, exp2 = reader.read(t, clocks)
+    finally:
+        experiments.PASS_BYTES = pass_bytes
+    assert ints.shape == (len(masks), clocks)
+    for r, grounded in enumerate(groundings):
+        switches = SwitchState()
+        for tag in grounded:
+            switches.ground(WireId(tag >> 1, tag & 1))
+        assert switches.mask == masks[r]
+        for k in range(clocks):
+            assert Dyadic(int(ints[r, k]), exp2) == evaluate(expr, system, t + k, switches)
+
+
 def test_eval_configs_window_in_spans_matches_eval_array():
     # 256 full 8-bit strings: the product level gathers 2,048 children, so a
     # window of 300 clocks over 3 configurations is taken in several passes
@@ -417,9 +475,9 @@ def test_eval_configs_window_in_spans_matches_eval_array():
     expr = sum_of_strings([format(x, "08b") for x in range(256)], m)
     system = ReferenceSystem(m, RtwScheme.ASYMMETRIC, master_seed=18, flip_prob=Fraction(1, 4))
     configs = [frozenset(), frozenset({WireId(1, 0)}), frozenset({WireId(2, 1), WireId(5, 0)})]
-    reader = experiments.ConfigReader(expr, system, configs)
+    reader = experiments.ConfigReader(expr, system, list(map(wire_mask, configs)))
     assert reader.span < 300
-    ints, exp2 = ConfigReader(expr, system, configs).read(1000, 300)
+    ints, exp2 = ConfigReader(expr, system, list(map(wire_mask, configs))).read(1000, 300)
     row, row_exp2 = eval_array(expr, system, 1000, 300)
     assert row_exp2 == exp2 and np.array_equal(ints[0], row)
     for k in _pass_edges(reader, 300):
@@ -456,8 +514,8 @@ def test_eval_configs_mixed_arity_levels():
     levels = {(ufunc, arity, end - first) for _, first, end, ufunc, arity, _, _ in program.levels}
     assert levels >= {(ufunc, arity, 3) for ufunc in (np.add, np.multiply) for arity in range(1, 6)}
     clocks = 1000
-    assert experiments.ConfigReader(expr, system, configs).span < clocks
-    ints, exp2 = ConfigReader(expr, system, configs).read(40, clocks)
+    assert experiments.ConfigReader(expr, system, list(map(wire_mask, configs))).span < clocks
+    ints, exp2 = ConfigReader(expr, system, list(map(wire_mask, configs))).read(40, clocks)
     assert ints.shape == (len(configs), clocks)
     for r, grounded in enumerate(configs):
         switches = SwitchState()
@@ -489,7 +547,7 @@ def test_window_of_several_passes_matches_scalar_evaluator():
     expr = sum_of_strings([format(x, "08b") for x in range(0, 256, 3)], m)
     system = ReferenceSystem(m, RtwScheme.SYMMETRIC, master_seed=23, flip_prob=Fraction(1, 8))
     configs = [frozenset(), frozenset({WireId(3, 0)}), frozenset({WireId(1, 1), WireId(8, 0)})]
-    reader = experiments.ConfigReader(expr, system, configs)
+    reader = experiments.ConfigReader(expr, system, list(map(wire_mask, configs)))
     clocks = 3 * reader.span + 5
     ints, exp2 = reader.read(70, clocks)
     assert ints.shape == (3, clocks)
@@ -528,7 +586,7 @@ def test_mixed_dtype_children_match_scalar_evaluator(expr, root, kids):
     assert level[0] is root and {dtype for dtype, _, _ in level[5]} == kids
     configs = [frozenset(), frozenset({WireId(1, 1)}), frozenset({WireId(2, 0)}),
                frozenset({WireId(1, 0), WireId(3, 1)})]
-    ints, exp2 = ConfigReader(expr, system, configs).read(9, 200)
+    ints, exp2 = ConfigReader(expr, system, list(map(wire_mask, configs))).read(9, 200)
     for r, grounded in enumerate(configs):
         switches = SwitchState()
         for wire in grounded:
@@ -556,7 +614,7 @@ def test_seed_column_is_kept_per_program_and_system(flip):
     reads = [(first, systems[0], 0), (second, systems[0], 50), (first, systems[1], 30),
              (second, systems[0], 10), (first, systems[0], 400), (first, systems[1], 5)]
     for expr, system, t0 in reads:
-        ints, exp2 = ConfigReader(expr, system, configs).read(t0, 64)
+        ints, exp2 = ConfigReader(expr, system, list(map(wire_mask, configs))).read(t0, 64)
         assert exp2 == 0
         bit = 1 if expr is first else 3
         wires = [WireId(bit, 0), WireId(bit, 1), WireId(bit + 1, 0), WireId(bit + 1, 1)]
@@ -572,7 +630,7 @@ def test_seed_column_is_kept_per_program_and_system(flip):
         for system, stream in streams.items():
             column = stream.seeds
             assert column.tolist() == [[system.wire_seed(w)] for w in program.wires]
-            ConfigReader(expr, system, configs).read(7, 3)
+            ConfigReader(expr, system, list(map(wire_mask, configs))).read(7, 3)
             # reused, not rebuilt
             assert program.streams[system] is stream and stream.seeds is column
 
@@ -584,7 +642,7 @@ def test_seed_column_dies_with_its_program_or_system():
         e = Sum(((1, Product((ref(1, 0), ref(2, 1)))), (3, ref(3, 0))))
         keep, dropped = ReferenceSystem(3, master_seed=22), ReferenceSystem(3, master_seed=23)
         for system in (keep, dropped):
-            ConfigReader(e, system, [frozenset()]).read(0, 2)
+            ConfigReader(e, system, [wire_mask(frozenset())]).read(0, 2)
         program = experiments._program(e, keep.scheme)
         assert len(program.streams) == 2
         # the stream holds no reference to its system: it dies with it
@@ -671,12 +729,13 @@ def test_stream_reads_are_bit_identical_to_fresh_draws(flip):
         elif kind == "negative":
             t0 = -rng.randint(1, 100)
             with pytest.raises(ValueError):
-                ConfigReader(expr, system, [frozenset()]).read(t0, rng.randint(1, 50))
+                ConfigReader(expr, system, [wire_mask(frozenset())]).read(t0, rng.randint(1, 50))
             continue
         else:  # empty
             t0, n = rng.choice([-rng.randint(1, 9), rng.randrange(top)]), 0
         grounded = wires[rng.randrange(len(wires))]
-        ints, exp2 = ConfigReader(expr, system, [frozenset(), {grounded}]).read(t0, n)
+        masks = [wire_mask(frozenset()), wire_mask({grounded})]
+        ints, exp2 = ConfigReader(expr, system, masks).read(t0, n)
         assert exp2 == 0 and ints.shape == (2, n)
         if n == 0:
             continue
@@ -707,33 +766,62 @@ def test_a_window_inside_the_block_draws_nothing(monkeypatch):
         return real(self, bits, seeds, t0, start)
 
     monkeypatch.setattr(ReferenceSystem, "draw_sign_rows", counting)
-    reader = ConfigReader(expr, system, [frozenset()])
+    reader = ConfigReader(expr, system, [wire_mask(frozenset())])
     reader.read(70, 5)
     assert drawn == [(64, 64)]  # the window's word-aligned cover
     for t0, n in ((70, 5), (64, 64), (100, 20), (127, 1)):
         reader.read(t0, n)
-        ConfigReader(expr, system, [frozenset(), {wires[0]}]).read(t0, n)
+        ConfigReader(expr, system, [wire_mask(frozenset()), wire_mask({wires[0]})]).read(t0, n)
     assert drawn == [(64, 64)]
-    reader.read(126, 3)  # crosses the block's end: the next cover, two words
-    assert drawn[1:] == [(64, 128)]
+    reader.read(126, 3)  # crosses the block's end: draws only the word after it
+    assert drawn[1:] == [(128, 64)]
     reader.read(0, experiments.STREAM_CLOCKS + 1)  # above the cap: drawn in place
     assert drawn[2:] == [(0, experiments.STREAM_CLOCKS + 1)]
     reader.read(150, 2)  # the stream still holds its block
     assert len(drawn) == 3
 
 
+@pytest.mark.parametrize("flip, counters", [(Fraction(1, 2), 1), (Fraction(1, 100), 16)])
+def test_a_read_across_the_block_end_draws_only_the_new_words(flip, counters, monkeypatch):
+    # the block holds clocks 163,648-163,711; a 5-clock read at 163,710
+    # copies the two clocks it holds and draws the one word after it: one
+    # fair draw of 64 clocks, or 16 flip counters of 4 clocks counted on
+    # from the block's last clock, per wire
+    from inbl import reference
+
+    wires = [WireId(1, 0), WireId(1, 1), WireId(2, 0)]
+    expr = _spelling_sum(wires)
+    system = ReferenceSystem(2, RtwScheme.SYMMETRIC, master_seed=36, flip_prob=flip)
+    reader = ConfigReader(expr, system, [wire_mask(frozenset())])
+    reader.read(163_650, 20)
+    assert (reader.stream.start, reader.stream.block.shape[1]) == (163_648, 64)
+    drawn = []
+    real = reference._draw_into
+
+    def counting(x, tmp, *stream):
+        drawn.append(x.size)
+        return real(x, tmp, *stream)
+
+    monkeypatch.setattr(reference, "_draw_into", counting)
+    ints, _ = reader.read(163_710, 5)
+    assert sum(drawn) == len(wires) * counters
+    fresh = ReferenceSystem(2, RtwScheme.SYMMETRIC, master_seed=36, flip_prob=flip)
+    weights = np.array([1 << r for r in range(len(wires))])
+    assert np.array_equal(ints[0], weights @ fresh.sign_rows(wires, 163_710, 5).astype(np.int64))
+
+
 @pytest.mark.parametrize("flip", [Fraction(1, 100), Fraction(1, 3), Fraction(1, 8)])
 def test_wide_reads_count_on_from_each_pass(flip, monkeypatch):
     # a span of 20 clocks makes every wide read hundreds of passes, and
-    # configuration 0 grounds a wire: each pass cuts its sign rows after
-    # the draw, so the next pass must count on from the draw, not the cut
+    # configuration 0 grounds a wire: the next pass must count on from each
+    # pass's draw, not from what the grounded configuration reads
     wires = [WireId(b, v) for b in (1, 2, 3) for v in (0, 1)]
     expr = _spelling_sum(wires)
     configs = [frozenset({wires[2]}), frozenset()]
     column_bytes = experiments._program(expr, RtwScheme.SYMMETRIC).column_bytes
     monkeypatch.setattr(experiments, "PASS_BYTES", 20 * column_bytes * len(configs))
     system = ReferenceSystem(4, RtwScheme.SYMMETRIC, master_seed=31, flip_prob=flip)
-    reader = ConfigReader(expr, system, configs)
+    reader = ConfigReader(expr, system, list(map(wire_mask, configs)))
     assert reader.span == 20
     top, cap = 40_000, experiments.STREAM_CLOCKS
     if flip == Fraction(1, 3):
@@ -767,8 +855,8 @@ def test_scalar_and_stream_reads_share_no_state(flip):
             w = rng.choice(wires)
             assert mixed.wire_sign(w, t) == scalar_only.wire_sign(w, t), (step, t)
         anchors, state = dict(mixed._anchors), set(vars(mixed))
-        got, _ = ConfigReader(expr, mixed, configs).read(t0, n)
-        want, _ = ConfigReader(expr, stream_only, configs).read(t0, n)
+        got, _ = ConfigReader(expr, mixed, list(map(wire_mask, configs))).read(t0, n)
+        want, _ = ConfigReader(expr, stream_only, list(map(wire_mask, configs))).read(t0, n)
         assert np.array_equal(got, want), (step, t0, n)
         # the stream read moved no scalar anchor and added no state
         assert mixed._anchors == anchors and set(vars(mixed)) == state
@@ -783,7 +871,7 @@ def test_program_cache_entry_dies_with_its_expression():
         before = len(experiments._PROGRAMS)
         e = Sum(((1, Product((ref(1, 0), ref(2, 1)))), (3, ref(3, 0))))
         key = id(e)
-        ConfigReader(e, system, [frozenset()]).read(0, 1)
+        ConfigReader(e, system, [wire_mask(frozenset())]).read(0, 1)
         eval_array(e, system, 0, 4)
         assert experiments._program(e, system.scheme) is experiments._program(e, system.scheme)
         assert len(experiments._PROGRAMS) == before + 1 and key in experiments._PROGRAMS
@@ -799,8 +887,8 @@ def test_program_cache_keeps_one_program_per_scheme():
     asym = ReferenceSystem(2, RtwScheme.ASYMMETRIC, master_seed=17)
     sym = ReferenceSystem(2, RtwScheme.SYMMETRIC, master_seed=17)
     configs = [frozenset(), frozenset({WireId(2, 1)})]
-    asym_ints, asym_exp2 = ConfigReader(e, asym, configs).read(3, 1)
-    sym_ints, sym_exp2 = ConfigReader(e, sym, configs).read(3, 1)
+    asym_ints, asym_exp2 = ConfigReader(e, asym, list(map(wire_mask, configs))).read(3, 1)
+    sym_ints, sym_exp2 = ConfigReader(e, sym, list(map(wire_mask, configs))).read(3, 1)
     assert (asym_exp2, sym_exp2) == (-2, 0)
     assert set(experiments._PROGRAMS[id(e)]) == {RtwScheme.ASYMMETRIC, RtwScheme.SYMMETRIC}
     assert asym_ints.tolist() == sym_ints.tolist()  # same seed, same signs

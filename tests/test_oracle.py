@@ -18,6 +18,7 @@ from inbl.expr import (
 )
 from inbl.oracle import (
     Expansion,
+    _render,
     eval_via_expansion,
     expand,
     legal_bell_class,
@@ -33,6 +34,26 @@ from conftest import EQ12_TEXT, EQ9_TEXT, random_canonical_expr, random_switches
 
 def brute_force_strings(num_bits):
     return [format(x, f"0{num_bits}b") for x in range(2**num_bits)]
+
+
+def _render_by_character(mask, values, num_bits):
+    return "".join(["01"[values >> i & 1] if mask >> i & 1 else "-"
+                    for i in range(1, num_bits + 1)])
+
+
+def test_keys_render_as_by_character_at_every_width():
+    # widths past 4,300 bits, where a decimal str <-> int conversion is refused
+    rng = random.Random(41)
+    for num_bits in [1, 2, 3, 15, 16, 17, 63, 64, 65, 4300, 4301, 5000] + [
+            rng.randint(1, 5000) for _ in range(40)]:
+        for density in (0.0, 0.5, 1.0):
+            mask = sum(1 << i for i in range(1, num_bits + 1) if rng.random() < density)
+            values = mask & (rng.getrandbits(num_bits + 1) & ~1)
+            assert _render(mask, values, num_bits) == _render_by_character(mask, values, num_bits)
+    # a caller that raises the limit expands a 5,000-bit product-string
+    bits = "".join(rng.choice("01") for _ in range(5000))
+    expr = build_product_string(Pattern.from_string(bits), 5000)
+    assert expand(expr, 5000, limit=5000).entries == {bits: 1}
 
 
 def test_expand_universe_all_strings():

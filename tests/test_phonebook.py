@@ -208,6 +208,43 @@ def test_switch_ops_count_real_ground_calls(monkeypatch, n, s):
         assert len(grounds) == ops == switching_cost(n, s, direction)
 
 
+@pytest.mark.parametrize("n, s", [(8, 8), (6, 6), (3, 5)])
+def test_lookup_reads_the_configurations_its_switch_actions_made(monkeypatch, n, s):
+    # switch_ops is the count of ground calls that changed a switch, and the
+    # reader gets one wire mask per configuration those actions passed
+    # through: none grounded, the collapse, then the collapse and each probe
+    changed, configs = [], []
+    real_ground, real_init = SwitchState.ground, ConfigReader.__init__
+
+    def counted(self, wire):
+        done = real_ground(self, wire)
+        changed.append(done)
+        return done
+
+    def recorded(reader, expr, system, grounded):
+        configs.append(list(grounded))
+        return real_init(reader, expr, system, grounded)
+
+    monkeypatch.setattr(SwitchState, "ground", counted)
+    monkeypatch.setattr(ConfigReader, "__init__", recorded)
+    rng = random.Random(f"masks-{n}-{s}")
+    size = 2 ** min(n, s)
+    names = rng.sample([format(x, f"0{n}b") for x in range(2**n)], size)
+    numbers = rng.sample([format(x, f"0{s}b") for x in range(2**s)], size)
+    pb = build_phonebook(PhonebookSpec(n, s, tuple(zip(names, numbers))))
+    system = ReferenceSystem(n + s, master_seed=12)
+    for call, key, offset, probes, direction in (
+            (lookup, names[3], 0, range(n + 1, n + s + 1), "forward"),
+            (inverse_lookup, numbers[5], n, range(1, n + 1), "inverse")):
+        del changed[:], configs[:]
+        _, ops = call(pb, system, key, t_start=40)
+        assert ops == sum(changed) == switching_cost(n, s, direction)
+        collapse = sum(1 << (2 * (offset + i + 1) + 1 - int(c)) for i, c in enumerate(key))
+        (masks,) = configs
+        assert masks == [0, collapse] + [collapse | 1 << (2 * j + v) for j in probes
+                                         for v in (0, 1)]
+
+
 def _dead_clock(pb, system):
     """The first clock where the book's un-grounded signal reads zero."""
     return next(t for t in range(1000) if evaluate(pb.expr, system, t).is_zero())

@@ -21,6 +21,8 @@ from inbl.reference import (
     mix64,
 )
 
+from conftest import wire_mask
+
 
 def test_wire_id_validation():
     with pytest.raises(InvalidWireError):
@@ -252,7 +254,7 @@ def test_backward_reads_cost_their_distance(monkeypatch):
     expr = Sum(((1, Ref(wires[0])), (2, Ref(w))))
     stream_system = ReferenceSystem(1, RtwScheme.SYMMETRIC, master_seed=24, flip_prob=flip)
     want = np.array([1, 2]) @ fresh.sign_rows(wires, 0, far + 1).astype(np.int64)
-    reader = ConfigReader(expr, stream_system, [frozenset()])
+    reader = ConfigReader(expr, stream_system, [wire_mask(frozenset())])
     stream = reader.stream
     for t0, n, crosses in ((far - 200, 10, False), (far - 130, 5, True), (far - 70, 60, True),
                            (20, 5, False)):

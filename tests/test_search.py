@@ -42,7 +42,7 @@ from inbl.search import (
 )
 from inbl.switchboard import SwitchState, ground_inverse
 
-from conftest import EQ7_TEXT, EQ12_TEXT, EQ9_TEXT, dags, sum_of_strings
+from conftest import EQ7_TEXT, EQ12_TEXT, EQ9_TEXT, dags, sum_of_strings, wire_mask
 
 
 def test_ground_inverse_full_pattern():
@@ -65,6 +65,22 @@ def test_switch_state_idempotent():
     assert s.grounded == frozenset({w})
     assert s.restore(w) and not s.restore(w)
     assert s.grounded == frozenset()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(1, 40), st.integers(0, 1)), max_size=60))
+def test_switch_state_mask_grounded_and_is_grounded_agree(steps):
+    # the mask is the one state; grounded and is_grounded are read from it
+    s, want = SwitchState(), set()
+    for grounding, bit_index, bit_value in steps:
+        w = WireId(bit_index, bit_value)
+        changed = s.ground(w) if grounding else s.restore(w)
+        assert changed == ((w not in want) if grounding else (w in want))
+        (want.add if grounding else want.discard)(w)
+        assert s.grounded == want
+        assert s.mask == sum(1 << x.tag for x in want)
+        assert all(s.is_grounded(WireId(i, v)) == (WireId(i, v) in want)
+                   for i in range(1, 41) for v in (0, 1))
 
 
 def test_grounding_order_irrelevant(eq9):
@@ -559,7 +575,7 @@ def test_live_clock_carries_the_window_readings():
     expr = sum_of_strings(["0110", "1010"], 4)
     system = ReferenceSystem(4, RtwScheme.SYMMETRIC, master_seed=20)
     collapse = ground_inverse(Pattern.from_string("0110"), 4)
-    live = wait_for_live_clock(expr, system, 3, 1000, [collapse.grounded])
+    live = wait_for_live_clock(expr, system, 3, 1000, [wire_mask(collapse.grounded)])
     t = live.clock
     assert t == next(t for t in range(3, 1000) if not evaluate(expr, system, t).is_zero())
     assert live.readings.shape[0] == 2 and live.readings.shape[1] >= 1
