@@ -21,7 +21,7 @@ from .expr import (
     evaluate,
     ref,
 )
-from .oracle import Expansion, eval_via_expansion, expand, legal_bell_class, member, surviving
+from .oracle import Expansion, expand, legal_bell_class, member, surviving
 from .phonebook import (
     PhonebookExpr,
     PhonebookSpec,
@@ -69,7 +69,6 @@ __all__ = [
     "build_universe",
     "derive_wire_seed",
     "entangle_discriminate",
-    "eval_via_expansion",
     "evaluate",
     "expand",
     "format_dsl",

@@ -4,14 +4,16 @@ Grammar (whitespace-insensitive, `#` starts a line comment):
 
     program       := [ 'bits' INT ';' ] superposition
     superposition := ['-'] term (('+'|'-') term)*
-    term          := factor ('*' factor)*
+    term          := [INT '*'] factor ('*' factor)*
     factor        := ref | '(' superposition ')' | builtin
     ref           := 'R' INT '_' ('0'|'1')
     builtin       := ('U'|'EVEN'|'ODD') [ '(' INT ')' ]
 
-Bare builtins (no argument) take the declared system size. The formatter
-emits a canonical form: product factors ascending by lowest bit index,
-sum terms in lexicographic order, a coefficient c as |c| repeated terms.
+A term's INT is its integer coefficient, which must be nonzero; the sign
+before the term gives its sign. Bare builtins (no argument) take the
+declared system size. The formatter emits a canonical form: product factors
+ascending by lowest bit index, sum terms in lexicographic order, and a
+coefficient c with |c| >= 2 written once, as `|c|*term`.
 
 Neither pass recurses: the parser is one loop over the tokens with an
 explicit stack of open parentheses, and the formatter is one pass over the
@@ -88,7 +90,7 @@ def _sum(terms: List[Tuple[int, Expr]]) -> Expr:
 def _parse(text: str, tokens: List[_Token], pos: int, bits: Optional[int]) -> Expr:
     """One loop over the tokens from pos; an explicit stack holds, for each
     open '(', the enclosing superposition's terms, its open term's factors
-    and that term's sign."""
+    and that term's signed coefficient."""
     stack: List[Tuple[List[Tuple[int, Expr]], List[Expr], int]] = []
     terms: List[Tuple[int, Expr]] = []
     factors: List[Expr] = []
@@ -99,6 +101,15 @@ def _parse(text: str, tokens: List[_Token], pos: int, bits: Optional[int]) -> Ex
         if kind == "-" and sign == 1 and not (terms or factors):
             sign = -1  # the one leading '-' a superposition may have
             continue
+        if kind == "int" and not factors:
+            # the open term's coefficient: INT '*' before its first factor
+            _expect(text, tokens[pos], "*")
+            coeff = int(raw)
+            if coeff == 0:
+                raise _error(text, offset, "a term's coefficient must be nonzero")
+            sign *= coeff
+            kind, raw, offset = tokens[pos + 1]
+            pos += 2
         if kind == "(":
             stack.append((terms, factors, sign))
             terms, factors, sign = [], [], 1
@@ -187,18 +198,18 @@ def format_dsl(expr: Expr) -> str:
             entry = (node.wire.bit_index, f"R{node.wire.bit_index}_{node.wire.bit_value}")
         elif isinstance(node, Sum):
             lows = []
-            pieces: List[Tuple[str, bool]] = []
+            pieces: List[Tuple[str, bool, int]] = []
             for coeff, term in node.terms:
                 low, txt = done[id(term)]
                 lows.append(low)
                 if isinstance(term, Sum):
                     txt = f"({txt})"
-                # the grammar has no coefficients: a term repeats |coeff| times
-                pieces.extend([(txt, coeff > 0)] * abs(coeff))
+                pieces.append((txt, coeff > 0, abs(coeff)))
             pieces.sort()
-            out = [("" if pieces[0][1] else "-") + pieces[0][0]]
-            out.extend(("+ " if positive else "- ") + txt for txt, positive in pieces[1:])
-            entry = (min(lows), " ".join(out))
+            joined = " ".join(("+ " if positive else "- ") + (f"{size}*" if size > 1 else "")
+                              + txt for txt, positive, size in pieces)
+            # the first term's '+' is dropped and its '-' joins the term
+            entry = (min(lows), joined[2:] if pieces[0][1] else "-" + joined[2:])
         else:
             keyed = []
             for factor in node.factors:

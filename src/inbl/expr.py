@@ -181,25 +181,21 @@ def iter_wires(expr: Expr) -> Iterator[WireId]:
     return (node.wire for node in topological_order(expr) if isinstance(node, Ref))
 
 
-def evaluate(
-    expr: Expr,
-    system: ReferenceSystem,
-    t: int,
-    switches: Optional["SwitchState"] = None,
-) -> Dyadic:
+def evaluate(expr: Expr, system: ReferenceSystem, t: int, grounded: int = 0) -> Dyadic:
     """Exact amplitude of the superposition at clock t.
 
     The scalar reference evaluator: no protocol calls it (they all read
     through `experiments.ConfigReader`); tests compare the window evaluator
-    against it. Grounded wires read as exactly zero. Each distinct node is
+    against it. grounded is a wire mask, the int a `ConfigReader` row takes:
+    a wire reads exactly zero when bit `WireId.tag` of it is set, and bits
+    of wires that expr does not read are ignored. Each distinct node is
     evaluated once per call, children first, over expr's topological order,
-    so nesting depth is limited only by memory (the clock and switch
-    configuration are fixed for the call's duration).
+    so nesting depth is limited only by memory.
     """
     values: Dict[int, Dyadic] = {}
     for node in topological_order(expr):
         if isinstance(node, Ref):
-            if switches is not None and switches.is_grounded(node.wire):
+            if grounded >> node.wire.tag & 1:
                 value = ZERO
             else:
                 value = system.wire_value(node.wire, t)

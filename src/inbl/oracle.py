@@ -5,6 +5,10 @@ table by distributing products over sums symbolically, in one pass over
 the DAG's topological order with one table per distinct node (no
 recursion, so nesting depth is limited only by memory). Intentionally
 exponential; a hard size cap fails loudly instead of thrashing.
+
+Purely symbolic: it reads no wire, clock or switch, and imports only the
+expression types and errors, so it shares no code with the evaluators that
+it checks.
 """
 
 from __future__ import annotations
@@ -12,11 +16,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Dict, Optional, Tuple
 
-from .dyadic import Dyadic, ZERO
 from .errors import OracleLimitExceeded
 from .expr import Expr, Pattern, Ref, Sum, topological_order
-from .reference import ReferenceSystem, WireId
-from .switchboard import SwitchState
 
 DEFAULT_ORACLE_LIMIT = 24
 
@@ -135,32 +136,6 @@ def surviving(expansion: Expansion, pattern: Pattern) -> Expansion:
         if all(key[idx - 1] in ("01"[val], "-") for idx, val in wanted.items())
     }
     return Expansion(kept, expansion.num_bits, expansion.noncanonical)
-
-
-def eval_via_expansion(
-    expansion: Expansion,
-    system: ReferenceSystem,
-    t: int,
-    switches: Optional[SwitchState] = None,
-) -> Dyadic:
-    """Ground-truth signal value: sum of coefficient * wire-value products."""
-    wire_cache: Dict[Tuple[int, str], Dyadic] = {}  # each wire is read at most once
-    total = ZERO
-    for key, coeff in expansion.entries.items():
-        value = Dyadic(coeff)
-        for i, ch in enumerate(key):
-            if ch == "-":
-                continue
-            v = wire_cache.get((i, ch))
-            if v is None:
-                wire = WireId(i + 1, int(ch))
-                grounded = switches is not None and switches.is_grounded(wire)
-                v = wire_cache[(i, ch)] = ZERO if grounded else system.wire_value(wire, t)
-            value = value * v
-            if value.is_zero():
-                break
-        total = total + value
-    return total
 
 
 class BellClass(Enum):

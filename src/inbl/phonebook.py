@@ -65,9 +65,6 @@ class PhonebookSpec:
     def total_bits(self) -> int:
         return self.name_bits + self.number_bits
 
-    def is_bijective(self) -> bool:
-        return self.bijective
-
 
 @dataclass(frozen=True)
 class PhonebookExpr:
@@ -171,7 +168,7 @@ def inverse_lookup(
     t_start: int = 0,
 ) -> Tuple[str, int]:
     """Inverse lookup on a one-to-one book: returns (name, switch_ops)."""
-    if not pb.spec.is_bijective():
+    if not pb.spec.bijective:
         raise NotBijective("inverse lookup needs distinct numbers")
     n, s = pb.spec.name_bits, pb.spec.number_bits
     return _collapse_and_probe(pb, system, number, n, s, 0, n, NumberAbsent, max_wait, t_start)

@@ -2,16 +2,15 @@
 
 Every wire is either Live (connected to its reference source) or Grounded
 (forced to exactly zero). A configuration is one int, its wire mask: bit
-`WireId.tag` is set for every grounded wire, so recording a configuration
-copies one int and the window evaluator (`experiments.ConfigReader`) reads
-a sequence of them. Grounding and restoring are idempotent and report
-whether they changed the state, so a protocol can count the switch
+`WireId.tag` is set for every grounded wire. The mask is the only form a
+configuration takes: recording one copies the int, the window evaluator
+(`experiments.ConfigReader`) reads a sequence of them and the scalar
+`expr.evaluate` reads one. Grounding and restoring are idempotent and
+report whether they changed the state, so a protocol can count the switch
 operations it actually made.
 """
 
 from __future__ import annotations
-
-from typing import FrozenSet
 
 from .expr import Pattern
 from .reference import WireId, wire_id
@@ -23,15 +22,6 @@ class SwitchState:
     def __init__(self):
         # bit WireId.tag is set for every grounded wire
         self.mask = 0
-
-    def is_grounded(self, wire: WireId) -> bool:
-        return self.mask >> wire.tag & 1 == 1
-
-    @property
-    def grounded(self) -> FrozenSet[WireId]:
-        mask = self.mask
-        return frozenset([wire_id(tag >> 1, tag & 1)
-                          for tag in range(mask.bit_length()) if mask >> tag & 1])
 
     def ground(self, wire: WireId) -> bool:
         """Force the wire to zero. Returns True if the state changed."""
@@ -50,7 +40,9 @@ class SwitchState:
         return True
 
     def __repr__(self) -> str:
-        wires = sorted((w.bit_index, w.bit_value) for w in self.grounded)
+        # tag order is (bit_index, bit_value) order
+        mask = self.mask
+        wires = [(tag >> 1, tag & 1) for tag in range(mask.bit_length()) if mask >> tag & 1]
         return f"SwitchState(grounded={wires})"
 
 

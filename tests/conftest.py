@@ -99,24 +99,19 @@ def make_system(num_bits, **kwargs) -> ReferenceSystem:
 
 
 @st.composite
-def dags(draw, narrow=False):
+def dags(draw):
     """A random DAG over up to 4 noise-bits: every node may be shared by any
     later one, coefficients may be negative or wide. With wide=True the root
-    carries a 2**70 coefficient, whose bound passes 2**63. With narrow=True
-    every coefficient is within -3..3 and the root is never wide, so
-    format_dsl, which writes a coefficient c as |c| terms, can write it."""
+    carries a 2**70 coefficient, whose bound passes 2**63."""
     m = draw(st.integers(1, 4))
     nodes = [ref(i, v) for i in range(1, m + 1) for v in (0, 1)]
-    coeff = st.integers(-3, 3)
-    if not narrow:
-        coeff = st.one_of(coeff, st.integers(-(2**40), 2**40))
-    coeff = coeff.filter(bool)
+    coeff = st.one_of(st.integers(-3, 3), st.integers(-(2**40), 2**40)).filter(bool)
     for _ in range(draw(st.integers(1, 8))):
         kids = draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=4))
         if draw(st.booleans()):
             nodes.append(Sum(tuple((draw(coeff), kid) for kid in kids)))
         else:
             nodes.append(Product(tuple(kids)))
-    wide = not narrow and draw(st.booleans())
+    wide = draw(st.booleans())
     root = Sum(((2**70, nodes[-1]), (1, ref(1, 0)))) if wide else nodes[-1]
     return m, root, wide

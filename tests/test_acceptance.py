@@ -21,7 +21,7 @@ from inbl.expr import (
     build_universe,
     evaluate,
 )
-from inbl.oracle import eval_via_expansion, expand, legal_bell_class, surviving
+from inbl.oracle import expand, legal_bell_class, surviving
 from inbl.reference import ReferenceSystem, RtwScheme
 from inbl.search import (
     BellClass,
@@ -38,6 +38,7 @@ from conftest import (
     random_switches,
     sum_of_strings,
 )
+from scalar_model import eval_via_expansion
 
 
 def report(number, description):
@@ -96,11 +97,11 @@ def test_criterion_3_oracle_equivalence():
         expr = random_canonical_expr(rng, m)
         exp = expand(expr, m)
         assert not exp.noncanonical
-        configs = [None, random_switches(rng, m)]
+        configs = [0, random_switches(rng, m).mask]
         for t in range(100):
-            switches = configs[t % 2]
-            assert evaluate(expr, system, t, switches) == eval_via_expansion(
-                exp, system, t, switches
+            grounded = configs[t % 2]
+            assert evaluate(expr, system, t, grounded) == eval_via_expansion(
+                exp, system, t, grounded
             )
 
 

@@ -90,8 +90,36 @@ def test_format_canonical_ordering():
 def test_negative_and_coefficients_roundtrip():
     expr = Sum(((-1, ref(1, 0)), (2, ref(1, 1))))
     text = format_dsl(expr)
-    assert text == "-R1_0 + R1_1 + R1_1"
+    assert text == "-R1_0 + 2*R1_1"
     assert expand(parse_dsl(text), 1) == expand(expr, 1)
+
+
+def test_coefficients_are_written_once():
+    # a coefficient is one token, whatever its size; texts that repeat a
+    # term still parse to the same expansion
+    huge = Sum(((2**70, ref(1, 0)),))
+    assert format_dsl(huge) == f"{2**70}*R1_0"
+    assert expand(parse_dsl(format_dsl(huge)), 1) == Expansion({"0": 2**70}, 1)
+    assert format_dsl(Sum(((10**6, ref(1, 1)), (-1, ref(1, 0))))) == "-R1_0 + 1000000*R1_1"
+    assert expand(parse_dsl("-R1_0 + R1_1 + R1_1"), 1) == expand(parse_dsl("-R1_0 + 2*R1_1"), 1)
+    text = "-3*(R1_0 + 2*R1_1)*R2_0 + 5*R2_1"
+    assert expand(parse_dsl(text), 2) == Expansion({"00": -3, "10": -6, "-1": 5}, 2)
+    assert format_dsl(parse_dsl(text)) == text
+
+
+@pytest.mark.parametrize("text, column", [
+    ("0*R1_0", 1), ("R1_0 - 00*R1_1", 8), ("(R1_0 + 0*R2_0)", 9),
+])
+def test_zero_coefficient_is_an_error_at_its_token(text, column):
+    with pytest.raises(ParseError, match="coefficient must be nonzero") as caught:
+        parse_dsl(text)
+    assert (caught.value.line, caught.value.column) == (1, column)
+
+
+@pytest.mark.parametrize("text", ["2 R1_0", "2*3*R1_0", "2*-R1_0", "1*-R1_0", "R1_0*2*R2_0", "2*"])
+def test_a_coefficient_leads_its_term(text):
+    with pytest.raises(ParseError):
+        parse_dsl(text)
 
 
 def test_format_parse_fixed_point():
@@ -108,13 +136,14 @@ def test_format_parse_fixed_point():
 
 def _written_refs(expr):
     """How many wire reads format_dsl writes for expr, counted without
-    writing them: shared nodes are written out once per use."""
+    writing them: shared nodes are written out once per use, and a term
+    once whatever its coefficient."""
     count = {}
     for node in topological_order(expr):
         if isinstance(node, Ref):
             n = 1
         elif isinstance(node, Sum):
-            n = sum(abs(c) * count[id(term)] for c, term in node.terms)
+            n = sum(count[id(term)] for _, term in node.terms)
         else:
             n = sum(count[id(factor)] for factor in node.factors)
         count[id(node)] = n
@@ -122,7 +151,7 @@ def _written_refs(expr):
 
 
 @settings(max_examples=300, deadline=None)
-@given(dags(narrow=True))
+@given(dags())
 def test_dag_round_trips_through_text(dag):
     m, expr, _ = dag
     # a node shared by k later ones is written k times; keep the text small

@@ -402,12 +402,9 @@ def test_eval_configs_matches_scalar_evaluator(dag, scheme, seed, t, clocks, dat
     assert ints.shape == (len(configs), clocks)
     if wide:
         assert ints.dtype == object
-    for r, grounded in enumerate(configs):
-        switches = SwitchState()
-        for wire in grounded:
-            switches.ground(wire)
+    for r, grounded in enumerate(map(wire_mask, configs)):
         for k in range(clocks):
-            assert Dyadic(int(ints[r, k]), exp2) == evaluate(expr, system, t + k, switches)
+            assert Dyadic(int(ints[r, k]), exp2) == evaluate(expr, system, t + k, grounded)
 
 
 @st.composite
@@ -465,7 +462,7 @@ def test_reader_masks_match_scalar_evaluator(shape, scheme, flip, seed, t, clock
             switches.ground(WireId(tag >> 1, tag & 1))
         assert switches.mask == masks[r]
         for k in range(clocks):
-            assert Dyadic(int(ints[r, k]), exp2) == evaluate(expr, system, t + k, switches)
+            assert Dyadic(int(ints[r, k]), exp2) == evaluate(expr, system, t + k, masks[r])
 
 
 def test_eval_configs_window_in_spans_matches_eval_array():
@@ -482,12 +479,9 @@ def test_eval_configs_window_in_spans_matches_eval_array():
     assert row_exp2 == exp2 and np.array_equal(ints[0], row)
     for k in _pass_edges(reader, 300):
         assert Dyadic(int(ints[0, k]), exp2) == evaluate(expr, system, 1000 + k)
-    for r, grounded in enumerate(configs[1:], start=1):
-        switches = SwitchState()
-        for wire in grounded:
-            switches.ground(wire)
+    for r, grounded in enumerate(map(wire_mask, configs[1:]), start=1):
         for k in range(300):
-            assert Dyadic(int(ints[r, k]), exp2) == evaluate(expr, system, 1000 + k, switches)
+            assert Dyadic(int(ints[r, k]), exp2) == evaluate(expr, system, 1000 + k, grounded)
     # the asymmetric universe never cancels; grounding changes what it reads
     assert np.all(ints[0] != 0) and not np.array_equal(ints[0], ints[1])
 
@@ -517,12 +511,9 @@ def test_eval_configs_mixed_arity_levels():
     assert experiments.ConfigReader(expr, system, list(map(wire_mask, configs))).span < clocks
     ints, exp2 = ConfigReader(expr, system, list(map(wire_mask, configs))).read(40, clocks)
     assert ints.shape == (len(configs), clocks)
-    for r, grounded in enumerate(configs):
-        switches = SwitchState()
-        for wire in grounded:
-            switches.ground(wire)
+    for r, grounded in enumerate(map(wire_mask, configs)):
         for k in range(clocks):
-            assert Dyadic(int(ints[r, k]), exp2) == evaluate(expr, system, 40 + k, switches)
+            assert Dyadic(int(ints[r, k]), exp2) == evaluate(expr, system, 40 + k, grounded)
 
 
 @pytest.mark.parametrize("scheme", list(RtwScheme))
@@ -553,12 +544,9 @@ def test_window_of_several_passes_matches_scalar_evaluator():
     assert ints.shape == (3, clocks)
     edges = _pass_edges(reader, clocks)
     assert len(edges) == 8
-    for r, grounded in enumerate(configs):
-        switches = SwitchState()
-        for wire in grounded:
-            switches.ground(wire)
+    for r, grounded in enumerate(map(wire_mask, configs)):
         for k in edges:
-            assert Dyadic(int(ints[r, k]), exp2) == evaluate(expr, system, 70 + k, switches)
+            assert Dyadic(int(ints[r, k]), exp2) == evaluate(expr, system, 70 + k, grounded)
     assert np.count_nonzero(ints[0]) > 0
 
 
@@ -587,12 +575,9 @@ def test_mixed_dtype_children_match_scalar_evaluator(expr, root, kids):
     configs = [frozenset(), frozenset({WireId(1, 1)}), frozenset({WireId(2, 0)}),
                frozenset({WireId(1, 0), WireId(3, 1)})]
     ints, exp2 = ConfigReader(expr, system, list(map(wire_mask, configs))).read(9, 200)
-    for r, grounded in enumerate(configs):
-        switches = SwitchState()
-        for wire in grounded:
-            switches.ground(wire)
+    for r, grounded in enumerate(map(wire_mask, configs)):
         for k in range(200):
-            assert Dyadic(int(ints[r, k]), exp2) == evaluate(expr, system, 9 + k, switches)
+            assert Dyadic(int(ints[r, k]), exp2) == evaluate(expr, system, 9 + k, grounded)
 
 
 def test_eval_array_of_no_clocks_is_empty():

@@ -1,3 +1,4 @@
+import ast
 import random
 
 import pytest
@@ -14,12 +15,13 @@ from inbl.expr import (
     build_product_string,
     build_universe,
     evaluate,
+    iter_wires,
     ref,
 )
+from inbl import oracle
 from inbl.oracle import (
     Expansion,
     _render,
-    eval_via_expansion,
     expand,
     legal_bell_class,
     member,
@@ -29,7 +31,8 @@ from inbl.reference import ReferenceSystem
 from inbl.search import BellClass
 from inbl.switchboard import ground_inverse
 
-from conftest import EQ12_TEXT, EQ9_TEXT, random_canonical_expr, random_switches
+from conftest import EQ12_TEXT, EQ9_TEXT, random_canonical_expr, random_switches, wire_mask
+from scalar_model import eval_via_expansion
 
 
 def brute_force_strings(num_bits):
@@ -150,17 +153,23 @@ def test_eval_identity_eq9():
 
 def test_eval_identity_random_with_switches():
     rng = random.Random(2)
+    # the masks' extra wires come from their own stream, so the cases stay
+    extra_rng = random.Random(22)
     for _ in range(60):
         m = rng.randint(2, 8)
         system = ReferenceSystem(m, master_seed=rng.getrandbits(32))
         expr = random_canonical_expr(rng, m)
         exp = expand(expr, m)
         assert not exp.noncanonical
-        switches = random_switches(rng, m)
+        grounded = random_switches(rng, m).mask
+        # wires outside the expression, some past the system's 2m wires
+        read = wire_mask(iter_wires(expr))
+        outside = extra_rng.getrandbits(2 * m + 10) & ~read
         for t in range(10):
-            assert evaluate(expr, system, t, switches) == eval_via_expansion(
-                exp, system, t, switches
-            )
+            value = evaluate(expr, system, t, grounded)
+            assert value == eval_via_expansion(exp, system, t, grounded)
+            assert evaluate(expr, system, t, grounded | outside) == value
+            assert eval_via_expansion(exp, system, t, grounded | outside) == value
 
 
 def test_survivor_soundness():
@@ -173,7 +182,7 @@ def test_survivor_soundness():
         switches = ground_inverse(pattern, 4)
         survivors = surviving(exp, pattern)
         for t in range(30):
-            assert evaluate(expr, system, t, switches) == eval_via_expansion(
+            assert evaluate(expr, system, t, switches.mask) == eval_via_expansion(
                 survivors, system, t
             )
 
@@ -219,3 +228,18 @@ def test_illegal_bell_configurations():
     assert legal_bell_class(expand(parse_dsl("R1_0*R2_0 + R1_0*R2_0"), 2)) is None
     # partial monomial
     assert legal_bell_class(expand(ref(1, 0), 2)) is None
+
+
+def test_oracle_imports_only_the_expression_types_and_errors():
+    # the ground truth shares no code with the evaluators it checks
+    tree = ast.parse(open(oracle.__file__, encoding="utf-8").read())
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [("inbl." if node.level else "") + (node.module or "")]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        package.update(name for name in names if name.split(".")[0] == "inbl")
+    assert package == {"inbl.errors", "inbl.expr"}

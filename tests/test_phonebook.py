@@ -40,8 +40,8 @@ def test_spec_validation():
         PhonebookSpec(2, 2, (("011", "10"),))
     with pytest.raises(PatternError):
         PhonebookSpec(2, 2, ())
-    assert small_book().is_bijective()
-    assert not PhonebookSpec(2, 2, (("01", "10"), ("10", "10"))).is_bijective()
+    assert small_book().bijective
+    assert not PhonebookSpec(2, 2, (("01", "10"), ("10", "10"))).bijective
 
 
 def test_build_single_entry():

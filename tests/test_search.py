@@ -47,40 +47,46 @@ from conftest import EQ7_TEXT, EQ12_TEXT, EQ9_TEXT, dags, sum_of_strings, wire_m
 
 def test_ground_inverse_full_pattern():
     switches = ground_inverse(Pattern.from_string("1010"), 4)
-    assert switches.grounded == frozenset(
+    assert switches.mask == wire_mask(
         {WireId(1, 0), WireId(2, 1), WireId(3, 0), WireId(4, 1)}
     )
 
 
 def test_ground_inverse_fragment_and_empty():
     switches = ground_inverse(Pattern.fragments({1: 0, 2: 0, 4: 0}), 4)
-    assert switches.grounded == frozenset({WireId(1, 1), WireId(2, 1), WireId(4, 1)})
-    assert ground_inverse(Pattern(()), 4).grounded == frozenset()
+    assert switches.mask == wire_mask({WireId(1, 1), WireId(2, 1), WireId(4, 1)})
+    assert ground_inverse(Pattern(()), 4).mask == 0
 
 
 def test_switch_state_idempotent():
     s = SwitchState()
     w = WireId(1, 0)
     assert s.ground(w) and not s.ground(w)
-    assert s.grounded == frozenset({w})
+    assert s.mask == wire_mask({w})
     assert s.restore(w) and not s.restore(w)
-    assert s.grounded == frozenset()
+    assert s.mask == 0
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.booleans(), st.integers(1, 40), st.integers(0, 1)), max_size=60))
-def test_switch_state_mask_grounded_and_is_grounded_agree(steps):
-    # the mask is the one state; grounded and is_grounded are read from it
+def test_switch_state_change_flags_and_mask_agree(steps):
+    # the mask is the one state; ground and restore report each change
     s, want = SwitchState(), set()
     for grounding, bit_index, bit_value in steps:
         w = WireId(bit_index, bit_value)
         changed = s.ground(w) if grounding else s.restore(w)
         assert changed == ((w not in want) if grounding else (w in want))
         (want.add if grounding else want.discard)(w)
-        assert s.grounded == want
         assert s.mask == sum(1 << x.tag for x in want)
-        assert all(s.is_grounded(WireId(i, v)) == (WireId(i, v) in want)
-                   for i in range(1, 41) for v in (0, 1))
+
+
+def test_switch_state_repr_lists_wires_in_bit_order():
+    s = SwitchState()
+    assert repr(s) == "SwitchState(grounded=[])"
+    for w in (WireId(3, 1), WireId(1, 0), WireId(12, 0), WireId(2, 1), WireId(1, 1)):
+        s.ground(w)
+    s.restore(WireId(2, 1))
+    assert repr(s) == "SwitchState(grounded=[(1, 0), (1, 1), (3, 1), (12, 0)])"
 
 
 def test_grounding_order_irrelevant(eq9):
@@ -93,7 +99,7 @@ def test_grounding_order_irrelevant(eq9):
         b.ground(w)
         b.ground(w)  # idempotent
     for t in range(50):
-        assert evaluate(eq9, system, t, a) == evaluate(eq9, system, t, b)
+        assert evaluate(eq9, system, t, a.mask) == evaluate(eq9, system, t, b.mask)
 
 
 def test_wait_for_live_clock_asymmetric_universe():
@@ -387,7 +393,7 @@ def scalar_search(expr, system, pattern, tau, max_wait, t_start):
     assigned = sum(1 << i for i in pattern.as_dict())
     exact = support is not None and support & assigned == support
     for k in range(1 if exact else tau):
-        amp = evaluate(expr, system, t + k, switches)
+        amp = evaluate(expr, system, t + k, switches.mask)
         trace.append(TraceStep(f"read at t={t + k}", amp))
         if not amp.is_zero():
             return SearchOutcome(verdict=Verdict.PRESENT, clocks_observed=k + 1,
@@ -423,12 +429,12 @@ def scalar_entangle(expr, system, max_wait, t_start, probe_partner_value):
     def probe_side(bit1_value):
         switches = SwitchState()
         switches.ground(WireId(1, 1 - bit1_value))
-        amp = evaluate(expr, system, t, switches)
+        amp = evaluate(expr, system, t, switches.mask)
         trace.append(TraceStep(f"grounded R1_{1 - bit1_value}, read", amp))
         if amp.is_zero():
             return None
         switches.ground(WireId(2, probe_partner_value))
-        amp2 = evaluate(expr, system, t, switches)
+        amp2 = evaluate(expr, system, t, switches.mask)
         trace.append(TraceStep(f"also grounded R2_{probe_partner_value}, read", amp2))
         trace.append(TraceStep("restored all wires"))
         return probe_partner_value if amp2.is_zero() else 1 - probe_partner_value
@@ -575,14 +581,14 @@ def test_live_clock_carries_the_window_readings():
     expr = sum_of_strings(["0110", "1010"], 4)
     system = ReferenceSystem(4, RtwScheme.SYMMETRIC, master_seed=20)
     collapse = ground_inverse(Pattern.from_string("0110"), 4)
-    live = wait_for_live_clock(expr, system, 3, 1000, [wire_mask(collapse.grounded)])
+    live = wait_for_live_clock(expr, system, 3, 1000, [collapse.mask])
     t = live.clock
     assert t == next(t for t in range(3, 1000) if not evaluate(expr, system, t).is_zero())
     assert live.readings.shape[0] == 2 and live.readings.shape[1] >= 1
     for k in range(live.readings.shape[1]):
         assert Dyadic(int(live.readings[0, k]), live.exp2) == evaluate(expr, system, t + k)
         assert Dyadic(int(live.readings[1, k]), live.exp2) == evaluate(
-            expr, system, t + k, collapse)
+            expr, system, t + k, collapse.mask)
 
 
 @pytest.mark.parametrize("flip", [Fraction(1, 2), Fraction(1, 100)])
