@@ -11,9 +11,10 @@ Grammar (whitespace-insensitive, `#` starts a line comment):
 
 A term's INT is its integer coefficient, which must be nonzero; the sign
 before the term gives its sign. Bare builtins (no argument) take the
-declared system size. The formatter emits a canonical form: product factors
-ascending by lowest bit index, sum terms in lexicographic order, and a
-coefficient c with |c| >= 2 written once, as `|c|*term`.
+declared system size. An INT too long for int() is a ParseError at its
+token. The formatter emits a canonical form: product factors ascending by
+lowest bit index, sum terms in lexicographic order, and a coefficient c
+with |c| >= 2 written once, as `|c|*term`.
 
 Neither pass recurses: the parser is one loop over the tokens with an
 explicit stack of open parentheses, and the formatter is one pass over the
@@ -58,10 +59,20 @@ _BUILTINS = {"U": build_universe, "EVEN": build_even, "ODD": build_odd}
 _Token = Tuple[str, str, int]
 
 
-def _error(text: str, offset: int, message: str) -> ParseError:
-    """ParseError at the 1-based line and column of text[offset]."""
-    line = text.count("\n", 0, offset) + 1
+def _error(text: str, offset: int, message: str, line: int = 1) -> ParseError:
+    """ParseError at the 1-based line and column of text[offset], counting
+    text's first line as line `line`."""
+    line += text.count("\n", 0, offset)
     return ParseError(message, line, offset - text.rfind("\n", 0, offset))
+
+
+def parse_int(digits: str, text: str, offset: int, line: int = 1) -> int:
+    """The decimal digits at text[offset]; a number longer than int()
+    converts (sys.get_int_max_str_digits) is a ParseError there (see _error)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise _error(text, offset, f"integer of {len(digits)} digits is too long", line) from None
 
 
 def _tokenize(text: str) -> List[_Token]:
@@ -104,7 +115,7 @@ def _parse(text: str, tokens: List[_Token], pos: int, bits: Optional[int]) -> Ex
         if kind == "int" and not factors:
             # the open term's coefficient: INT '*' before its first factor
             _expect(text, tokens[pos], "*")
-            coeff = int(raw)
+            coeff = parse_int(raw, text, offset)
             if coeff == 0:
                 raise _error(text, offset, "a term's coefficient must be nonzero")
             sign *= coeff
@@ -115,10 +126,12 @@ def _parse(text: str, tokens: List[_Token], pos: int, bits: Optional[int]) -> Ex
             terms, factors, sign = [], [], 1
             continue
         if kind == "ref":
-            idx, val = map(int, raw[1:].split("_"))
+            idx = parse_int(raw[1:-2], text, offset)
+            if idx < 1:
+                raise _error(text, offset, f"bit index must be >= 1, got {idx}")
             if bits is not None and idx > bits:
                 raise _error(text, offset, f"bit index {idx} exceeds declared size {bits}")
-            factor = ref(idx, val)
+            factor = ref(idx, int(raw[-1]))
         elif kind == "name":
             builder = _BUILTINS.get(raw)
             if builder is None:
@@ -128,7 +141,7 @@ def _parse(text: str, tokens: List[_Token], pos: int, bits: Optional[int]) -> Ex
                 _expect(text, arg_tok, "int")
                 _expect(text, tokens[pos + 2], ")")
                 pos += 3
-                arg = int(arg_tok[1])
+                arg = parse_int(arg_tok[1], text, arg_tok[2])
                 if arg < 1:
                     raise _error(text, arg_tok[2], f"builtin size must be >= 1, got {arg}")
                 if bits is not None and arg > bits:
@@ -174,7 +187,7 @@ def parse_program(text: str) -> Tuple[Expr, Optional[int]]:
     if tokens[0][:2] == ("name", "bits"):
         if len(tokens) < 3 or tokens[1][0] != "int" or tokens[2][0] != ";":
             raise _error(text, tokens[0][2], "malformed 'bits M;' header")
-        bits = int(tokens[1][1])
+        bits = parse_int(tokens[1][1], text, tokens[1][2])
         if bits < 1:
             raise _error(text, tokens[1][2], "declared size must be >= 1")
         start = 3
@@ -229,7 +242,7 @@ def parse_fragments(text: str) -> Pattern:
         m = re.fullmatch(r"\s*(\d+)\s*=\s*([01])\s*", part)
         if m is None:
             raise ParseError(f"bad fragment {part.strip()!r}, expected INDEX=BIT", 1, 1)
-        index = int(m.group(1))
+        index = parse_int(m.group(1), text, column - 1 + m.start(1))
         if index in assignments:
             raise ParseError(f"bit index {index} is assigned twice", 1, column + m.start(1))
         assignments[index] = int(m.group(2))

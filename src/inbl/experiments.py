@@ -12,10 +12,10 @@ whole window this way, one reader per scan, and `eval_array`, which the
 statistics scan with, is the row of a one-configuration reader with no wire
 grounded.
 
-A read of at most STREAM_CLOCKS clocks takes its signs from the (program,
-system)'s sign stream (see _SignStream), which keeps the last block of
-whole 64-clock words it drew; wider reads, such as every pass of the
-statistics, draw in place, each pass counting flips on from the one before.
+A read of one pass takes its signs from the (program, system)'s sign
+stream (see _SignStream), which keeps the last block of whole 64-clock
+words it drew; a read of several passes, such as every read of the
+statistics, draws each in place, counting flips on from the one before.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ _INT64_LIMIT = 1 << 63
 # matrices and its largest gather; larger passes miss the cache and raise
 # the peak memory of a scan
 PASS_BYTES = 1 << 20
-# reads of at most this many clocks copy their sign rows from a sign stream
-# (see _SignStream); a block costs wires x its clocks bytes per stream
-STREAM_CLOCKS = 1 << 12
 
 
 class _Program:
@@ -255,9 +252,10 @@ class _SignStream:
     the draw counts flips from the old block's last clock at or before the
     first clock drawn, else from clock 0 (see origin). Every sign is a pure
     function of (wire, clock), so a window reads the same signs either way.
-    The stream holds no reference to its program or system: the program
-    keeps it in a weak-keyed table of systems, and ConfigReader passes the
-    system in.
+    ConfigReader asks only for one pass, so a block holds at most one pass
+    of sign rows and the partial words at its ends, 126 clocks. The stream
+    holds no reference to its program or system: the program keeps it in a
+    weak-keyed table of systems, and ConfigReader passes the system in.
     """
 
     __slots__ = ("seeds", "start", "block")
@@ -326,12 +324,11 @@ class ConfigReader:
     in a fixed number of numpy calls, and the span of clocks one pass takes:
     PASS_BYTES over column_bytes per configuration. A pass holds one matrix
     of rows x configurations x clocks per dtype of the program. All
-    configurations see the same draws: a read of at most STREAM_CLOCKS
-    clocks takes the sign rows from the stream's block, a wider one draws
-    the first configuration's in place, and every configuration's sign rows
-    are those signs times its alive factors, one multiply. Each level
-    reduces its children, a view or one np.take per matrix they sit in, into
-    its own rows.
+    configurations see the same draws: a read of one pass takes the sign
+    rows from the stream's block, a wider one draws the first
+    configuration's in place, and every configuration's sign rows are those
+    signs times its alive factors, one multiply. Each level reduces its
+    children, a view or one np.take per matrix they sit in, into its rows.
     """
 
     __slots__ = ("program", "system", "stream", "configs", "alive", "span")
@@ -362,7 +359,7 @@ class ConfigReader:
         full = {dtype: np.empty((rows, configs, width), dtype=dtype)
                 for dtype, rows in program.matrices.items()}
         stream = self.stream
-        if 0 < clocks <= STREAM_CLOCKS:
+        if 0 < clocks <= self.span:  # one pass, n == clocks
             block = stream.window(self.system, t0, clocks)
         else:
             block, start = None, stream.origin(t0)
@@ -377,9 +374,9 @@ class ConfigReader:
             signs, alive = mats[np.int8], self.alive
             if block is not None:
                 if alive is None:
-                    signs[:wires] = block[:, None, lo : lo + n]
+                    signs[:wires] = block[:, None]
                 else:
-                    np.multiply(block[:, None, lo : lo + n], alive, out=signs[:wires])
+                    np.multiply(block[:, None], alive, out=signs[:wires])
             else:
                 self.system.draw_sign_rows(signs[:wires, 0], stream.seeds, t0 + lo, start)
                 # the next pass counts flips from this one's last clock

@@ -30,7 +30,8 @@ from .errors import (
     PatternError,
     ProbeInconsistency,
 )
-from .expr import Expr, Pattern, Product, Sum, ref
+from .dsl import parse_int
+from .expr import Expr, Pattern, Sum, build_product_string
 from .reference import ReferenceSystem, wire_id
 from .search import DEFAULT_MAX_WAIT, wait_for_live_clock
 from .switchboard import ground_inverse
@@ -73,15 +74,10 @@ class PhonebookExpr:
 
 
 def build_phonebook(spec: PhonebookSpec) -> PhonebookExpr:
-    """Sum over entries of name-product * number-product."""
-    terms = []
-    for name, number in spec.entries:
-        name_factors = tuple(ref(i + 1, int(c)) for i, c in enumerate(name))
-        number_factors = tuple(
-            ref(spec.name_bits + i + 1, int(c)) for i, c in enumerate(number)
-        )
-        terms.append((1, Product((Product(name_factors), Product(number_factors)))))
-    return PhonebookExpr(Sum(tuple(terms)), spec)
+    """Sum over entries of the product-string that spells name + number."""
+    return PhonebookExpr(Sum(tuple(
+        (1, build_product_string(Pattern.from_string(name + number), spec.total_bits))
+        for name, number in spec.entries)), spec)
 
 
 def switching_cost(name_bits: int, number_bits: int, direction: str) -> int:
@@ -176,22 +172,19 @@ def inverse_lookup(
 
 def parse_phonebook(text: str) -> PhonebookSpec:
     """Phonebook file: header `names N; numbers S;` then `name -> number` lines."""
-    lines = [
-        (n, line.split("#", 1)[0].strip())
-        for n, line in enumerate(text.splitlines(), start=1)
-    ]
-    lines = [(n, line) for n, line in lines if line]
+    lines = [(n, line.split("#", 1)[0]) for n, line in enumerate(text.splitlines(), start=1)]
+    lines = [(n, line) for n, line in lines if line.strip()]
     if not lines:
         raise ParseError("empty phonebook file", 1, 1)
     header_no, header = lines[0]
-    m = re.fullmatch(r"names\s+(\d+)\s*;\s*numbers\s+(\d+)\s*;", header)
+    m = re.fullmatch(r"\s*names\s+(\d+)\s*;\s*numbers\s+(\d+)\s*;\s*", header)
     if m is None:
         raise ParseError("expected header 'names N; numbers S;'", header_no, 1)
-    name_bits, number_bits = int(m.group(1)), int(m.group(2))
+    name_bits, number_bits = (parse_int(m.group(g), header, m.start(g), header_no) for g in (1, 2))
     entries = []
     for n, line in lines[1:]:
-        em = re.fullmatch(r"([01]+)\s*->\s*([01]+)", line)
+        em = re.fullmatch(r"\s*([01]+)\s*->\s*([01]+)\s*", line)
         if em is None:
-            raise ParseError(f"expected 'NAME -> NUMBER', found {line!r}", n, 1)
+            raise ParseError(f"expected 'NAME -> NUMBER', found {line.strip()!r}", n, 1)
         entries.append((em.group(1), em.group(2)))
     return PhonebookSpec(name_bits, number_bits, tuple(entries))

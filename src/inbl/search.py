@@ -14,17 +14,17 @@ The searches make their switch actions first, recording each configuration
 as its wire mask (see switchboard), one int, and then read with
 `wait_for_live_clock`, which scans windows from the clocks the search
 reads, each later window WINDOW_GROWTH times the one before up to one
-reader pass and BLOCK_CLOCKS. Each window is one exact call to a prepared
+reader pass. Each window is one exact call to a prepared
 `experiments.ConfigReader` (the one window evaluator) for the un-grounded
 signal and the grounded configurations; a bounded search makes at most one
 more read, through a reader of its grounded configuration alone, for the
-clocks past the window's end. A read of at most STREAM_CLOCKS clocks copies
-its signs from the (expression, system)'s sign stream, whose block the
-previous search on the system has mostly drawn already. Entangle
-discrimination checks its signal's class on the oracle's 2-bit expansion
-and reads its four recorded probe configurations the same way. Amplitudes
-become `Dyadic` values only in the reported outcome, and a search's trace
-is built from its readings on first access.
+clocks past the window's end. A read of one pass copies its signs from the
+(expression, system)'s sign stream, whose block the previous search on the
+system has mostly drawn already. Entangle discrimination checks its
+signal's class on the oracle's 2-bit expansion and reads its four recorded
+probe configurations the same way. Amplitudes become `Dyadic` values only
+in the reported outcome, and a search's trace is built from its readings on
+first access.
 """
 
 from __future__ import annotations
@@ -135,20 +135,19 @@ def wait_for_live_clock(
     """Smallest t >= t_start where the un-grounded superposition is nonzero.
 
     The first window is `reads` clocks (the clocks the caller reads from the
-    live clock on); each later one is WINDOW_GROWTH times the one before,
-    capped at one reader pass (or the first window, if wider) and at
-    BLOCK_CLOCKS, and every window is clipped at t_start + max_wait. Each
-    window reads the un-grounded signal and every configuration in grounded,
-    a wire mask each (see switchboard), at once, and the returned LiveClock
-    carries them. max_wait must be >= 0;
-    with 0, t_start itself must be live.
+    live clock on), at most BLOCK_CLOCKS; each later one is WINDOW_GROWTH
+    times the one before, capped at one reader pass (or the first window, if
+    wider), and every window is clipped at t_start + max_wait. Each window
+    reads the un-grounded signal and every configuration in grounded, a wire
+    mask each (see switchboard), at once, and the returned LiveClock carries
+    them. max_wait must be >= 0; with 0, t_start itself must be live.
     """
     if max_wait < 0:
         raise ValueError(f"max_wait must be >= 0, got {max_wait}")
     reader = ConfigReader(expr, system, [0, *grounded])
     end = t_start + max_wait + 1
     t0, width = t_start, min(max(reads, 1), BLOCK_CLOCKS)
-    cap = min(max(reader.span, width), BLOCK_CLOCKS)
+    cap = max(reader.span, width)
     while t0 < end:
         n = min(width, end - t0)
         ints, exp2 = reader.read(t0, n)

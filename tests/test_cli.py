@@ -343,6 +343,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["search", str(tmp_path / "missing.nbl"), "--string", "1"]) == 2
 
 
+@pytest.mark.parametrize("text, where", [
+    (f"bits 2;\nR1_0 + {'9' * 5000}*R2_1\n", "2:8"), (f"bits 2;\nU({'9' * 5000})\n", "2:3"),
+], ids=["coefficient", "builtin"])
+def test_too_long_integer_exits_2_at_its_token(tmp_path, capsys, text, where):
+    path = tmp_path / "long.nbl"
+    path.write_text(text)
+    assert main(["search", str(path), "--string", "01"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: integer of 5000 digits is too long")
+
+
 def test_declared_size_zero_exits_2(tmp_path, capsys):
     bad = tmp_path / "zero.nbl"
     bad.write_text("bits 0;\nR1_0\n")

@@ -122,6 +122,28 @@ def test_a_coefficient_leads_its_term(text):
         parse_dsl(text)
 
 
+# a decimal longer than int() converts (4,300 digits by default)
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("text, line, column", [
+    (f"R1_0 + {LONG}*R1_1", 1, 8),  # a term coefficient
+    (f"R1_0 +\nU({LONG})", 2, 3),  # a builtin size
+    (f"bits {LONG};\nR1_0", 1, 6),  # the bits header
+    (f"R1_0*R{LONG}_1", 1, 6),  # a Ref's bit index
+], ids=["coefficient", "builtin", "header", "ref"])
+def test_a_too_long_integer_is_an_error_at_its_token(text, line, column):
+    with pytest.raises(ParseError, match="integer of 5000 digits is too long") as caught:
+        parse_program(text)
+    assert (caught.value.line, caught.value.column) == (line, column)
+
+
+def test_bit_index_zero_is_an_error_at_its_token():
+    with pytest.raises(ParseError, match="bit index must be >= 1, got 0") as caught:
+        parse_dsl("R1_0 +\n  R0_1")
+    assert (caught.value.line, caught.value.column) == (2, 3)
+
+
 def test_format_parse_fixed_point():
     rng = random.Random(1)
     for _ in range(100):
@@ -210,3 +232,9 @@ def test_parse_fragments():
         with pytest.raises(ParseError, match="bit index [12] is assigned twice") as caught:
             parse_fragments(text)
         assert (caught.value.line, caught.value.column) == (1, column)
+
+
+def test_a_too_long_fragment_index_is_an_error_at_its_token():
+    with pytest.raises(ParseError, match="integer of 5000 digits is too long") as caught:
+        parse_fragments(f"1=0, {LONG}=1")
+    assert (caught.value.line, caught.value.column) == (1, 6)

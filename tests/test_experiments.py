@@ -681,7 +681,7 @@ def test_stream_reads_are_bit_identical_to_fresh_draws(flip):
     systems = [ReferenceSystem(4, RtwScheme.SYMMETRIC, master_seed=s, flip_prob=flip)
                for s in seeds]
     pairs = [(a, wires_a, 0), (b, wires_b, 0), (a, wires_a, 1)]
-    cap, top = experiments.STREAM_CLOCKS, 40_000
+    top = 40_000
     ties = _tie_clocks(flip, seeds[0], sorted(set(wires_a + wires_b), key=lambda w: w.tag), top)
     if flip == Fraction(1, 3):
         assert ties  # the reads below straddle them
@@ -706,8 +706,9 @@ def test_stream_reads_are_bit_identical_to_fresh_draws(flip):
             t0, n = 64 * rng.randint(1, 600) - rng.randint(1, 5), rng.randint(2, 12)
         elif kind == "block" and stream is not None and stream.block.size:  # across its end
             t0, n = stream.start + stream.block.shape[1] - rng.randint(1, 8), rng.randint(2, 100)
-        elif kind == "wide":  # at and above the cap, drawn in place
-            t0, n = rng.randrange(top), cap + rng.choice([0, 1, rng.randint(2, 600)])
+        elif kind == "wide":  # one pass through the stream, or more drawn in place
+            span = ConfigReader(expr, system, [0, 0]).span
+            t0, n = rng.randrange(top), span + rng.choice([0, 1, rng.randint(2, 600)])
         elif kind == "tie" and ties:
             t0 = max(0, rng.choice(ties) - rng.randint(0, 3))
             n = rng.randint(1, 8)
@@ -760,10 +761,41 @@ def test_a_window_inside_the_block_draws_nothing(monkeypatch):
     assert drawn == [(64, 64)]
     reader.read(126, 3)  # crosses the block's end: draws only the word after it
     assert drawn[1:] == [(128, 64)]
-    reader.read(0, experiments.STREAM_CLOCKS + 1)  # above the cap: drawn in place
-    assert drawn[2:] == [(0, experiments.STREAM_CLOCKS + 1)]
+    span = reader.span
+    reader.read(0, span + 1)  # over one pass: drawn in place, pass by pass
+    assert drawn[2:] == [(0, span), (span, 1)]
     reader.read(150, 2)  # the stream still holds its block
-    assert len(drawn) == 3
+    assert len(drawn) == 4
+    reader.read(64, span)  # one pass: the stream copies its block, draws the rest
+    assert drawn[4:] == [(192, ((64 + span + 63) & -64) - 192)]
+    assert reader.stream.start == 64
+
+
+@pytest.mark.parametrize("read", ["eval_array", "fragment_search"])
+def test_a_stream_block_holds_at_most_one_pass(read):
+    # 4,096 clocks of a 2,000-bit product string, or a tau = 4,096 fragment
+    # search on a 2,000-bit sum of three strings: each reads several passes,
+    # so its stream keeps no more than one pass and the partial words at the
+    # block's two ends
+    from inbl.search import fragment_search
+
+    rng = random.Random(37)
+    m = 2000
+    strings = ["".join(rng.choice("01") for _ in range(m)) for _ in range(3)]
+    system = ReferenceSystem(m, master_seed=37)
+    if read == "eval_array":
+        expr = build_product_string(Pattern.from_string(strings[0]), m)
+        eval_array(expr, system, 0, 4096)
+    else:
+        expr = sum_of_strings(strings, m)
+        fragment_search(expr, system, Pattern.fragments({1: int(strings[1][0])}), tau=4096)
+    program = experiments._program(expr, system.scheme)
+    stream, bound = program.streams[system], experiments.PASS_BYTES + 126 * len(program.wires)
+    assert stream.block.nbytes <= bound
+    # the widest read the stream serves, one pass that starts and ends mid-word
+    reader = ConfigReader(expr, system, [0])
+    reader.read(63, reader.span)
+    assert 0 < stream.block.nbytes <= bound
 
 
 @pytest.mark.parametrize("flip, counters", [(Fraction(1, 2), 1), (Fraction(1, 100), 16)])
@@ -808,14 +840,14 @@ def test_wide_reads_count_on_from_each_pass(flip, monkeypatch):
     system = ReferenceSystem(4, RtwScheme.SYMMETRIC, master_seed=31, flip_prob=flip)
     reader = ConfigReader(expr, system, list(map(wire_mask, configs)))
     assert reader.span == 20
-    top, cap = 40_000, experiments.STREAM_CLOCKS
+    top, cap = 40_000, reader.span
     if flip == Fraction(1, 3):
         assert _tie_clocks(flip, 31, wires, top)  # the first read straddles them
     weights = np.array([1 << r for r in range(len(wires))])
     cut = np.where(np.arange(len(wires)) == 2, 0, weights)
     fresh = ReferenceSystem(4, RtwScheme.SYMMETRIC, master_seed=31, flip_prob=flip)
     # from clock 0, from inside the stream's block, from after it, and back
-    for t0, n in ((0, top), (5000, 30), (5010, cap + 7), (top - 9000, 9000), (700, cap + 1)):
+    for t0, n in ((0, top), (5000, cap), (5010, cap + 7), (top - 9000, 9000), (700, cap + 1)):
         ints, _ = reader.read(t0, n)
         want = fresh.sign_rows(wires, t0, n).astype(np.int64)
         assert np.array_equal(ints[0], cut @ want), (t0, n)
@@ -832,9 +864,10 @@ def test_scalar_and_stream_reads_share_no_state(flip):
     stream_only, scalar_only, mixed = (
         ReferenceSystem(3, RtwScheme.SYMMETRIC, master_seed=35, flip_prob=flip) for _ in range(3))
     rng = random.Random(f"share-{flip}")
+    span = ConfigReader(expr, stream_only, list(map(wire_mask, configs))).span
     for step in range(40):
         t0 = rng.randrange(20_000)
-        n = rng.choice([1, 7, 64, 300, experiments.STREAM_CLOCKS + 9])
+        n = rng.choice([1, 7, 64, 300, span + 9])
         clocks = [max(0, t0 + rng.randint(-500, n + 500)) for _ in range(3)]
         for t in clocks:  # scalar reads before, in and after the window
             w = rng.choice(wires)

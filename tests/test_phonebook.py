@@ -165,6 +165,16 @@ def test_parse_phonebook_file():
         parse_phonebook("   \n# only comments\n")
 
 
+
+@pytest.mark.parametrize("header, column", [
+    (f"names {'9' * 5000}; numbers 2;", 9), (f"names 2; numbers {'9' * 5000};", 20),
+], ids=["names", "numbers"])
+def test_a_too_long_header_integer_is_an_error_at_its_token(header, column):
+    with pytest.raises(ParseError, match="integer of 5000 digits is too long") as caught:
+        parse_phonebook(f"# a book\n  {header}\n01 -> 10\n")
+    assert (caught.value.line, caught.value.column) == (2, column)
+
+
 @pytest.mark.parametrize("n, s", [(3, 5), (5, 3)])
 def test_unequal_widths_both_directions(n, s):
     # with N != S, a swapped offset or width in the shared routine shows

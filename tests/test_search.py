@@ -28,7 +28,7 @@ from inbl.expr import (
 )
 from inbl.oracle import expand, legal_bell_class, member, surviving
 from inbl.phonebook import PhonebookSpec, build_phonebook, inverse_lookup, lookup
-from inbl.reference import BLOCK_CLOCKS, ReferenceSystem, RtwScheme, WireId
+from inbl.reference import ReferenceSystem, RtwScheme, WireId
 from inbl.search import (
     DEFAULT_TAU,
     BellClass,
@@ -622,7 +622,7 @@ def test_scan_windows_grow_eightfold_within_their_caps(monkeypatch, flip, pass_b
             end = 41 + max_wait + 1
             t0, clocks, span = windows[0]
             assert (t0, clocks) == (41, reads)
-            cap = min(max(span, reads), BLOCK_CLOCKS)
+            cap = max(span, reads)
             for (t0, clocks, _), (last_t0, last_clocks, _) in zip(windows[1:], windows):
                 assert t0 == last_t0 + last_clocks
                 assert clocks == min(8 * last_clocks, cap, end - t0)
