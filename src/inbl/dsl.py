@@ -241,7 +241,8 @@ def parse_fragments(text: str) -> Pattern:
     for part in text.split(","):
         m = re.fullmatch(r"\s*(\d+)\s*=\s*([01])\s*", part)
         if m is None:
-            raise ParseError(f"bad fragment {part.strip()!r}, expected INDEX=BIT", 1, 1)
+            start = column + len(part) - len(part.lstrip()) if part.strip() else column
+            raise ParseError(f"bad fragment {part.strip()!r}, expected INDEX=BIT", 1, start)
         index = parse_int(m.group(1), text, column - 1 + m.start(1))
         if index in assignments:
             raise ParseError(f"bit index {index} is assigned twice", 1, column + m.start(1))

@@ -7,8 +7,8 @@ with a pattern that assigns every bit. A zero reading is exact only when
 the expression is certified (its compiled program's support is not None)
 and the pattern assigns every bit of that support: at most one
 product-string survives and no clock cancels it, so one read decides. Any
-other search reads tau clocks, at most BLOCK_CLOCKS since the trace lists
-each read, and bounds a negative verdict by 2**-tau.
+other search reads tau clocks, at most BLOCK_CLOCKS since it holds them at
+once, and bounds a negative verdict by 2**-tau.
 
 The searches make their switch actions first, recording each configuration
 as its wire mask (see switchboard), one int, and then read with
@@ -23,15 +23,15 @@ clocks past the window's end. A read of one pass copies its signs from the
 system has mostly drawn already. Entangle discrimination checks its
 signal's class on the oracle's 2-bit expansion and reads its four recorded
 probe configurations the same way. Amplitudes become `Dyadic` values only
-in the reported outcome, and a search's trace is built from its readings on
-first access.
+in the reported outcome, whose fields fix every reading: from the live
+clock, t_start + clocks_waited, the search read clocks_observed clocks, all
+exact zeros except a present's last, its amplitude at witness_clock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,7 +40,7 @@ from .dyadic import Dyadic
 from .errors import IllegalClass, MaxWaitExceeded
 from .experiments import ConfigReader, _program
 from .expr import Expr, Pattern
-from .oracle import BellClass, expand, legal_bell_class
+from .oracle import BellClass, Expansion, expand, legal_bell_class
 from .reference import BLOCK_CLOCKS, ReferenceSystem, wire_id
 from .switchboard import SwitchState, ground_inverse
 
@@ -70,29 +70,12 @@ class TraceStep:
         }
 
 
-class _LazyTrace:
-    """SearchOutcome.trace: set to a list of steps or to a function that
-    builds them, which the first read calls and replaces with its list."""
-
-    def __get__(self, outcome, owner=None):
-        if outcome is None:
-            return ()  # the field's default, which __set__ copies into a new list
-        trace = outcome._trace
-        if callable(trace):
-            trace = outcome._trace = trace()
-        return trace
-
-    def __set__(self, outcome, trace):
-        outcome._trace = trace if callable(trace) else list(trace)
-
-
 @dataclass
 class SearchOutcome:
     verdict: Verdict
     switch_ops: int
     clocks_waited: int
     clocks_observed: int
-    trace: List[TraceStep] = _LazyTrace()
     witness_clock: Optional[int] = None
     amplitude: Optional[Dyadic] = None
     epsilon: Optional[Dyadic] = None  # bound on false negatives, when bounded
@@ -110,7 +93,6 @@ class SearchOutcome:
             "witness_clock": self.witness_clock,
             "amplitude": None if self.amplitude is None else self.amplitude.to_json(),
             "epsilon": None if self.epsilon is None else self.epsilon.to_json(),
-            "trace": [step.to_json() for step in self.trace],
         }
 
 
@@ -191,7 +173,7 @@ def fragment_search(
     the pattern assigns every bit of its support, the reading at the live
     clock is exact either way. Otherwise the survivors can transiently
     cancel, so after tau zero readings the verdict is Absent within 2**-tau.
-    Every read is listed in the trace, so tau is at most BLOCK_CLOCKS
+    The tau readings are held at once, so tau is at most BLOCK_CLOCKS
     (2**15), where 2**-tau is already below 2**-32768.
     """
     if not 1 <= tau <= BLOCK_CLOCKS:
@@ -217,22 +199,10 @@ def fragment_search(
         switch_ops=switches.mask.bit_count(),
         clocks_waited=t - t_start,
         clocks_observed=observed,
-        # a copy of the readings, so that the outcome keeps no window alive
-        trace=partial(_search_trace, t, pattern, live.exp2, reads[:observed].copy()),
         witness_clock=t + observed - 1 if present else None,
         amplitude=Dyadic(int(reads[observed - 1]), live.exp2) if present or exact else None,
         epsilon=None if present or exact else Dyadic.pow2(-tau),
     )
-
-
-def _search_trace(clock: int, pattern: Pattern, exp2: int, reads: np.ndarray) -> List[TraceStep]:
-    """A search's trace: its live clock, its grounding and each reading from
-    the live clock on, reads[k] * 2**exp2 at clock + k."""
-    return [
-        TraceStep(f"live clock found at t={clock}"),
-        TraceStep(f"grounded inverse wires of {pattern}"),
-        *(TraceStep(f"read at t={clock + k}", Dyadic(int(x), exp2)) for k, x in enumerate(reads)),
-    ]
 
 
 def entangle_discriminate(
@@ -290,15 +260,8 @@ def entangle_discriminate(
         trace.append(TraceStep(f"also grounded R2_{probe_partner_value}, read", both))
         trace.append(TraceStep("restored all wires"))
         found.append(probe_partner_value if both.is_zero() else 1 - probe_partner_value)
-    classes = {
-        (1, 0): BellClass.S01_PLUS_10,
-        (0, 1): BellClass.S00_PLUS_11,
-        (0, None): BellClass.S00,
-        (1, None): BellClass.S01,
-        (None, 0): BellClass.S10,
-        (None, 1): BellClass.S11,
-    }
-    cls = classes.get(tuple(found))
+    strings = {f"{v}{b}" for v, b in enumerate(found) if b is not None}
+    cls = legal_bell_class(Expansion(dict.fromkeys(strings, 1), 2))
     if cls is None:
         raise IllegalClass(
             f"probe trace (bit1=0 -> {found[0]}, bit1=1 -> {found[1]}) matches no legal class"

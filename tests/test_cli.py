@@ -94,6 +94,18 @@ def test_search_fragment_absent_bounded(capsys, eq9_file):
     assert report["oracle_check"]["certified_absent"] is True
 
 
+def test_bounded_search_reports_its_outcome_fields_alone(capsys, eq9_file):
+    # no step per reading: the fields fix every one of the 64 zeros read
+    code, report = run_json(
+        capsys, ["search", eq9_file, "--fragments", "1=1,2=1", "--tau", "64", "--seed", "3"]
+    )
+    assert code == 1
+    outcome = report["outcome"]
+    assert set(outcome) == {"verdict", "switch_ops", "clocks_waited", "clocks_observed",
+                            "witness_clock", "amplitude", "epsilon"}
+    assert outcome["verdict"] == "absent_bounded" and outcome["clocks_observed"] == 64
+
+
 def test_entangle(capsys, eq7_file):
     code, report = run_json(capsys, ["entangle", eq7_file, "--seed", "4", "--oracle-check"])
     assert code == 0
@@ -373,6 +385,15 @@ def test_repeated_fragment_index_exits_2(tmp_path, capsys, fragments):
     assert captured.err == "error: 1:5: bit index 1 is assigned twice\n"
 
 
+def test_bad_fragment_exits_2_at_its_column(tmp_path, capsys):
+    path = tmp_path / "e.nbl"
+    path.write_text("bits 4;\nR1_0*R2_1*R3_0*R4_1\n")
+    assert main(["search", str(path), "--fragments", "1=0, 2=0, 4:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 1:11: bad fragment '4:1', expected INDEX=BIT\n"
+
+
 def test_builtin_of_size_zero_exits_2_at_its_position(tmp_path, capsys):
     path = tmp_path / "u0.nbl"
     path.write_text("bits 2;\nU(0) + R1_0")
@@ -511,8 +532,8 @@ def test_no_state_leaks_between_calls(capsys, monkeypatch, eq9_file):
 
 
 def test_tau_above_the_cap_exits_2(capsys, tmp_path):
-    # every read of a bounded verdict is listed in its trace, so a huge tau
-    # would hold millions of steps; one past 2**15 is refused up front
+    # a bounded search holds its tau readings at once, so a huge tau would
+    # hold millions of them; one past 2**15 is refused up front
     path = tmp_path / "f.nbl"
     path.write_text("bits 2;\nR1_1*R2_0\n")
     argv = ["search", str(path), "--fragments", "1=0", "--seed", "1"]

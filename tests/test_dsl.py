@@ -234,6 +234,18 @@ def test_parse_fragments():
         assert (caught.value.line, caught.value.column) == (1, column)
 
 
+@pytest.mark.parametrize(
+    "text, part, column",
+    [("1=0, 2=0, 4:1", "4:1", 11),  # at the part's first non-blank character
+     ("1=0,,2=1", "", 5)],  # an empty part, where it starts
+    ids=["malformed", "empty"],
+)
+def test_a_bad_fragment_is_an_error_at_its_own_column(text, part, column):
+    with pytest.raises(ParseError, match=f"bad fragment '{part}'") as caught:
+        parse_fragments(text)
+    assert (caught.value.line, caught.value.column) == (1, column)
+
+
 def test_a_too_long_fragment_index_is_an_error_at_its_token():
     with pytest.raises(ParseError, match="integer of 5000 digits is too long") as caught:
         parse_fragments(f"1=0, {LONG}=1")

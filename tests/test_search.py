@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from inbl.dsl import parse_dsl
 from inbl.dyadic import Dyadic
 from inbl.errors import IllegalClass, MaxWaitExceeded
-from inbl import experiments, search
+from inbl import experiments
 from inbl.experiments import ConfigReader, _program
 from inbl.expr import (
     Pattern,
@@ -321,7 +321,7 @@ def test_certified_fragment_covering_the_support_reads_once(eq9):
     assert out.verdict is Verdict.ABSENT and out.epsilon is None
     assert out.clocks_observed == 1 and out.amplitude.is_zero()
     out = full_string_search(eq9, system, Pattern.from_string("1010"))
-    assert out.verdict is Verdict.PRESENT and out.trace[-1].action == f"read at t={out.witness_clock}"
+    assert out.verdict is Verdict.PRESENT
 
 
 MIXED_TEXT = "R1_0 + R1_0*R2_0 + R1_1*R2_1"  # survivors of 00 are 0- and 00
@@ -348,7 +348,8 @@ def test_outcome_serialization(eq9):
     blob = out.to_json()
     assert blob["verdict"] == "present"
     assert blob["amplitude"]["mantissa"] == str(out.amplitude.mantissa)
-    assert isinstance(blob["trace"], list) and blob["trace"]
+    assert set(blob) == {"verdict", "switch_ops", "clocks_waited", "clocks_observed",
+                         "witness_clock", "amplitude", "epsilon"}
 
 
 def scalar_support(expr):
@@ -384,17 +385,14 @@ def scalar_search(expr, system, pattern, tau, max_wait, t_start):
             break
     else:
         raise MaxWaitExceeded(t_start, max_wait)
-    trace = [TraceStep(f"live clock found at t={t}")]
     switches = ground_inverse(pattern, system.num_bits)
-    trace.append(TraceStep(f"grounded inverse wires of {pattern}"))
-    outcome = dict(switch_ops=len(pattern), clocks_waited=t - t_start, trace=trace)
+    outcome = dict(switch_ops=len(pattern), clocks_waited=t - t_start)
     tau = DEFAULT_TAU if tau is None else tau
     support = scalar_support(expr)
     assigned = sum(1 << i for i in pattern.as_dict())
     exact = support is not None and support & assigned == support
     for k in range(1 if exact else tau):
         amp = evaluate(expr, system, t + k, switches.mask)
-        trace.append(TraceStep(f"read at t={t + k}", amp))
         if not amp.is_zero():
             return SearchOutcome(verdict=Verdict.PRESENT, clocks_observed=k + 1,
                                  witness_clock=t + k, amplitude=amp, **outcome)
@@ -634,21 +632,16 @@ def test_scan_windows_grow_eightfold_within_their_caps(monkeypatch, flip, pass_b
             windowed_search(expr, make_system(), pattern, tau, want.clocks_waited - 1, 41)
 
 
-def test_trace_matches_the_reference_and_keeps_no_window(monkeypatch):
-    windows, traces = [], []
-    real_read, real_trace = ConfigReader.read, search._search_trace
+def test_outcome_matches_the_reference_and_keeps_no_window(monkeypatch):
+    windows = []
+    real_read = ConfigReader.read
 
     def recorded(reader, t0, clocks):
         ints, exp2 = real_read(reader, t0, clocks)
         windows.append(weakref.ref(ints))
         return ints, exp2
 
-    def counted(*args):
-        traces.append(args)
-        return real_trace(*args)
-
     monkeypatch.setattr(ConfigReader, "read", recorded)
-    monkeypatch.setattr(search, "_search_trace", counted)
     # dead runs and cancelling survivors (see the every-offset test) put the
     # bounded reads past a window's end at some starts
     expr = sum_of_strings(["0011", "0101", "0000", "1000"], 4)
@@ -658,23 +651,14 @@ def test_trace_matches_the_reference_and_keeps_no_window(monkeypatch):
     verdicts = set()
     for t_start in range(40):
         for pattern, tau in queries:
-            del windows[:], traces[:]
+            del windows[:]
             got = windowed_search(expr, make_system(), pattern, tau, 5000, t_start)
             gc.collect()
             assert windows and not any(window() for window in windows)
-            # the trace is built once, on its first access
-            assert not traces
             want = scalar_search(expr, make_system(), pattern, tau, 5000, t_start)
-            assert got.trace == want.trace and got.trace is got.trace
-            assert len(traces) == 1
             assert got.to_json() == want.to_json() and got == want
             verdicts.add(got.verdict)
     assert verdicts == set(Verdict)
-    # a trace given as a list reads back equal, and each default is a new list
-    steps = [TraceStep("live clock found at t=0")]
-    assert SearchOutcome(Verdict.PRESENT, 0, 0, 1, trace=steps).trace == steps
-    first, second = SearchOutcome(Verdict.PRESENT, 0, 0, 1), SearchOutcome(Verdict.PRESENT, 0, 0, 1)
-    assert first.trace == [] and first.trace is not second.trace
 
 
 def test_searches_on_a_deep_chain_without_recursion():
