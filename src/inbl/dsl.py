@@ -200,11 +200,11 @@ def parse_dsl(text: str) -> Expr:
 
 
 def format_dsl(expr: Expr) -> str:
-    """Canonical text form; parse(format(e)) expands to the same superposition.
-
-    One pass over expr's topological order keeps (lowest bit, text) per
-    node. A Sum is parenthesized as a factor or a term, a Product as a
-    factor only; the root needs neither."""
+    """Canonical text form; parse(format(e)) expands to the same superposition
+    whenever every coefficient fits a DSL integer (see parse_int): a longer
+    one is a ValueError naming its size. One pass over expr's topological
+    order keeps (lowest bit, text) per node. A Sum is parenthesized as a
+    factor or a term, a Product as a factor only; the root needs neither."""
     done: Dict[int, Tuple[int, str]] = {}
     for node in topological_order(expr):
         if isinstance(node, Ref):
@@ -219,8 +219,12 @@ def format_dsl(expr: Expr) -> str:
                     txt = f"({txt})"
                 pieces.append((txt, coeff > 0, abs(coeff)))
             pieces.sort()
-            joined = " ".join(("+ " if positive else "- ") + (f"{size}*" if size > 1 else "")
-                              + txt for txt, positive, size in pieces)
+            try:
+                joined = " ".join(("+ " if positive else "- ") + (f"{size}*" if size > 1 else "")
+                                  + txt for txt, positive, size in pieces)
+            except ValueError:  # str() refuses the decimals parse_int refuses
+                bits = max(size for _, _, size in pieces).bit_length()
+                raise ValueError(f"a coefficient of {bits} bits is too long for the DSL") from None
             # the first term's '+' is dropped and its '-' joins the term
             entry = (min(lows), joined[2:] if pieces[0][1] else "-" + joined[2:])
         else:

@@ -14,18 +14,18 @@ The searches make their switch actions first, recording each configuration
 as its wire mask (see switchboard), one int, and then read with
 `wait_for_live_clock`, which scans windows from the clocks the search
 reads, each later window WINDOW_GROWTH times the one before up to one
-reader pass. Each window is one exact call to a prepared
+reader pass. Each window is one exact call to the search's one
 `experiments.ConfigReader` (the one window evaluator) for the un-grounded
-signal and the grounded configurations; a bounded search makes at most one
-more read, through a reader of its grounded configuration alone, for the
-clocks past the window's end. A read of one pass copies its signs from the
-(expression, system)'s sign stream, whose block the previous search on the
-system has mostly drawn already. Entangle discrimination checks its
-signal's class on the oracle's 2-bit expansion and reads its four recorded
-probe configurations the same way. Amplitudes become `Dyadic` values only
-in the reported outcome, whose fields fix every reading: from the live
-clock, t_start + clocks_waited, the search read clocks_observed clocks, all
-exact zeros except a present's last, its amplitude at witness_clock.
+signal and the grounded configurations, reading on past its scan, so the
+live clock's window holds every reading of the search. A read of one pass
+copies its signs from the (expression, system)'s sign stream, whose block
+the previous search on the system has mostly drawn already. Entangle
+discrimination checks its signal's class on the oracle's 2-bit expansion
+and reads its four recorded probe configurations the same way. Amplitudes
+become `Dyadic` values only in the reported outcome, whose fields fix every
+reading: from the live clock, t_start + clocks_waited, the search read
+clocks_observed clocks, all exact zeros except a present's last, its
+amplitude at witness_clock.
 """
 
 from __future__ import annotations
@@ -97,9 +97,9 @@ class SearchOutcome:
 
 
 class LiveClock(NamedTuple):
-    """The live clock a scan found and that window's readings from it on:
-    configuration r reads readings[r, k] * 2**exp2 at clock clock + k, row 0
-    being the un-grounded signal."""
+    """The live clock a scan found and the readings the caller asked for
+    from it on: configuration r reads readings[r, k] * 2**exp2 at clock
+    clock + k, row 0 being the un-grounded signal."""
 
     clock: int
     readings: np.ndarray
@@ -116,27 +116,28 @@ def wait_for_live_clock(
 ) -> LiveClock:
     """Smallest t >= t_start where the un-grounded superposition is nonzero.
 
-    The first window is `reads` clocks (the clocks the caller reads from the
-    live clock on), at most BLOCK_CLOCKS; each later one is WINDOW_GROWTH
-    times the one before, capped at one reader pass (or the first window, if
-    wider), and every window is clipped at t_start + max_wait. Each window
-    reads the un-grounded signal and every configuration in grounded, a wire
-    mask each (see switchboard), at once, and the returned LiveClock carries
-    them. max_wait must be >= 0; with 0, t_start itself must be live.
+    Each window reads reads - 1 clocks past those it scans, so the LiveClock
+    carries exactly the `reads` clocks (1 to BLOCK_CLOCKS) the caller reads
+    from the live clock on. The first window scans `reads` clocks, each
+    later one WINDOW_GROWTH times more, capped so its read is one reader
+    pass (or at the first, if wider) and clipped at t_start + max_wait.
+    Reads take the un-grounded signal and each configuration in grounded, a
+    wire mask. max_wait must be >= 0; with 0, t_start must be live.
     """
     if max_wait < 0:
         raise ValueError(f"max_wait must be >= 0, got {max_wait}")
+    if not 1 <= reads <= BLOCK_CLOCKS:
+        raise ValueError(f"reads must be between 1 and {BLOCK_CLOCKS}, got {reads}")
     reader = ConfigReader(expr, system, [0, *grounded])
     end = t_start + max_wait + 1
-    t0, width = t_start, min(max(reads, 1), BLOCK_CLOCKS)
-    cap = max(reader.span, width)
+    t0, width, cap = t_start, reads, max(reader.span - reads + 1, reads)
     while t0 < end:
         n = min(width, end - t0)
-        ints, exp2 = reader.read(t0, n)
-        live = ints[0].nonzero()[0]
+        ints, exp2 = reader.read(t0, n + reads - 1)
+        live = ints[0, :n].nonzero()[0]
         if len(live):
             k = int(live[0])
-            return LiveClock(t0 + k, ints[:, k:], exp2)
+            return LiveClock(t0 + k, ints[:, k : k + reads], exp2)
         t0 += n
         width = min(WINDOW_GROWTH * width, cap)
     raise MaxWaitExceeded(t_start, max_wait)
@@ -173,8 +174,8 @@ def fragment_search(
     the pattern assigns every bit of its support, the reading at the live
     clock is exact either way. Otherwise the survivors can transiently
     cancel, so after tau zero readings the verdict is Absent within 2**-tau.
-    The tau readings are held at once, so tau is at most BLOCK_CLOCKS
-    (2**15), where 2**-tau is already below 2**-32768.
+    The scan's live window holds the tau readings at once, so tau is at
+    most BLOCK_CLOCKS (2**15), where 2**-tau is already below 2**-32768.
     """
     if not 1 <= tau <= BLOCK_CLOCKS:
         raise ValueError(f"tau must be between 1 and {BLOCK_CLOCKS}, got {tau}")
@@ -183,16 +184,10 @@ def fragment_search(
     exact = support is not None and not support & ~pattern.mask
     n = 1 if exact else tau
     live = wait_for_live_clock(expr, system, t_start, max_wait, [switches.mask], n)
-    t = live.clock
-    reads = live.readings[1, :n]
+    t, reads = live.clock, live.readings[1]
     hits = reads.nonzero()[0]
-    if len(reads) < n and not len(hits):
-        tail = ConfigReader(expr, system, [switches.mask])
-        more, _ = tail.read(t + len(reads), n - len(reads))
-        reads = np.concatenate((reads, more[0]))
-        hits = reads.nonzero()[0]
-    observed = int(hits[0]) + 1 if len(hits) else n
     present = len(hits) > 0
+    observed = int(hits[0]) + 1 if present else n
     verdict = Verdict.PRESENT if present else Verdict.ABSENT if exact else Verdict.ABSENT_BOUNDED
     return SearchOutcome(
         verdict=verdict,

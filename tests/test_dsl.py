@@ -138,6 +138,16 @@ def test_a_too_long_integer_is_an_error_at_its_token(text, line, column):
     assert (caught.value.line, caught.value.column) == (line, column)
 
 
+def test_a_coefficient_the_parser_refuses_is_not_formatted():
+    # 10**5000 has 5,001 digits, which parse_int refuses; 10**4299 has 4,300
+    for coeff in (10**5000, -(10**5000)):
+        expr = Product((ref(2, 1), Sum(((1, ref(1, 1)), (coeff, ref(1, 0))))))
+        with pytest.raises(ValueError, match="^a coefficient of 16610 bits is too long for the DSL$"):
+            format_dsl(expr)
+    fits = Sum(((1, ref(1, 1)), (10**4299, ref(1, 0))))
+    assert expand(parse_dsl(format_dsl(fits)), 1) == expand(fits, 1)
+
+
 def test_bit_index_zero_is_an_error_at_its_token():
     with pytest.raises(ParseError, match="bit index must be >= 1, got 0") as caught:
         parse_dsl("R1_0 +\n  R0_1")

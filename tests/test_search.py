@@ -28,7 +28,7 @@ from inbl.expr import (
 )
 from inbl.oracle import expand, legal_bell_class, member, surviving
 from inbl.phonebook import PhonebookSpec, build_phonebook, inverse_lookup, lookup
-from inbl.reference import ReferenceSystem, RtwScheme, WireId
+from inbl.reference import BLOCK_CLOCKS, ReferenceSystem, RtwScheme, WireId
 from inbl.search import (
     DEFAULT_TAU,
     BellClass,
@@ -139,6 +139,15 @@ def test_negative_max_wait_is_rejected_by_every_protocol():
     # max_wait 0 reads t_start alone, and this signal is live at clock 0
     assert wait_for_live_clock(expr, system, 0, 0).clock == 0
     assert full_string_search(expr, system, Pattern.from_string("1010"), max_wait=0).present
+
+
+def test_wait_for_live_clock_reads_1_to_block_clocks():
+    expr = parse_dsl(EQ9_TEXT)
+    system = ReferenceSystem(4, master_seed=1)
+    for reads in (0, BLOCK_CLOCKS + 1):
+        with pytest.raises(ValueError, match=f"reads must be between 1 and {BLOCK_CLOCKS}"):
+            wait_for_live_clock(expr, system, 0, 10, reads=reads)
+    assert wait_for_live_clock(expr, system, 0, 10, reads=5).readings.shape == (1, 5)
 
 
 def test_wait_for_live_clock_dead_superposition():
@@ -595,7 +604,8 @@ def test_scan_windows_grow_eightfold_within_their_caps(monkeypatch, flip, pass_b
     # a symmetric U(8) is live at about one clock in 256, and at flip 1/100
     # its dead runs last thousands of clocks; from clock 41 on this system
     # waits 671 or 1,670 clocks, so each scan crosses several windows, and a
-    # 4 KiB pass caps them at 78 clocks within that wait
+    # 4 KiB pass of 78 clocks caps their scans within that wait. Each window
+    # reads reads - 1 clocks past the clocks it scans, in one pass
     monkeypatch.setattr(experiments, "PASS_BYTES", pass_bytes)
     expr = build_universe(8)
     make_system = lambda: ReferenceSystem(8, RtwScheme.SYMMETRIC, master_seed=1, flip_prob=flip)
@@ -619,15 +629,17 @@ def test_scan_windows_grow_eightfold_within_their_caps(monkeypatch, flip, pass_b
             assert windowed_search(expr, make_system(), pattern, tau, max_wait, 41) == want
             end = 41 + max_wait + 1
             t0, clocks, span = windows[0]
-            assert (t0, clocks) == (41, reads)
-            cap = max(span, reads)
-            for (t0, clocks, _), (last_t0, last_clocks, _) in zip(windows[1:], windows):
-                assert t0 == last_t0 + last_clocks
-                assert clocks == min(8 * last_clocks, cap, end - t0)
-            t0, clocks, _ = windows[-1]
-            assert t0 <= live < t0 + clocks
+            assert (t0, clocks) == (41, 2 * reads - 1)
+            assert 2 * reads - 1 <= span
+            scans = [(t0, clocks - reads + 1) for t0, clocks, _ in windows]
+            assert all(clocks <= span for _, clocks, _ in windows)
+            for (t0, scanned), (last_t0, last_scanned) in zip(scans[1:], scans):
+                assert t0 == last_t0 + last_scanned
+                assert scanned == min(8 * last_scanned, span - reads + 1, end - t0)
+            t0, scanned = scans[-1]
+            assert t0 <= live < t0 + scanned
             assert len(windows) >= 3
-        assert t0 + clocks == end
+        assert t0 + scanned == end
         with pytest.raises(MaxWaitExceeded):
             windowed_search(expr, make_system(), pattern, tau, want.clocks_waited - 1, 41)
 
@@ -643,7 +655,7 @@ def test_outcome_matches_the_reference_and_keeps_no_window(monkeypatch):
 
     monkeypatch.setattr(ConfigReader, "read", recorded)
     # dead runs and cancelling survivors (see the every-offset test) put the
-    # bounded reads past a window's end at some starts
+    # bounded reads past the last clock a window scans at some starts
     expr = sum_of_strings(["0011", "0101", "0000", "1000"], 4)
     make_system = lambda: ReferenceSystem(4, RtwScheme.SYMMETRIC, master_seed=22)
     queries = [(Pattern.from_string("0101"), None), (Pattern.from_string("1111"), None),
@@ -659,6 +671,34 @@ def test_outcome_matches_the_reference_and_keeps_no_window(monkeypatch):
             assert got.to_json() == want.to_json() and got == want
             verdicts.add(got.verdict)
     assert verdicts == set(Verdict)
+
+
+def test_a_search_builds_one_reader(monkeypatch):
+    # the every-offset setup of the test above: each search prepares one
+    # reader, whose window holds every reading, and reads one pass at a time
+    readers, reads = [], []
+    real_init, real_read = ConfigReader.__init__, ConfigReader.read
+
+    def counted(reader, *args):
+        readers.append(reader)
+        real_init(reader, *args)
+
+    def recorded(reader, t0, clocks):
+        reads.append((clocks, reader.span))
+        return real_read(reader, t0, clocks)
+
+    monkeypatch.setattr(ConfigReader, "__init__", counted)
+    monkeypatch.setattr(ConfigReader, "read", recorded)
+    expr = sum_of_strings(["0011", "0101", "0000", "1000"], 4)
+    make_system = lambda: ReferenceSystem(4, RtwScheme.SYMMETRIC, master_seed=22)
+    queries = [(Pattern.from_string("0101"), None), (Pattern.from_string("1111"), None),
+               (Pattern.fragments({4: 1}), 16), (Pattern.fragments({1: 1, 2: 1}), 8)]
+    for t_start in range(40):
+        for pattern, tau in queries:
+            del readers[:], reads[:]
+            windowed_search(expr, make_system(), pattern, tau, 5000, t_start)
+            assert len(readers) == 1
+            assert reads and all(clocks <= span for clocks, span in reads)
 
 
 def test_searches_on_a_deep_chain_without_recursion():
