@@ -201,14 +201,20 @@ def parse_dsl(text: str) -> Expr:
 
 def format_dsl(expr: Expr) -> str:
     """Canonical text form; parse(format(e)) expands to the same superposition
-    whenever every coefficient fits a DSL integer (see parse_int): a longer
-    one is a ValueError naming its size. One pass over expr's topological
-    order keeps (lowest bit, text) per node. A Sum is parenthesized as a
-    factor or a term, a Product as a factor only; the root needs neither."""
+    whenever every coefficient and bit index fits a DSL integer (see
+    parse_int): a longer one is a ValueError naming its size. One pass over
+    expr's topological order keeps (lowest bit, text) per node. A Sum is
+    parenthesized as a factor or a term, a Product as a factor only; the
+    root needs neither."""
     done: Dict[int, Tuple[int, str]] = {}
     for node in topological_order(expr):
         if isinstance(node, Ref):
-            entry = (node.wire.bit_index, f"R{node.wire.bit_index}_{node.wire.bit_value}")
+            index = node.wire.bit_index
+            try:
+                entry = (index, f"R{index}_{node.wire.bit_value}")
+            except ValueError:  # str() refuses the decimals parse_int refuses
+                raise ValueError(f"a bit index of {index.bit_length()} bits is too long "
+                                 "for the DSL") from None
         elif isinstance(node, Sum):
             lows = []
             pieces: List[Tuple[str, bool, int]] = []

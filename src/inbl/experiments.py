@@ -25,8 +25,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from functools import reduce
-from operator import mul, or_
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,9 +72,9 @@ class _Program:
     in the order the lowest level reading them reads them, so the levels of
     U(N), a product-string and EVEN(N) read slices. root is the root's
     (dtype, row). column_bytes is one configuration-clock's bytes: all rows
-    and the largest gather. wire_mask is the wire mask (see switchboard) of
-    every wire, words the 64-bit words it takes, and wire_words the wires'
-    masks as _words, words x 1 x wires.
+    and the largest gather. tags holds each wire row's WireId.tag, the bit
+    of a wire mask (see switchboard) that grounds it, and mask_bytes the
+    bytes of a mask that hold the largest.
     """
 
     def __init__(self, expr: Expr, scheme: RtwScheme):
@@ -145,9 +144,8 @@ class _Program:
             reader.update(zip(flat, range(key, key + len(flat))))
         wires = sorted(wire_at, key=reader.get)
         self.wires: List[WireId] = list(map(wire_at.__getitem__, wires))
-        self.wire_mask = sum([1 << wire.tag for wire in self.wires])
-        self.words = (self.wire_mask.bit_length() + 63) >> 6
-        self.wire_words = _words([1 << wire.tag for wire in self.wires], self).transpose(0, 2, 1)
+        self.tags = np.array([wire.tag for wire in self.wires], dtype=np.intp)
+        self.mask_bytes = (int(self.tags.max()) >> 3) + 1
 
         # per position: its dtype's index in _DTYPES << 32 | its row; the
         # wires are the first rows of the int8 matrix
@@ -194,19 +192,9 @@ def _reads(places: List[int]) -> tuple:
                   np.array(ks, dtype=np.intp)) for d, ks in sorted(by_dtype.items()))
 
 
-def _words(masks: Sequence[int], program: _Program) -> np.ndarray:
-    """Wire masks (see switchboard) restricted to the program's wires, as
-    uint64 words x masks x 1, the lowest word first: two masks share a wire
-    where their words share a bit."""
-    wires, shifts = program.wire_mask, range(0, program.words << 6, 64)
-    words = [(mask & wires) >> shift & _WORD for shift in shifts for mask in masks]
-    return np.array(words, dtype=np.uint64).reshape(program.words, len(masks), 1)
-
-
 # the exact dtypes from narrowest to widest
 _DTYPES = [np.int8, np.int16, np.int32, np.int64, object]
 _ITEMSIZE = {dtype: np.dtype(dtype).itemsize for dtype in _DTYPES}
-_WORD = (1 << 64) - 1
 _LIMITS = [(dtype, int(np.iinfo(dtype).max)) for dtype in _DTYPES[:-1]]
 # per scheme: the wire exponents of bit values 0 and 1
 _EXP2S = {scheme: (scheme.magnitude_exp2(0), scheme.magnitude_exp2(1)) for scheme in RtwScheme}
@@ -320,15 +308,19 @@ class ConfigReader:
     grounded[r] is the wire mask of configuration r (see switchboard): bit
     WireId.tag set for every grounded wire. Preparing resolves the cached
     program, its sign stream on the system, the wires' alive factors, 0 for
-    a wire that a configuration grounds and 1 for any other, from the masks
-    in a fixed number of numpy calls, and the span of clocks one pass takes:
-    PASS_BYTES over column_bytes per configuration. A pass holds one matrix
-    of rows x configurations x clocks per dtype of the program. All
-    configurations see the same draws: a read of one pass takes the sign
-    rows from the stream's block, a wider one draws the first
-    configuration's in place, and every configuration's sign rows are those
-    signs times its alive factors, one multiply. Each level reduces its
-    children, a view or one np.take per matrix they sit in, into its rows.
+    a wire that a configuration grounds and 1 for any other, and the span of
+    clocks one pass takes: PASS_BYTES over column_bytes per configuration.
+    The alive factors are the complements of the masks' low mask_bytes,
+    unpacked to bits in one call and gathered at the wires' tags, so they
+    take time and memory linear in wires x configurations; a reader of one
+    configuration that grounds no tag in those bytes reads its signs as
+    drawn. A pass holds one matrix of rows x configurations x clocks per
+    dtype of the program. All configurations see the same draws: a read of
+    one pass takes the sign rows from the stream's block, a wider one draws
+    the first configuration's in place, and every configuration's sign rows
+    are those signs times its alive factors, one multiply. Each level
+    reduces its children, a view or one np.take per matrix they sit in,
+    into its rows.
     """
 
     __slots__ = ("program", "system", "stream", "configs", "alive", "span")
@@ -338,13 +330,14 @@ class ConfigReader:
         self.system = system
         self.stream = _stream(program, system)
         configs = self.configs = len(grounded)
-        # alive[k, r, 0] is 0 where configuration r grounds wire row k, else 1;
-        # one un-grounded configuration reads its signs as drawn
+        # alive[k, r, 0] is 0 where configuration r grounds wire row k, else 1
         self.alive = None
-        if configs > 1 or reduce(or_, grounded, 0) & program.wire_mask:
-            hit = np.bitwise_and(program.wire_words, _words(grounded, program))
-            hit = hit[0] if len(hit) == 1 else np.bitwise_or.reduce(hit, axis=0)
-            self.alive = (hit == 0).view(np.int8).T[:, :, None]
+        size = program.mask_bytes
+        low = (1 << (size << 3)) - 1
+        if configs > 1 or configs and grounded[0] & low:
+            live = b"".join([(~mask & low).to_bytes(size, "little") for mask in grounded])
+            bits = np.unpackbits(np.frombuffer(live, np.uint8), bitorder="little").view(np.int8)
+            self.alive = np.take(bits.reshape(configs, -1), program.tags, axis=1).T[:, :, None]
         self.span = max(1, PASS_BYTES // (program.column_bytes * max(configs, 1)))
 
     def read(self, t0: int, clocks: int) -> Tuple[np.ndarray, int]:

@@ -148,6 +148,13 @@ def test_a_coefficient_the_parser_refuses_is_not_formatted():
     assert expand(parse_dsl(format_dsl(fits)), 1) == expand(fits, 1)
 
 
+def test_a_bit_index_the_parser_refuses_is_not_formatted():
+    # the index of R<5,001 digits>_1 is refused as a coefficient is
+    with pytest.raises(ValueError, match="^a bit index of 16610 bits is too long for the DSL$"):
+        format_dsl(Sum(((1, ref(10**5000, 1)),)))
+    assert format_dsl(Sum(((1, ref(10**4299, 1)),))) == f"R{10**4299}_1"
+
+
 def test_bit_index_zero_is_an_error_at_its_token():
     with pytest.raises(ParseError, match="bit index must be >= 1, got 0") as caught:
         parse_dsl("R1_0 +\n  R0_1")

@@ -30,13 +30,14 @@ from inbl.expr import (
     build_product_string,
     build_universe,
     evaluate,
+    iter_wires,
     ref,
     topological_order,
 )
 from inbl.oracle import expand
 from inbl.phonebook import PhonebookSpec, build_phonebook, lookup
 from inbl.reference import ReferenceSystem, RtwScheme, WireId
-from inbl.switchboard import SwitchState
+from inbl.switchboard import SwitchState, ground_inverse
 
 from conftest import dags, random_canonical_expr, sum_of_strings, wire_mask
 
@@ -410,14 +411,14 @@ def test_eval_configs_matches_scalar_evaluator(dag, scheme, seed, t, clocks, dat
 @st.composite
 def _reader_shapes(draw):
     """(num_bits, expr) for the reader's mask tests: a random DAG, a
-    product-string (a root whose factors are all wires), or a sum whose
-    height-2 Product level holds a product of wires beside a product over a
-    sum."""
+    product-string (a root whose factors are all wires) of up to 70 bits,
+    whose tags cross a byte and a 64-bit word, or a sum whose height-2
+    Product level holds a product of wires beside a product over a sum."""
     kind = draw(st.sampled_from(["dag", "string", "mixed"]))
     if kind == "dag":
         m, expr, _ = draw(dags())
         return m, expr
-    m = draw(st.integers(1, 4)) if kind == "string" else 3
+    m = draw(st.integers(1, 70)) if kind == "string" else 3
     bits = [draw(st.integers(0, 1)) for _ in range(m)]
     if kind == "string":
         return m, build_product_string(Pattern.from_string("".join(map(str, bits))), m)
@@ -438,11 +439,18 @@ def _reader_shapes(draw):
     data=st.data(),
 )
 def test_reader_masks_match_scalar_evaluator(shape, scheme, flip, seed, t, clocks, span, data):
-    # configuration 0 may ground wires, as a fragment search's tail reader
-    # does; a mask may ground wires outside the expression or the system
+    # configuration 0 may ground wires; a mask may ground wires outside the
+    # expression or far past the system's, and a lone configuration may
+    # ground only wires outside the expression
     m, expr = shape
-    tags = st.frozensets(st.integers(2, 2 * m + 3), max_size=2 * m + 2)
-    groundings = data.draw(st.lists(tags, min_size=1, max_size=20))
+    inside = wire_mask(iter_wires(expr))
+    any_tag = st.integers(2, 2 * m + 200)
+    if data.draw(st.booleans()):
+        outside = any_tag.filter(lambda x: not inside >> x & 1)
+        groundings = [data.draw(st.frozensets(outside, max_size=2 * m + 2))]
+    else:
+        tags = st.frozensets(any_tag, max_size=2 * m + 2)
+        groundings = data.draw(st.lists(tags, min_size=1, max_size=20))
     masks = [sum(1 << tag for tag in grounded) for grounded in groundings]
     system = ReferenceSystem(m, scheme, master_seed=seed, flip_prob=flip)
     pass_bytes = experiments.PASS_BYTES
@@ -463,6 +471,32 @@ def test_reader_masks_match_scalar_evaluator(shape, scheme, flip, seed, t, clock
         assert switches.mask == masks[r]
         for k in range(clocks):
             assert Dyadic(int(ints[r, k]), exp2) == evaluate(expr, system, t + k, masks[r])
+    if len(masks) == 1 and not masks[0] & inside:  # it reads as un-grounded
+        assert np.array_equal(ints[0], eval_array(expr, system, t, clocks)[0])
+
+
+def test_reader_alive_factors_take_memory_linear_in_wires():
+    # an 8,192-bit product-string under two configurations: preparing the
+    # reader allocates a few bytes per wire and configuration, not a word
+    # per wire for every 64 tags of the masks
+    m, configs = 8192, 2
+    pattern = Pattern.from_string("01" * (m // 2))
+    expr = build_product_string(pattern, m)
+    wires = list(iter_wires(expr))
+    masks = [ground_inverse(pattern, m).mask, wire_mask(wires[::3])]
+    system = ReferenceSystem(m, master_seed=4)
+    ConfigReader(expr, system, [0])  # the program and its sign stream
+    tracemalloc.start()
+    try:
+        reader = ConfigReader(expr, system, masks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * m * configs, peak
+    expected = [[0 if mask >> wire.tag & 1 else 1 for mask in masks]
+                for wire in reader.program.wires]
+    assert reader.alive.shape == (m, configs, 1)
+    assert reader.alive[:, :, 0].tolist() == expected
 
 
 def test_eval_configs_window_in_spans_matches_eval_array():
