@@ -79,7 +79,9 @@ def _load_expr(path: str, num_bits: Optional[int] = None):
     if bits is None:
         bits = max((w.bit_index for w in iter_wires(expr)), default=1)
     if num_bits is not None and num_bits != bits:
-        raise InblError(f"{path}: declares {bits} bits, expected {num_bits}")
+        size = (f"declares {bits} bits" if declared is not None
+                else f"has no 'bits M;' header and uses bit indices up to {bits}")
+        raise InblError(f"{path}: {size}, expected {num_bits}")
     return expr, bits
 
 

@@ -12,10 +12,10 @@ whole window this way, one reader per scan, and `eval_array`, which the
 statistics scan with, is the row of a one-configuration reader with no wire
 grounded.
 
-A read of one pass takes its signs from the (program, system)'s sign
-stream (see _SignStream), which keeps the last block of whole 64-clock
-words it drew; a read of several passes, such as every read of the
-statistics, draws each in place, counting flips on from the one before.
+A read is its sign rows, then the level routine: a read of one pass takes
+them from the (program, system)'s sign stream (see _SignStream), which keeps
+the last block of whole 64-clock words it drew; a wider one, such as every
+statistics read, draws each pass in place, counting flips on from the last.
 """
 
 from __future__ import annotations
@@ -314,13 +314,13 @@ class ConfigReader:
     unpacked to bits in one call and gathered at the wires' tags, so they
     take time and memory linear in wires x configurations; a reader of one
     configuration that grounds no tag in those bytes reads its signs as
-    drawn. A pass holds one matrix of rows x configurations x clocks per
-    dtype of the program. All configurations see the same draws: a read of
-    one pass takes the sign rows from the stream's block, a wider one draws
-    the first configuration's in place, and every configuration's sign rows
-    are those signs times its alive factors, one multiply. Each level
-    reduces its children, a view or one np.take per matrix they sit in,
-    into its rows.
+    drawn. A read takes its sign rows, then runs them through run, the one
+    level routine: one pass takes them from the stream's block, a wider read
+    draws each pass in place, into the first configuration's rows. run takes
+    any int8 wires x columns sign matrix (clocks or sign states), times each
+    configuration's alive factors, into one matrix of rows x configurations
+    x columns per dtype of the program, and reduces each level's children, a
+    view or one np.take per matrix they sit in, into its rows.
     """
 
     __slots__ = ("program", "system", "stream", "configs", "alive", "span")
@@ -344,14 +344,10 @@ class ConfigReader:
         """Exact values over clocks [t0, t0 + clocks), one row per
         configuration: configuration r reads ints[r, k] * 2**exp2 at clock
         t0 + k, ints being int64 or object by the program's static bound."""
-        program, configs = self.program, self.configs
-        source, root = program.root
-        wires = len(program.wires)
-        ints = np.empty((configs, clocks), dtype=program.dtype)
+        configs, stream = self.configs, self.stream
+        ints = np.empty((configs, clocks), dtype=self.program.dtype)
         width = max(1, min(self.span, clocks))
-        full = {dtype: np.empty((rows, configs, width), dtype=dtype)
-                for dtype, rows in program.matrices.items()}
-        stream = self.stream
+        full = self.matrices(width)
         if 0 < clocks <= self.span:  # one pass, n == clocks
             block = stream.window(self.system, t0, clocks)
         else:
@@ -363,41 +359,50 @@ class ConfigReader:
             mats = full if n == width else {
                 d: m.reshape(-1)[: len(m) * configs * n].reshape(len(m), configs, n)
                 for d, m in full.items()}
-            # every configuration sees the same draws, times its alive factors
-            signs, alive = mats[np.int8], self.alive
-            if block is not None:
-                if alive is None:
-                    signs[:wires] = block[:, None]
-                else:
-                    np.multiply(block[:, None], alive, out=signs[:wires])
-            else:
-                self.system.draw_sign_rows(signs[:wires, 0], stream.seeds, t0 + lo, start)
+            signs = block
+            if block is None:  # drawn in place, into configuration 0's rows
+                signs = mats[np.int8][: len(stream.seeds), 0]
+                self.system.draw_sign_rows(signs, stream.seeds, t0 + lo, start)
                 # the next pass counts flips from this one's last clock
-                start = (t0 + lo + n - 1, signs[:wires, 0, n - 1] > 0)
-                if alive is not None:
-                    np.multiply(signs[:wires, :1], alive, out=signs[:wires])
-            # a child's matrix may be wider than its reader's dtype, by a
-            # sibling's bound; its values still fit, so every cast is unsafe
-            for dtype, first, end, ufunc, arity, reads, weights in program.levels:
-                if len(reads) == 1:
-                    src, rows, _ = reads[0]
-                    kids = (mats[src][rows] if isinstance(rows, slice)
-                            else np.take(mats[src], rows, axis=0))
-                else:
-                    kids = np.empty((arity * (end - first), configs, n), dtype=dtype)
-                    for src, rows, places in reads:
-                        kids[places] = np.take(mats[src], rows, axis=0)
-                kids = kids.reshape(arity, end - first, configs, n)
-                if weights is not None:
-                    kids = np.multiply(kids, weights, dtype=dtype, casting="unsafe")
-                # one binary call skips the copy of kids[0] that reduce makes
-                if arity == 2:
-                    ufunc(kids[0], kids[1], out=mats[dtype][first:end], dtype=dtype,
-                          casting="unsafe")
-                else:
-                    ufunc.reduce(kids, axis=0, out=mats[dtype][first:end])
-            ints[:, lo : lo + n] = mats[source][root]
-        return ints, program.exp2
+                start = (t0 + lo + n - 1, signs[:, n - 1] > 0)
+            ints[:, lo : lo + n] = self.run(mats, signs)
+        return ints, self.program.exp2
+
+    def matrices(self, columns: int) -> Dict[object, np.ndarray]:
+        """Empty row matrices for run: rows x configurations x columns per dtype."""
+        return {dtype: np.empty((rows, self.configs, columns), dtype=dtype)
+                for dtype, rows in self.program.matrices.items()}
+
+    def run(self, mats: Dict[object, np.ndarray], signs: np.ndarray) -> np.ndarray:
+        """Each configuration's root row, a view of mats = matrices(columns),
+        over the columns of signs: the program's wire signs (int8, wires x
+        columns) at clocks or any sign states, times its alive factors."""
+        program, configs, n = self.program, self.configs, signs.shape[1]
+        if self.alive is None:
+            mats[np.int8][: len(signs), 0] = signs
+        else:
+            np.multiply(signs[:, None], self.alive, out=mats[np.int8][: len(signs)])
+        # a child's matrix may be wider than its reader's dtype, by a
+        # sibling's bound; its values still fit, so every cast is unsafe
+        for dtype, first, end, ufunc, arity, reads, weights in program.levels:
+            if len(reads) == 1:
+                src, rows, _ = reads[0]
+                kids = (mats[src][rows] if isinstance(rows, slice)
+                        else np.take(mats[src], rows, axis=0))
+            else:
+                kids = np.empty((arity * (end - first), configs, n), dtype=dtype)
+                for src, rows, places in reads:
+                    kids[places] = np.take(mats[src], rows, axis=0)
+            kids = kids.reshape(arity, end - first, configs, n)
+            if weights is not None:
+                kids = np.multiply(kids, weights, dtype=dtype, casting="unsafe")
+            # one binary call skips the copy of kids[0] that reduce makes
+            if arity == 2:
+                ufunc(kids[0], kids[1], out=mats[dtype][first:end], dtype=dtype,
+                      casting="unsafe")
+            else:
+                ufunc.reduce(kids, axis=0, out=mats[dtype][first:end])
+        return mats[program.root[0]][program.root[1]]
 
 
 @dataclass

@@ -70,24 +70,28 @@ class Pattern:
     mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mask = 0
+        seen = set()
         for idx, val in self.assignments:
             if idx < 1:
                 raise PatternError(f"bit index must be >= 1, got {idx}")
             if val not in (0, 1):
                 raise PatternError(f"bit value must be 0 or 1, got {val}")
-            if mask >> idx & 1:
+            if idx in seen:
                 raise PatternError(f"duplicate bit index {idx}")
-            mask |= 1 << idx
+            seen.add(idx)
+        # the mask's binary digits, highest first, convert in linear time
+        digits = bytearray(b"0") * (max(seen, default=0) + 1)
+        for idx in seen:
+            digits[-1 - idx] = ord("1")
         object.__setattr__(self, "assignments", tuple(sorted(self.assignments)))
-        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "mask", int(digits, 2))
 
     @classmethod
     def from_string(cls, bits: str) -> "Pattern":
         """Full pattern from a bit string; position i holds bit i (1-based)."""
-        if not bits or any(c not in "01" for c in bits):
+        if not bits or not set(bits) <= {"0", "1"}:
             raise PatternError(f"not a bit string: {bits!r}")
-        return cls(tuple((i + 1, int(c)) for i, c in enumerate(bits)))
+        return cls(tuple(zip(range(1, len(bits) + 1), map(int, bits))))
 
     @classmethod
     def fragments(cls, assignments: Mapping[int, int]) -> "Pattern":

@@ -8,7 +8,9 @@ the expression is certified (its compiled program's support is not None)
 and the pattern assigns every bit of that support: at most one
 product-string survives and no clock cancels it, so one read decides. Any
 other search reads tau clocks, at most BLOCK_CLOCKS since it holds them at
-once, and bounds a negative verdict by 2**-tau.
+once, and reports epsilon = 2**-tau beside a negative verdict: the miss rate
+if each clock cancels with probability 1/2, not a proven bound, since some
+fragment searches cancel more often.
 
 The searches make their switch actions first, recording each configuration
 as its wire mask (see switchboard), one int, and then read with
@@ -78,7 +80,7 @@ class SearchOutcome:
     clocks_observed: int
     witness_clock: Optional[int] = None
     amplitude: Optional[Dyadic] = None
-    epsilon: Optional[Dyadic] = None  # bound on false negatives, when bounded
+    epsilon: Optional[Dyadic] = None  # 2**-tau when bounded, not a proven bound
 
     @property
     def present(self) -> bool:
@@ -173,7 +175,8 @@ def fragment_search(
     A nonzero reading is an exact positive proof. If expr is certified and
     the pattern assigns every bit of its support, the reading at the live
     clock is exact either way. Otherwise the survivors can transiently
-    cancel, so after tau zero readings the verdict is Absent within 2**-tau.
+    cancel, so after tau zero readings the verdict is ABSENT_BOUNDED with
+    epsilon 2**-tau, which is not a proven bound (see the module docstring).
     The scan's live window holds the tau readings at once, so tau is at
     most BLOCK_CLOCKS (2**15), where 2**-tau is already below 2**-32768.
     """

@@ -127,6 +127,20 @@ def test_entangle_refuses_a_signal_outside_the_legal_classes(tmp_path, capsys, s
             f"error: {path}: the signal is none of the six legal two-bit classes\n")
 
 
+@pytest.mark.parametrize("text,size", [
+    ("R1_0 + R1_1\n", "has no 'bits M;' header and uses bit indices up to 1"),
+    ("R1_0*R2_0*R3_1\n", "has no 'bits M;' header and uses bit indices up to 3"),
+    ("bits 3;\nR1_0*R2_1 + R1_1*R2_0\n", "declares 3 bits"),
+])
+def test_entangle_of_another_size_names_where_its_size_came_from(tmp_path, capsys, text, size):
+    path = tmp_path / "one.nbl"
+    path.write_text(text)
+    assert main(["entangle", str(path), "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {size}, expected 2\n"
+
+
 def test_entangle_makes_one_library_call(tmp_path, capsys, monkeypatch, eq7_file):
     # the command's class check is entangle_discriminate's own: one call per
     # run, legal or not, with or without the oracle check, and the same

@@ -40,6 +40,7 @@ from inbl.reference import ReferenceSystem, RtwScheme, WireId
 from inbl.switchboard import SwitchState, ground_inverse
 
 from conftest import dags, random_canonical_expr, sum_of_strings, wire_mask
+from scalar_model import eval_at_sign_state, sign_states
 
 
 def test_eval_array_matches_scalar_evaluator():
@@ -473,6 +474,44 @@ def test_reader_masks_match_scalar_evaluator(shape, scheme, flip, seed, t, clock
             assert Dyadic(int(ints[r, k]), exp2) == evaluate(expr, system, t + k, masks[r])
     if len(masks) == 1 and not masks[0] & inside:  # it reads as un-grounded
         assert np.array_equal(ints[0], eval_array(expr, system, t, clocks)[0])
+
+
+@st.composite
+def _small_exprs(draw):
+    """(num_bits, expr) over at most 4 noise-bits: a random DAG, or a random
+    canonical expression, which more often reads 5 to 8 wires."""
+    if draw(st.booleans()):
+        m, expr, _ = draw(dags())
+        return m, expr
+    m = draw(st.integers(1, 4))
+    return m, random_canonical_expr(random.Random(draw(st.integers(0, 2**32))), m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=_small_exprs(),
+    scheme=st.sampled_from(RtwScheme),
+    masks=st.lists(st.frozensets(st.integers(2, 9)).map(lambda tags: sum(1 << t for t in tags)),
+                   min_size=1, max_size=4),
+)
+def test_run_over_every_sign_state_matches_the_oracle(shape, scheme, masks):
+    # the level routine reads any sign matrix: over all 2**W sign states of
+    # the program's W wires (at most 8), every configuration's root row is
+    # the expansion's value at each state
+    m, expr = shape
+    expansion = expand(expr, m)
+    if expansion.noncanonical:  # no evaluation identity is claimed
+        return
+    reader = ConfigReader(expr, ReferenceSystem(m, scheme), masks)
+    wires = reader.program.wires
+    signs = sign_states(len(wires))
+    rows = reader.run(reader.matrices(signs.shape[1]), signs)
+    assert rows.shape == (len(masks), 1 << len(wires))
+    for s, column in enumerate(signs.T.tolist()):
+        state = dict(zip(wires, column))
+        for r, mask in enumerate(masks):
+            assert Dyadic(int(rows[r, s]), reader.program.exp2) == eval_at_sign_state(
+                expansion, scheme, state, mask)
 
 
 def test_reader_alive_factors_take_memory_linear_in_wires():

@@ -49,6 +49,25 @@ def test_pattern_basics():
         Pattern.fragments({5: 1}).check_fits(4)
 
 
+def test_long_pattern_mask_and_its_errors():
+    m = 8192
+    bits = "".join(random.Random(5).choice("01") for _ in range(m))
+    pattern = Pattern.from_string(bits)
+    assert pattern.mask == (1 << m + 1) - 2 and str(pattern) == bits
+    every_seventh = {i: int(bits[i - 1]) for i in range(3, m + 1, 7)}
+    mask = 0
+    for i in every_seventh:
+        mask |= 1 << i
+    assert Pattern.fragments(every_seventh).mask == mask
+    # the first bad assignment raises, also near the end of a long pattern
+    with pytest.raises(PatternError, match=f"^duplicate bit index {m - 1}$"):
+        Pattern(pattern.assignments + ((m - 1, 0),))
+    with pytest.raises(PatternError, match="^bit value must be 0 or 1, got 2$"):
+        Pattern(pattern.assignments[:-1] + ((m, 2), (m - 1, 0)))
+    with pytest.raises(PatternError, match="^bit index must be >= 1, got 0$"):
+        Pattern(pattern.assignments[:-1] + ((0, 1), (m, 2)))
+
+
 def test_build_product_string():
     e = build_product_string(Pattern.from_string("1010"), 4)
     assert e == Product((ref(1, 1), ref(2, 0), ref(3, 1), ref(4, 0)))

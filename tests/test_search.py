@@ -1,9 +1,11 @@
 import gc
+import math
 import random
 import sys
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +45,7 @@ from inbl.search import (
 from inbl.switchboard import SwitchState, ground_inverse
 
 from conftest import EQ7_TEXT, EQ12_TEXT, EQ9_TEXT, dags, sum_of_strings, wire_mask
+from scalar_model import sign_states
 
 
 def test_ground_inverse_full_pattern():
@@ -219,6 +222,32 @@ def test_fragment_search_absent_is_bounded(eq9):
     assert out.clocks_observed == 6
     # oracle confirms there really is no matching string
     assert len(surviving(expand(eq9, 4), Pattern.fragments({1: 1, 2: 1}))) == 0
+
+
+def test_flip_half_fragment_miss_rate_is_the_exact_sign_state_rate():
+    # fragment 1=0 is present, but G, its grounded signal, is zero unless
+    # R2_0 agrees with R2_1 and R3_0 with R3_1: at 3 of 4 sign states. At
+    # flip 1/2 the clocks are independent, so a tau-clock search misses at
+    # rate P(G=0 | U!=0) * P(G=0)**(tau-1), counted over every sign state
+    expr = parse_dsl("R1_0*(R2_0+R2_1)*(R3_0+R3_1) + R1_1*R2_1*R3_1")
+    pattern, tau, runs = Pattern.fragments({1: 0}), 4, 2000
+    mask = ground_inverse(pattern, 3).mask
+    reader = ConfigReader(expr, ReferenceSystem(3, RtwScheme.SYMMETRIC), [0, mask])
+    signs = sign_states(len(reader.program.wires))
+    assert signs.shape == (6, 64)
+    u, g = reader.run(reader.matrices(64), signs)
+    live = u != 0
+    exact = (Fraction(int(np.count_nonzero(live & (g == 0))), int(np.count_nonzero(live)))
+             * Fraction(int(np.count_nonzero(g == 0)), 64) ** (tau - 1))
+    assert exact == Fraction(81, 256)
+    misses = 0
+    for seed in range(runs):
+        system = ReferenceSystem(3, RtwScheme.SYMMETRIC, master_seed=seed)
+        out = fragment_search(expr, system, pattern, tau=tau, t_start=1000)
+        assert out.verdict in (Verdict.PRESENT, Verdict.ABSENT_BOUNDED)
+        misses += out.verdict is Verdict.ABSENT_BOUNDED
+    sigma = math.sqrt(exact * (1 - exact) / runs)
+    assert abs(misses / runs - exact) <= 3 * sigma, misses
 
 
 def test_fragment_present_verdicts_have_nonempty_survivors(eq12):
