@@ -21,6 +21,7 @@ from typing import Optional, Tuple
 
 from . import experiments, oracle, phonebook
 from .dsl import parse_fragments, parse_program
+from .dyadic import Dyadic
 from .errors import IllegalClass, InblError
 from .expr import Expr, Pattern, build_product_string, build_universe, iter_wires
 from .reference import BLOCK_CLOCKS, ReferenceSystem, RtwScheme
@@ -161,7 +162,7 @@ def _cmd_entangle(args) -> Tuple[dict, int]:
     expr, bits = _load_expr(args.file, num_bits=2)
     system = _make_system(args, 2)
     try:
-        bell, trace = entangle_discriminate(expr, system, args.max_wait, 0, args.probe_partner)
+        bell, live = entangle_discriminate(expr, system, args.max_wait, 0, args.probe_partner)
     except IllegalClass as exc:  # a signal outside the legal classes: name its file
         raise InblError(f"{args.file}: {exc}") from None
     report = _base_report(
@@ -172,7 +173,9 @@ def _cmd_entangle(args) -> Tuple[dict, int]:
         },
     )
     report["bell_class"] = bell.value
-    report["trace"] = [step.to_json() for step in trace]
+    # the un-grounded signal, then the four probe configurations
+    report["live_clock"] = live.clock
+    report["readings"] = [Dyadic(int(x), live.exp2).to_json() for x in live.readings[:, 0]]
     if args.oracle_check:
         expected = oracle.legal_bell_class(oracle.expand(expr, 2))
         report["oracle_check"] = {"bell_class": expected.value, "agrees": expected is bell}

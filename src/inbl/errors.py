@@ -34,7 +34,7 @@ class MaxWaitExceeded(InblError):
 
 
 class IllegalClass(InblError):
-    """An entanglement trace is inconsistent with every legal two-bit class."""
+    """A two-bit signal, or its probe readings, match no legal class."""
 
 
 class OracleLimitExceeded(InblError):

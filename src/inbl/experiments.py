@@ -114,11 +114,11 @@ class _Program:
             else:
                 k = kids[i] = [position[id(factor)] for factor in node.factors]
                 floors, bounds, heights, parts = zip(*map(info.__getitem__, k))
-                disjoint = None not in parts and sum(parts).bit_count() == sum(
+                union = None if None in parts else sum(parts)
+                disjoint = union is not None and union.bit_count() == sum(
                     map(int.bit_count, parts))
                 h = 1 + max(heights)
-                info.append((sum(floors), math.prod(bounds), h,
-                             sum(parts) if disjoint else None))
+                info.append((sum(floors), math.prod(bounds), h, union if disjoint else None))
                 groups.setdefault((h, True, len(k)), []).append(i)
         self.exp2, self.bound, _, self.support = info[-1]
         self.dtype = np.int64 if self.bound < _INT64_LIMIT else object

@@ -7,12 +7,11 @@ key's side (the N name bits forward, the S number bits inverse), then probe
 the other side's wires one by one: grounding the survivor's own wire zeroes
 the signal, grounding the other wire of the same digit does nothing.
 
-Every reading of a lookup is taken at one frozen clock, so the switch
-actions are made first and each configuration they pass through is recorded
-as its wire mask (see switchboard), one int; `search.wait_for_live_clock`
-then reads the un-grounded signal, the collapse and every probe in one exact
-call per window of clocks, and the first clock where the un-grounded signal
-is nonzero is the one read.
+A lookup is the protocols' one step, `search._probe_at_live_clock`:
+collapse, probe, one read at the live clock. The wire draws stay frozen at
+that clock, so the switch actions come first and every configuration they
+pass through (the collapse, then each probed wire grounded on top of it) is
+read in one exact call per window of clocks, beside the un-grounded signal.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ from .errors import (
 from .dsl import parse_int
 from .expr import Expr, Pattern, Sum, build_product_string
 from .reference import ReferenceSystem, wire_id
-from .search import DEFAULT_MAX_WAIT, wait_for_live_clock
-from .switchboard import ground_inverse
+from .search import DEFAULT_MAX_WAIT, _probe_at_live_clock
 
 
 @dataclass(frozen=True)
@@ -114,22 +112,10 @@ def _collapse_and_probe(
         raise PatternError(
             f"system has {system.num_bits} bits, book needs {pb.spec.total_bits}"
         )
-    # grounded configurations: the collapse, then one per probed wire, each
-    # taken from real switch actions; the scan reads them as rows 1, 2, ...
-    # after the un-grounded row 0
     key_pattern = Pattern(tuple((key_offset + i + 1, int(c)) for i, c in enumerate(key)))
-    switches = ground_inverse(key_pattern, system.num_bits)
-    ops = switches.mask.bit_count()
-    configs = [switches.mask]
     probe_bits = range(probe_offset + 1, probe_offset + probe_width + 1)
-    for j in probe_bits:
-        for v in (0, 1):
-            wire = wire_id(j, v)
-            ops += switches.ground(wire)
-            configs.append(switches.mask)
-            switches.restore(wire)
-    # the wire draws freeze at the first clock where row 0 is nonzero
-    live = wait_for_live_clock(pb.expr, system, t_start, max_wait, configs)
+    probes = [wire_id(j, v) for j in probe_bits for v in (0, 1)]
+    live, ops = _probe_at_live_clock(pb.expr, system, [key_pattern], probes, max_wait, t_start)
     readings = live.readings[:, 0].tolist()
     if readings[1] == 0:
         raise absent(f"{key} is not in the book")
@@ -181,10 +167,20 @@ def parse_phonebook(text: str) -> PhonebookSpec:
     if m is None:
         raise ParseError("expected header 'names N; numbers S;'", header_no, 1)
     name_bits, number_bits = (parse_int(m.group(g), header, m.start(g), header_no) for g in (1, 2))
-    entries = []
+    # before any entry is checked against a width of 0
+    for g, width in ((1, name_bits), (2, number_bits)):
+        if width < 1:
+            raise ParseError("name_bits and number_bits must be >= 1", header_no, m.start(g) + 1)
+    entries = {}
     for n, line in lines[1:]:
         em = re.fullmatch(r"\s*([01]+)\s*->\s*([01]+)\s*", line)
         if em is None:
             raise ParseError(f"expected 'NAME -> NUMBER', found {line.strip()!r}", n, 1)
-        entries.append((em.group(1), em.group(2)))
-    return PhonebookSpec(name_bits, number_bits, tuple(entries))
+        # PhonebookSpec's own checks of an entry, at the entry's position
+        for g, kind, width in ((1, "name", name_bits), (2, "number", number_bits)):
+            if len(em.group(g)) != width:
+                raise ParseError(f"bad {kind} {em.group(g)!r} for {width} bits", n, em.start(g) + 1)
+        if em.group(1) in entries:
+            raise ParseError(f"name {em.group(1)} appears twice", n, em.start(1) + 1)
+        entries[em.group(1)] = em.group(2)
+    return PhonebookSpec(name_bits, number_bits, tuple(entries.items()))

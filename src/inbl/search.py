@@ -1,40 +1,42 @@
-"""Collapse measurement and the search routine built on it.
+"""Collapse measurement and the protocols built on it.
 
 Grounding the inverse wires of a pattern annihilates every product-string
 that disagrees with it, so a nonzero reading proves that a match exists.
-`fragment_search` is the one search routine; `full_string_search` is it
-with a pattern that assigns every bit. A zero reading is exact only when
-the expression is certified (its compiled program's support is not None)
-and the pattern assigns every bit of that support: at most one
-product-string survives and no clock cancels it, so one read decides. Any
-other search reads tau clocks, at most BLOCK_CLOCKS since it holds them at
-once, and reports epsilon = 2**-tau beside a negative verdict: the miss rate
-if each clock cancels with probability 1/2, not a proven bound, since some
-fragment searches cancel more often.
-
-The searches make their switch actions first, recording each configuration
-as its wire mask (see switchboard), one int, and then read with
-`wait_for_live_clock`, which scans windows from the clocks the search
+Every protocol is one step, `_probe_at_live_clock`: collapse, probe, one
+read at the live clock. Its switch actions come first, each configuration
+recorded as its wire mask (see switchboard), one int: per collapse pattern
+the inverse grounding, then each probe wire grounded on it and restored.
+`wait_for_live_clock` then scans windows from the clocks the protocol
 reads, each later window WINDOW_GROWTH times the one before up to one
-reader pass. Each window is one exact call to the search's one
+reader pass. Each window is one exact call to the protocol's one
 `experiments.ConfigReader` (the one window evaluator) for the un-grounded
-signal and the grounded configurations, reading on past its scan, so the
-live clock's window holds every reading of the search. A read of one pass
-copies its signs from the (expression, system)'s sign stream, whose block
-the previous search on the system has mostly drawn already. Entangle
-discrimination checks its signal's class on the oracle's 2-bit expansion
-and reads its four recorded probe configurations the same way. Amplitudes
-become `Dyadic` values only in the reported outcome, whose fields fix every
-reading: from the live clock, t_start + clocks_waited, the search read
-clocks_observed clocks, all exact zeros except a present's last, its
-amplitude at witness_clock.
+signal and the recorded configurations, reading on past its scan, so the
+live clock's window holds every reading. A read of one pass copies its
+signs from the (expression, system)'s sign stream, whose block the
+previous read on the system has mostly drawn already.
+
+`fragment_search` is the one search routine (one collapse, no probes);
+`full_string_search` is it with a pattern that assigns every bit. A zero
+reading is exact only when the expression is certified (its compiled
+program's support is not None) and the pattern assigns every bit of that
+support: at most one product-string survives and no clock cancels it, so
+one read decides. Any other search reads tau clocks, at most BLOCK_CLOCKS
+since it holds them at once, and reports epsilon = 2**-tau beside a
+negative verdict: the miss rate if each clock cancels with probability
+1/2, not a proven bound, since some fragment searches cancel more often.
+Amplitudes become `Dyadic` values only in the reported outcome, whose
+fields fix every reading: from the live clock, t_start + clocks_waited,
+the search read clocks_observed clocks, all exact zeros except a
+present's last, its amplitude at witness_clock. Entangle discrimination
+checks its signal's class on the oracle's 2-bit expansion, then collapses
+bit 1 onto each value and probes one bit-2 wire.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,8 +45,8 @@ from .errors import IllegalClass, MaxWaitExceeded
 from .experiments import ConfigReader, _program
 from .expr import Expr, Pattern
 from .oracle import BellClass, Expansion, expand, legal_bell_class
-from .reference import BLOCK_CLOCKS, ReferenceSystem, wire_id
-from .switchboard import SwitchState, ground_inverse
+from .reference import BLOCK_CLOCKS, ReferenceSystem, WireId, wire_id
+from .switchboard import ground_inverse
 
 DEFAULT_MAX_WAIT = 10_000
 DEFAULT_TAU = 64
@@ -52,24 +54,14 @@ DEFAULT_TAU = 64
 # depends on its width up to a pass, so fewer, wider windows find a sparse
 # signal's live clock for less
 WINDOW_GROWTH = 8
+# entangle's collapses of bit 1 onto 0 and onto 1
+_BIT1_COLLAPSES = (Pattern(((1, 0),)), Pattern(((1, 1),)))
 
 
 class Verdict(Enum):
     PRESENT = "present"
     ABSENT = "absent"
     ABSENT_BOUNDED = "absent_bounded"
-
-
-@dataclass
-class TraceStep:
-    action: str
-    amplitude: Optional[Dyadic] = None
-
-    def to_json(self) -> dict:
-        return {
-            "action": self.action,
-            "amplitude": None if self.amplitude is None else self.amplitude.to_json(),
-        }
 
 
 @dataclass
@@ -145,6 +137,38 @@ def wait_for_live_clock(
     raise MaxWaitExceeded(t_start, max_wait)
 
 
+def _probe_at_live_clock(
+    expr: Expr,
+    system: ReferenceSystem,
+    collapses: Sequence[Pattern],
+    probes: Sequence[WireId],
+    max_wait: int,
+    t_start: int,
+    reads: int = 1,
+) -> Tuple[LiveClock, int]:
+    """Collapse, probe, one read at the live clock: every protocol's step.
+
+    Per collapse pattern, ground its inverse wires and record the
+    configuration, then ground, record and restore each probe wire in turn
+    (a probe wire the collapse grounds stays grounded). The LiveClock reads
+    the recorded configurations as rows 1, 2, ... in that order, after the
+    un-grounded row 0. Returns it and the switch actions that changed the
+    state: each collapse's groundings and each probe that grounded a wire.
+    """
+    configs, ops = [], 0
+    for pattern in collapses:
+        switches = ground_inverse(pattern, system.num_bits)
+        configs.append(switches.mask)
+        ops += switches.mask.bit_count()
+        for wire in probes:
+            changed = switches.ground(wire)
+            configs.append(switches.mask)
+            if changed:
+                switches.restore(wire)
+            ops += changed
+    return wait_for_live_clock(expr, system, t_start, max_wait, configs, reads), ops
+
+
 def full_string_search(
     expr: Expr,
     system: ReferenceSystem,
@@ -182,11 +206,10 @@ def fragment_search(
     """
     if not 1 <= tau <= BLOCK_CLOCKS:
         raise ValueError(f"tau must be between 1 and {BLOCK_CLOCKS}, got {tau}")
-    switches = ground_inverse(pattern, system.num_bits)
     support = _program(expr, system.scheme).support
     exact = support is not None and not support & ~pattern.mask
     n = 1 if exact else tau
-    live = wait_for_live_clock(expr, system, t_start, max_wait, [switches.mask], n)
+    live, switch_ops = _probe_at_live_clock(expr, system, [pattern], (), max_wait, t_start, n)
     t, reads = live.clock, live.readings[1]
     hits = reads.nonzero()[0]
     present = len(hits) > 0
@@ -194,7 +217,7 @@ def fragment_search(
     verdict = Verdict.PRESENT if present else Verdict.ABSENT if exact else Verdict.ABSENT_BOUNDED
     return SearchOutcome(
         verdict=verdict,
-        switch_ops=switches.mask.bit_count(),
+        switch_ops=switch_ops,
         clocks_waited=t - t_start,
         clocks_observed=observed,
         witness_clock=t + observed - 1 if present else None,
@@ -209,7 +232,7 @@ def entangle_discriminate(
     max_wait: int = DEFAULT_MAX_WAIT,
     t_start: int = 0,
     probe_partner_value: int = 0,
-) -> Tuple[BellClass, List[TraceStep]]:
+) -> Tuple[BellClass, LiveClock]:
     """Identify which of the six legal two-bit configurations a signal is.
 
     expr must expand to one of the six legal classes (coefficient 1 on each
@@ -218,10 +241,11 @@ def entangle_discriminate(
     name a wrong class on some seeds. The check is the oracle's 2-bit
     expansion, at most 9 monomials per node, so O(nodes).
 
-    All probing happens inside one live clock; groundings are applied and
-    reverted freely while the wire draws stay frozen. probe_partner_value
-    selects which bit-2 wire the second-step probe grounds (the two variants
-    give identical verdicts).
+    All probing happens inside one live clock: per bit-1 value v the
+    collapse 1=v grounds R1_(1-v), and the probe also grounds R2_p, where
+    probe_partner_value selects p (the two variants give identical
+    verdicts). Returns the class and the LiveClock, whose rows 1-4 read the
+    collapse 1=0, it with R2_p, the collapse 1=1 and it with R2_p.
     """
     if system.num_bits != 2:
         raise ValueError("entanglement discrimination is defined for 2 noise-bits")
@@ -229,39 +253,16 @@ def entangle_discriminate(
         raise ValueError("probe_partner_value must be 0 or 1")
     if legal_bell_class(expand(expr, 2)) is None:
         raise IllegalClass("the signal is none of the six legal two-bit classes")
-    # the switch actions come first: per bit-1 value v, ground R1_(1-v) and
-    # then R2_p, recording each configuration; the scan reads all four at
-    # the live clock as rows 1-4, after the un-grounded row 0
-    partner_wire = wire_id(2, probe_partner_value)
-    switches = SwitchState()
-    configs = []
-    for bit1_value in (0, 1):
-        side_wire = wire_id(1, 1 - bit1_value)
-        switches.ground(side_wire)
-        configs.append(switches.mask)
-        switches.ground(partner_wire)
-        configs.append(switches.mask)
-        switches.restore(partner_wire)
-        switches.restore(side_wire)
-    live = wait_for_live_clock(expr, system, t_start, max_wait, configs)
-    reads = [Dyadic(int(x), live.exp2) for x in live.readings[1:5, 0]]
-    trace = [TraceStep(f"live clock found at t={live.clock}")]
-    # per bit-1 value: does a string with that value exist, and if so, which
-    # bit-2 value is entangled with it?
-    found: List[Optional[int]] = []
-    for bit1_value in (0, 1):
-        side, both = reads[2 * bit1_value : 2 * bit1_value + 2]
-        trace.append(TraceStep(f"grounded R1_{1 - bit1_value}, read", side))
-        if side.is_zero():
-            found.append(None)
-            continue
-        trace.append(TraceStep(f"also grounded R2_{probe_partner_value}, read", both))
-        trace.append(TraceStep("restored all wires"))
-        found.append(probe_partner_value if both.is_zero() else 1 - probe_partner_value)
+    partner = [wire_id(2, probe_partner_value)]
+    live, _ = _probe_at_live_clock(expr, system, _BIT1_COLLAPSES, partner, max_wait, t_start)
+    # per bit-1 value: None when no string has it, else the bit-2 value
+    # entangled with it, p if grounding R2_p zeroes the collapse, else 1-p
+    found = [None if not side else probe_partner_value ^ bool(both)
+             for side, both in live.readings[1:5, 0].reshape(2, 2).tolist()]
     strings = {f"{v}{b}" for v, b in enumerate(found) if b is not None}
     cls = legal_bell_class(Expansion(dict.fromkeys(strings, 1), 2))
     if cls is None:
         raise IllegalClass(
-            f"probe trace (bit1=0 -> {found[0]}, bit1=1 -> {found[1]}) matches no legal class"
+            f"probe readings (bit1=0 -> {found[0]}, bit1=1 -> {found[1]}) match no legal class"
         )
-    return cls, trace
+    return cls, live

@@ -1,4 +1,5 @@
 import random
+from operator import mul
 
 import pytest
 from hypothesis import strategies as st
@@ -105,7 +106,9 @@ def dags(draw):
     carries a 2**70 coefficient, whose bound passes 2**63."""
     m = draw(st.integers(1, 4))
     nodes = [ref(i, v) for i in range(1, m + 1) for v in (0, 1)]
-    coeff = st.one_of(st.integers(-3, 3), st.integers(-(2**40), 2**40)).filter(bool)
+    # a sign times a nonzero magnitude: every draw is a nonzero coefficient
+    coeff = st.builds(mul, st.sampled_from((1, -1)),
+                      st.one_of(st.integers(1, 3), st.integers(1, 2**40)))
     for _ in range(draw(st.integers(1, 8))):
         kids = draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=4))
         if draw(st.booleans()):

@@ -3,8 +3,10 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,9 @@ from hypothesis import strategies as st
 
 import inbl
 from inbl.cli import main
+from inbl.dsl import parse_dsl
+from inbl.expr import evaluate
+from inbl.reference import ReferenceSystem, RtwScheme, WireId
 
 from conftest import EQ12_TEXT, EQ7_TEXT, EQ9_TEXT
 
@@ -111,6 +116,26 @@ def test_entangle(capsys, eq7_file):
     assert code == 0
     assert report["bell_class"] == "S01+10"
     assert report["oracle_check"]["agrees"] is True
+
+
+@pytest.mark.parametrize("partner", [0, 1])
+def test_entangle_report_states_the_live_clock_and_five_readings(capsys, eq7_file, partner):
+    argv = ["entangle", eq7_file, "--scheme", "sym", "--seed", "9", "--probe-partner", str(partner)]
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    assert set(report) == {"command", "subcommand", "seed", "parameters", "bell_class",
+                           "live_clock", "readings", "duration_s"}
+    # the un-grounded signal, then per bit-1 value v R1_(1-v) grounded,
+    # without and with R2_p, each read by the scalar evaluator
+    system = ReferenceSystem(2, RtwScheme.SYMMETRIC, master_seed=9)
+    t = report["live_clock"]
+    assert type(t) is int and not evaluate(parse_dsl(EQ7_TEXT), system, t).is_zero()
+    configs = [0]
+    for v in (0, 1):
+        side = 1 << WireId(1, 1 - v).tag
+        configs += [side, side | 1 << WireId(2, partner).tag]
+    assert report["readings"] == [
+        evaluate(parse_dsl(EQ7_TEXT), system, t, mask).to_json() for mask in configs]
 
 
 @pytest.mark.parametrize("seed", range(1, 6))
@@ -231,6 +256,19 @@ def test_lookup_unequal_widths(capsys, tmp_path, cmd, flag, key, result, cost):
     assert code == 0
     assert report["result"] == result == report["oracle_check"]["expected"]
     assert report["switch_ops"] == cost == report["switching_cost"]
+
+
+@pytest.mark.parametrize("text, error", [
+    ("names 2; numbers 2;\n00 -> 10\n  011 -> 11\n", "3:3: bad name '011' for 2 bits"),
+    ("names 2; numbers 2;\n00 -> 10\n01 -> 11\n 00 -> 01\n", "4:2: name 00 appears twice"),
+], ids=["width", "repeat"])
+def test_a_bad_phonebook_entry_exits_2_at_its_position(tmp_path, capsys, text, error):
+    path = tmp_path / "bad.pb"
+    path.write_text(text)
+    assert main(["lookup", str(path), "--name", "00"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
 
 
 def test_lookup_absent_name_errors(capsys, book_file):
@@ -596,3 +634,18 @@ def test_import_builds_no_parser():
                           text=True, check=True)
     (zero, built), (_, again) = (map(int, line.split()) for line in done.stdout.splitlines())
     assert zero == 0 and built > 0 and again == built
+
+
+def test_every_readme_usage_line_parses():
+    # the README's usage block: each `inbl ...` line is parsed, not run, so a
+    # renamed or removed flag fails here; the block covers every subcommand
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("inbl ")]
+    parser = inbl.cli.build_parser()
+    commands = set()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        commands.add(args.cmd)
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert commands == set(subparsers.choices)

@@ -166,6 +166,29 @@ def test_parse_phonebook_file():
 
 
 
+@pytest.mark.parametrize("entry, message, column", [
+    ("  011 -> 10", "bad name '011' for 2 bits", 3),
+    ("01 -> 1", "bad number '1' for 2 bits", 7),
+    (" 10 -> 01", "name 10 appears twice", 2),
+])
+def test_a_bad_entry_is_an_error_at_its_line_and_column(entry, message, column):
+    with pytest.raises(ParseError) as caught:
+        parse_phonebook(f"names 2; numbers 2;\n10 -> 11\n# a comment\n{entry}\n")
+    assert str(caught.value) == f"4:{column}: {message}"
+    # the library's own spec keeps its own errors
+    with pytest.raises(DuplicateName if "twice" in message else PatternError, match=message):
+        PhonebookSpec(2, 2, (("10", "11"), tuple(entry.strip().split(" -> "))))
+
+
+@pytest.mark.parametrize("header, column", [
+    ("names 0; numbers 2;", 7), ("names 1; numbers  00;", 19),
+], ids=["names", "numbers"])
+def test_a_zero_width_is_an_error_at_its_token_before_any_entry(header, column):
+    with pytest.raises(ParseError) as caught:
+        parse_phonebook(f"{header}\n0 -> 01\n")
+    assert str(caught.value) == f"1:{column}: name_bits and number_bits must be >= 1"
+
+
 @pytest.mark.parametrize("header, column", [
     (f"names {'9' * 5000}; numbers 2;", 9), (f"names 2; numbers {'9' * 5000};", 20),
 ], ids=["names", "numbers"])

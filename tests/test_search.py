@@ -35,8 +35,8 @@ from inbl.search import (
     DEFAULT_TAU,
     BellClass,
     SearchOutcome,
-    TraceStep,
     Verdict,
+    _probe_at_live_clock,
     entangle_discriminate,
     fragment_search,
     full_string_search,
@@ -161,6 +161,44 @@ def test_wait_for_live_clock_dead_superposition():
         wait_for_live_clock(dead, system, 0, 50)
 
 
+@settings(max_examples=150, deadline=None)
+@given(dag=dags(), scheme=st.sampled_from(RtwScheme), data=st.data())
+def test_probe_at_live_clock_reads_each_recorded_configuration(dag, scheme, data):
+    m, expr, _ = dag
+    bit = st.integers(1, m)
+    collapses = data.draw(st.lists(
+        st.dictionaries(bit, st.integers(0, 1)).map(Pattern.fragments), min_size=1, max_size=3))
+    probes = data.draw(st.lists(st.builds(WireId, bit, st.integers(0, 1)), max_size=4))
+    if collapses[0].assignments:
+        # a probe wire the first collapse already grounds: it stays grounded
+        i, v = collapses[0].assignments[0]
+        probes.insert(0, WireId(i, 1 - v))
+    seed, t_start, reads = data.draw(st.tuples(st.integers(0, 2**32), st.integers(0, 100),
+                                               st.integers(1, 4)))
+    system = ReferenceSystem(m, scheme, master_seed=seed)
+    # the recorded configurations by their definition, in recording order,
+    # and the switch actions that change the state
+    masks, want_ops = [], 0
+    for pattern in collapses:
+        collapse = sum(1 << WireId(i, 1 - v).tag for i, v in pattern.assignments)
+        masks.append(collapse)
+        want_ops += len(pattern)
+        for wire in probes:
+            masks.append(collapse | 1 << wire.tag)
+            want_ops += not collapse >> wire.tag & 1
+    try:
+        live, ops = _probe_at_live_clock(expr, system, collapses, probes, 30, t_start, reads)
+    except MaxWaitExceeded:
+        assert all(evaluate(expr, system, t).is_zero() for t in range(t_start, t_start + 31))
+        return
+    assert all(evaluate(expr, system, t).is_zero() for t in range(t_start, live.clock))
+    assert ops == want_ops
+    assert live.readings.shape == (1 + len(masks), reads)
+    for row, mask in zip(live.readings, [0, *masks]):
+        got = [Dyadic(int(x), live.exp2) for x in row]
+        assert got == [evaluate(expr, system, live.clock + k, mask) for k in range(reads)]
+
+
 def test_collapse_measure_eq9(eq9):
     system = ReferenceSystem(4, master_seed=5)
     hit = full_string_search(eq9, system, Pattern.from_string("1010"))
@@ -282,14 +320,14 @@ def bell_expr(cls):
 def test_entangle_eq7_step_i_amplitude():
     expr = parse_dsl("R1_0*R2_1 + R1_1*R2_0")
     system = ReferenceSystem(2, master_seed=13)
-    cls, trace = entangle_discriminate(expr, system)
+    cls, live = entangle_discriminate(expr, system)
     assert cls is BellClass.S01_PLUS_10
-    # step i grounds R1_1; the reading equals the single surviving product
-    t = wait_for_live_clock(expr, system, 0, 1000).clock
+    # step i grounds R1_1 (row 1); the reading equals the single surviving product
+    assert live.clock == wait_for_live_clock(expr, system, 0, 1000).clock
     survivor = build_product_string(Pattern.from_string("01"), 2)
-    step_i = next(s for s in trace if s.action.startswith("grounded R1_1"))
-    assert step_i.amplitude == evaluate(survivor, system, t)
-    assert not step_i.amplitude.is_zero()
+    step_i = Dyadic(int(live.readings[1, 0]), live.exp2)
+    assert step_i == evaluate(survivor, system, live.clock)
+    assert not step_i.is_zero()
 
 
 @pytest.mark.parametrize("cls", list(BELL_STRINGS))
@@ -452,7 +490,9 @@ BELL_BY_PROBES = {
 
 def scalar_entangle(expr, system, max_wait, t_start, probe_partner_value):
     """Reference for entangle_discriminate: the oracle's precondition, a
-    scalar wait, then one scalar evaluate per probe at the live clock."""
+    scalar wait, then one scalar evaluate per configuration at the live
+    clock: the un-grounded signal, then per bit-1 value v R1_(1-v) grounded,
+    without and with R2_p. Returns (class, clock, the five readings)."""
     if legal_bell_class(expand(expr, 2)) is None:
         raise IllegalClass("the signal is none of the six legal two-bit classes")
     for t in range(t_start, t_start + max_wait + 1):
@@ -460,38 +500,39 @@ def scalar_entangle(expr, system, max_wait, t_start, probe_partner_value):
             break
     else:
         raise MaxWaitExceeded(t_start, max_wait)
-    trace = [TraceStep(f"live clock found at t={t}")]
-
-    def probe_side(bit1_value):
+    readings = [evaluate(expr, system, t)]
+    found = []
+    for bit1_value in (0, 1):
         switches = SwitchState()
         switches.ground(WireId(1, 1 - bit1_value))
-        amp = evaluate(expr, system, t, switches.mask)
-        trace.append(TraceStep(f"grounded R1_{1 - bit1_value}, read", amp))
-        if amp.is_zero():
-            return None
+        side = evaluate(expr, system, t, switches.mask)
         switches.ground(WireId(2, probe_partner_value))
-        amp2 = evaluate(expr, system, t, switches.mask)
-        trace.append(TraceStep(f"also grounded R2_{probe_partner_value}, read", amp2))
-        trace.append(TraceStep("restored all wires"))
-        return probe_partner_value if amp2.is_zero() else 1 - probe_partner_value
-
-    found0 = probe_side(0)
-    found1 = probe_side(1)
-    cls = BELL_BY_PROBES.get((found0, found1))
+        both = evaluate(expr, system, t, switches.mask)
+        readings += [side, both]
+        if side.is_zero():
+            found.append(None)
+        else:
+            found.append(probe_partner_value if both.is_zero() else 1 - probe_partner_value)
+    cls = BELL_BY_PROBES.get(tuple(found))
     if cls is None:
         raise IllegalClass(
-            f"probe trace (bit1=0 -> {found0}, bit1=1 -> {found1}) matches no legal class"
+            f"probe readings (bit1=0 -> {found[0]}, bit1=1 -> {found[1]}) match no legal class"
         )
-    return cls, trace
+    return cls, t, readings
+
+
+def windowed_entangle(expr, system, max_wait, t_start, partner):
+    cls, live = entangle_discriminate(expr, system, max_wait, t_start, partner)
+    assert live.readings.shape == (5, 1)
+    return cls, live.clock, [Dyadic(int(x), live.exp2) for x in live.readings[:, 0]]
 
 
 def entangle_result(run, expr, system, max_wait, t_start, partner):
-    """(class, trace as JSON), or (exception type, message)."""
+    """(class, live clock, the five readings), or (exception type, message)."""
     try:
-        cls, trace = run(expr, system, max_wait, t_start, partner)
+        return run(expr, system, max_wait, t_start, partner)
     except (IllegalClass, MaxWaitExceeded) as exc:
         return type(exc), str(exc)
-    return cls, [step.to_json() for step in trace]
 
 
 two_bit_terms = st.lists(
@@ -519,7 +560,7 @@ def test_entangle_matches_scalar_reference(terms, scheme, flip, seed, t_start, m
     expr = Sum(tuple((c, build_product_string(Pattern.from_string(s), 2)) for s, c in terms))
     make_system = lambda: ReferenceSystem(2, scheme, master_seed=seed, flip_prob=flip)
     want = entangle_result(scalar_entangle, expr, make_system(), max_wait, t_start, partner)
-    got = entangle_result(entangle_discriminate, expr, make_system(), max_wait, t_start, partner)
+    got = entangle_result(windowed_entangle, expr, make_system(), max_wait, t_start, partner)
     assert got == want
 
 
