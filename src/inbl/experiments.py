@@ -8,20 +8,22 @@ size. It runs an (expression, scheme)'s cached program (see _Program) level
 by level over switch configurations x a window of clocks, in passes of at
 most PASS_BYTES; a configuration is a wire mask (see switchboard). Every
 protocol reads the un-grounded signal, the collapse and the probes of a
-whole window this way, one reader per scan, and `eval_array`, which the
-statistics scan with, is the row of a one-configuration reader with no wire
-grounded.
+whole window this way, one reader per scan; `eval_array` is the row of a
+one-configuration reader with no wire grounded. The statistics fold each
+pass's root row as it comes (ConfigReader.passes), carrying the open zero
+run or the exact correlation sums on, so they hold one pass at any window.
 
 A read is its sign rows, then the level routine: a read of one pass takes
 them from the (program, system)'s sign stream (see _SignStream), which keeps
-the last block of whole 64-clock words it drew; a wider one, such as every
-statistics read, draws each pass in place, counting flips on from the last.
+the last block of whole 64-clock words it drew; a wider one, and every
+statistics pass, draws each pass in place, counting flips on from the last.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -314,9 +316,9 @@ class ConfigReader:
     unpacked to bits in one call and gathered at the wires' tags, so they
     take time and memory linear in wires x configurations; a reader of one
     configuration that grounds no tag in those bytes reads its signs as
-    drawn. A read takes its sign rows, then runs them through run, the one
-    level routine: one pass takes them from the stream's block, a wider read
-    draws each pass in place, into the first configuration's rows. run takes
+    drawn. A read of one pass takes its sign rows from the stream's block;
+    passes, which wider reads and the statistics use, draws them in place;
+    both run them through run, the one level routine. run takes
     any int8 wires x columns sign matrix (clocks or sign states), times each
     configuration's alive factors, into one matrix of rows x configurations
     x columns per dtype of the program, and reduces each level's children, a
@@ -344,29 +346,32 @@ class ConfigReader:
         """Exact values over clocks [t0, t0 + clocks), one row per
         configuration: configuration r reads ints[r, k] * 2**exp2 at clock
         t0 + k, ints being int64 or object by the program's static bound."""
-        configs, stream = self.configs, self.stream
-        ints = np.empty((configs, clocks), dtype=self.program.dtype)
-        width = max(1, min(self.span, clocks))
-        full = self.matrices(width)
-        if 0 < clocks <= self.span:  # one pass, n == clocks
-            block = stream.window(self.system, t0, clocks)
+        ints = np.empty((self.configs, clocks), dtype=self.program.dtype)
+        if 0 < clocks <= self.span:  # one pass, from the stream's block
+            ints[:] = self.run(self.matrices(clocks), self.stream.window(self.system, t0, clocks))
         else:
-            block, start = None, stream.origin(t0)
-        for lo in range(0, clocks, width):
-            n = min(width, clocks - lo)
+            for lo, row in zip(range(0, clocks, self.span), self.passes(t0, clocks)):
+                ints[:, lo : lo + row.shape[1]] = row
+        return ints, self.program.exp2
+
+    def passes(self, t0: int, clocks: int, width: int = 0):
+        """Each configuration's root row (see run) over clocks [t0, t0 +
+        clocks) in passes of width clocks (default span), the last shorter,
+        each a view that the next overwrites. A pass draws its signs in place,
+        into configuration 0's rows, counting flips on from the pass before."""
+        seeds, width = self.stream.seeds, max(1, min(width or self.span, clocks))
+        full, start = self.matrices(width), self.stream.origin(t0)
+        for lo in range(t0, t0 + clocks, width):
+            n = min(width, t0 + clocks - lo)
             # a short final pass uses the contiguous front of each matrix: a
             # reduce into a strided [:, :, :n] view takes numpy's slow path
             mats = full if n == width else {
-                d: m.reshape(-1)[: len(m) * configs * n].reshape(len(m), configs, n)
+                d: m.reshape(-1)[: len(m) * self.configs * n].reshape(len(m), self.configs, n)
                 for d, m in full.items()}
-            signs = block
-            if block is None:  # drawn in place, into configuration 0's rows
-                signs = mats[np.int8][: len(stream.seeds), 0]
-                self.system.draw_sign_rows(signs, stream.seeds, t0 + lo, start)
-                # the next pass counts flips from this one's last clock
-                start = (t0 + lo + n - 1, signs[:, n - 1] > 0)
-            ints[:, lo : lo + n] = self.run(mats, signs)
-        return ints, self.program.exp2
+            signs = mats[np.int8][: len(seeds), 0]
+            self.system.draw_sign_rows(signs, seeds, lo, start)
+            start = (lo + n - 1, signs[:, n - 1] > 0)
+            yield self.run(mats, signs)
 
     def matrices(self, columns: int) -> Dict[object, np.ndarray]:
         """Empty row matrices for run: rows x configurations x columns per dtype."""
@@ -435,18 +440,40 @@ class ZeroStats:
 def run_zero_stats(
     expr: Expr, system: ReferenceSystem, clocks: int, t_start: int = 0
 ) -> ZeroStats:
-    """Fraction of zero-amplitude clocks and histogram of zero run lengths."""
+    """Fraction of zero-amplitude clocks and histogram of zero run lengths,
+    folded pass by pass: a run still open at a pass's end is carried on."""
     if clocks < 1:
         raise ValueError(f"clocks must be >= 1, got {clocks}")
-    ints, _ = eval_array(expr, system, t_start, clocks)
-    zero = ints == 0
-    zero_clocks = int(np.count_nonzero(zero))
-    # the mask changes value where a zero run starts or ends, alternately
-    edges = np.flatnonzero(np.diff(zero, prepend=False, append=False))
-    lengths = edges[1::2] - edges[::2]
-    counts = np.bincount(lengths)
-    histogram = {int(k): int(counts[k]) for k in np.flatnonzero(counts)}
-    return ZeroStats(clocks, zero_clocks, zero_clocks / clocks, histogram)
+    reader = ConfigReader(expr, system, [0])
+    # run edges take up to 8 bytes a clock: passes of at most PASS_BYTES / 16
+    # clocks keep them in cache, where wider ones were page-faulted afresh
+    width = min(reader.span, PASS_BYTES >> 4, clocks)
+    # zero[0] is the clock before the pass; the mask changes value where a
+    # zero run starts or ends, alternately
+    zero, change = np.zeros(width + 1, dtype=bool), np.empty(width, dtype=bool)
+    counts = np.zeros(0, dtype=np.intp)  # runs within a pass, by length
+    histogram: Counter = Counter()  # runs through a pass's end, then all
+    start = None  # the open run's first clock, from t_start
+    for lo, (row,) in zip(range(0, clocks, width), reader.passes(t_start, clocks, width)):
+        n = len(row)
+        np.equal(row, 0, out=zero[1 : n + 1])
+        edges = np.flatnonzero(np.not_equal(zero[1 : n + 1], zero[:n], out=change[:n]))
+        zero[0] = zero[n]
+        if start is not None and len(edges):  # the open run ends
+            histogram[lo + int(edges[0]) - start] += 1
+            start, edges = None, edges[1:]
+        if len(edges) % 2:  # the last run stays open
+            start, edges = lo + int(edges[-1]), edges[:-1]
+        if len(edges):
+            more = np.bincount(edges[1::2] - edges[::2], minlength=len(counts))
+            more[: len(counts)] += counts
+            counts = more
+    if start is not None:
+        histogram[clocks - start] += 1
+    lengths = np.flatnonzero(counts)
+    histogram.update(dict(zip(lengths.tolist(), counts[lengths].tolist())))
+    zero_clocks = sum([k * c for k, c in histogram.items()])
+    return ZeroStats(clocks, zero_clocks, zero_clocks / clocks, dict(sorted(histogram.items())))
 
 
 def run_crosscorr(
@@ -457,30 +484,41 @@ def run_crosscorr(
     t_start: int = 0,
 ) -> float:
     """Empirical cross-correlation (1/T) sum a*b, normalized by the signals'
-    root-mean-square amplitudes. Signals equal over the window give exactly 1.0."""
+    root-mean-square amplitudes. Signals equal over the window give exactly 1.0.
+    The exact sums are folded over both signals' passes in lockstep."""
     if clocks < 1:
         raise ValueError(f"clocks must be >= 1, got {clocks}")
-    a, exp2_a = eval_array(expr_a, system, t_start, clocks)
-    b, exp2_b = eval_array(expr_b, system, t_start, clocks)
-    bound_a = _program(expr_a, system.scheme).bound
-    bound_b = _program(expr_b, system.scheme).bound
-    # the 2**exp2 scales cancel in the normalized ratio
-    norm_a = math.sqrt(_dot(a, a, bound_a, bound_a) / clocks)
-    norm_b = math.sqrt(_dot(b, b, bound_b, bound_b) / clocks)
+    ra, rb = ConfigReader(expr_a, system, [0]), ConfigReader(expr_b, system, [0])
+    p, q, width = ra.program, rb.program, min(ra.span, rb.span)
+    aa = bb = ab = 0
+    equal = p.exp2 == q.exp2
+    for (a,), (b,) in zip(ra.passes(t_start, clocks, width), rb.passes(t_start, clocks, width)):
+        aa += _dot(a, a, p.bound, p.bound)
+        bb += _dot(b, b, q.bound, q.bound)
+        ab += _dot(a, b, p.bound, q.bound)
+        equal = equal and np.array_equal(a, b)
+    # the 2**exp2 scales cancel in the normalized ratio, and so does a common
+    # scale: an even power of two keeps the float steps exact where the
+    # sums' quotients by clocks alone would pass the float range
+    over = max(aa, bb).bit_length() - clocks.bit_length() - 1000
+    scale = clocks << ((max(0, over) + 1) & -2)
+    norm_a = math.sqrt(aa / scale)
+    norm_b = math.sqrt(bb / scale)
     if norm_a == 0.0 or norm_b == 0.0:
         raise ValueError("cross-correlation of a zero-variance signal")
-    if exp2_a == exp2_b and np.array_equal(a, b):
+    if equal:
         return 1.0
-    return (_dot(a, b, bound_a, bound_b) / clocks) / (norm_a * norm_b)
+    return (ab / scale) / (norm_a * norm_b)
 
 
 def _dot(x: np.ndarray, y: np.ndarray, bound_x: int, bound_y: int) -> int:
-    """Exact sum of x * y over two integer arrays from eval_array, whose
-    entries are at most bound_x and bound_y in magnitude."""
-    if x.dtype == np.int64 and y.dtype == np.int64:
+    """Exact sum of x * y over two integer rows, whose entries are at most
+    bound_x and bound_y in magnitude. A row narrower than int64 is summed in
+    int64 without a copy."""
+    if x.dtype != object and y.dtype != object:
         if (len(x) * bound_x * bound_y < _INT64_LIMIT
                 or len(x) * int(np.abs(x).max()) * int(np.abs(y).max()) < _INT64_LIMIT):
-            return int(np.dot(x, y))
+            return int(np.einsum("i,i", x, y, dtype=np.int64))
     return int(np.dot(x.astype(object), y.astype(object)))
 
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -323,6 +324,38 @@ def test_crosscorr_files_of_unequal_width(capsys, tmp_path):
     assert code == 0
     assert report["parameters"]["bits"] == 3
     assert report["parameters"]["signals"] == [str(a), str(b)]
+
+
+@pytest.mark.parametrize("argv, pinned, digest", [
+    (["zero-stats", "--bits", "4", "--scheme", "sym", "--flip-prob", "1/8",
+      "--clocks", "300000", "--seed", "5"],
+     {"zero_clocks": 281238, "bins": 168, "longest": 247},
+     "257f48d2174f02869b270da6cd18e7439954ae88824f75f5a0eee1e6abd8963b"),
+    (["crosscorr", "--strings", "10110100,01101001", "--clocks", "300001", "--seed", "3"],
+     {"estimate": "-0.0011433295222349259"},
+     "127521a85246a49b86bb96f20b2fd800b6d8eb515fa0513f49b19104d8761772"),
+], ids=["zero-stats", "crosscorr"])
+def test_statistics_reports_are_pinned(capsys, argv, pinned, digest):
+    # windows of several passes; the digest covers the whole report but its duration
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    del report["duration_s"]
+    if "zero_stats" in report:
+        histogram = report["zero_stats"]["waiting_time_histogram"]
+        assert {"zero_clocks": report["zero_stats"]["zero_clocks"], "bins": len(histogram),
+                "longest": max(map(int, histogram))} == pinned
+    else:
+        assert {"estimate": repr(report["estimate"])} == pinned
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_crosscorr_of_1000_bit_files_reads_past_the_float_range(capsys, tmp_path):
+    u, even = tmp_path / "u1000.nbl", tmp_path / "e1000.nbl"
+    u.write_text("bits 1000;\nU\n")
+    even.write_text("bits 1000;\nEVEN\n")
+    code, report = run_json(capsys, ["crosscorr", str(u), str(even), "--clocks", "10"])
+    assert code == 0
+    assert -1.0 <= report["estimate"] < -0.99
 
 
 @pytest.mark.parametrize("args, message", [

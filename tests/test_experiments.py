@@ -310,6 +310,141 @@ def test_crosscorr_zero_variance_rejected():
         run_crosscorr(dead, p, system, 10_000)
 
 
+def _zero_stats_of_the_whole_window(expr, system, clocks, t_start):
+    """zero_clocks and histogram from one whole-window read."""
+    ints, _ = eval_array(expr, system, t_start, clocks)
+    zero = ints == 0
+    edges = np.flatnonzero(np.diff(zero, prepend=False, append=False))
+    counts = np.bincount(edges[1::2] - edges[::2])
+    return int(np.count_nonzero(zero)), {int(k): int(counts[k]) for k in np.flatnonzero(counts)}
+
+
+def _crosscorr_of_the_whole_window(expr_a, expr_b, system, clocks, t_start):
+    """The estimate from two whole-window reads and Python-int sums."""
+    a, exp2_a = eval_array(expr_a, system, t_start, clocks)
+    b, exp2_b = eval_array(expr_b, system, t_start, clocks)
+    x, y = a.astype(object), b.astype(object)
+    norm_a = math.sqrt(int(np.dot(x, x)) / clocks)
+    norm_b = math.sqrt(int(np.dot(y, y)) / clocks)
+    if exp2_a == exp2_b and np.array_equal(a, b):
+        return 1.0
+    return (int(np.dot(x, y)) / clocks) / (norm_a * norm_b)
+
+
+def _fold_width(expr, system):
+    return min(ConfigReader(expr, system, [0]).span, experiments.PASS_BYTES >> 4)
+
+
+@pytest.mark.parametrize("case", ["sym-u1-3-passes-and-5", "flip-third-u2", "identically-zero", "one-clock"])
+def test_zero_stats_folded_per_pass_match_the_whole_window(case):
+    if case == "flip-third-u2":
+        expr = build_universe(2)
+        system = ReferenceSystem(2, RtwScheme.SYMMETRIC, master_seed=31, flip_prob=Fraction(1, 3))
+    else:
+        expr = build_universe(1)
+        system = ReferenceSystem(1, RtwScheme.SYMMETRIC, master_seed=32)
+        if case == "identically-zero":
+            expr = Sum(((1, ref(1, 0)), (-1, ref(1, 0))))
+    width = _fold_width(expr, system)
+    clocks, t_start = {"one-clock": (1, 7)}.get(case, (3 * width + 5, 1234))
+    stats = run_zero_stats(expr, system, clocks, t_start)
+    zero_clocks, histogram = _zero_stats_of_the_whole_window(expr, system, clocks, t_start)
+    assert (stats.clocks, stats.zero_clocks) == (clocks, zero_clocks)
+    assert stats.waiting_time_histogram == histogram
+    assert list(stats.waiting_time_histogram) == sorted(histogram)
+    if case == "identically-zero":  # one run over every pass
+        assert histogram == {clocks: 1}
+    elif case != "one-clock":
+        # some zero run crosses a pass boundary
+        ints, _ = eval_array(expr, system, t_start, clocks)
+        assert any(ints[k - 1] == 0 == ints[k] for k in range(width, clocks, width))
+
+
+def test_zero_stats_of_a_run_open_at_several_boundaries():
+    # zero runs of a symmetric U(4) are long: over short windows that end
+    # and start at every clock near a pass boundary, runs open at the
+    # boundary, close on it, and run through it
+    expr = build_universe(4)
+    system = ReferenceSystem(4, RtwScheme.SYMMETRIC, master_seed=33, flip_prob=Fraction(1, 16))
+    width = _fold_width(expr, system)
+    for t_start in range(width - 40, width + 1, 8):
+        for clocks in (width + 1, 2 * width - 3):
+            stats = run_zero_stats(expr, system, clocks, t_start)
+            expected = _zero_stats_of_the_whole_window(expr, system, clocks, t_start)
+            assert (stats.zero_clocks, stats.waiting_time_histogram) == expected
+
+
+@pytest.mark.parametrize("case", ["spans-differ", "object-dtype", "equal-signals"])
+def test_crosscorr_folded_per_pass_matches_the_whole_window(case):
+    if case == "object-dtype":
+        # symmetric U(64) reads Python ints; alone it is almost always 0
+        system = ReferenceSystem(64, RtwScheme.SYMMETRIC, master_seed=34)
+        b = build_product_string(Pattern.from_string("01" * 32), 64)
+        a = Sum(((3, build_universe(64)), (1, b), (1, ref(5, 1))))
+        assert experiments._program(a, system.scheme).dtype is object
+        with pytest.raises(ValueError):
+            run_crosscorr(build_universe(64), b, system, 3000)
+    else:
+        system = ReferenceSystem(10, RtwScheme.ASYMMETRIC, master_seed=35)
+        a = build_universe(10)
+        b = a if case == "equal-signals" else build_product_string(Pattern.from_string("0110"), 4)
+    spans = {ConfigReader(e, system, [0]).span for e in (a, b)}
+    assert len(spans) == (1 if case == "equal-signals" else 2)
+    clocks = 2 * min(spans) + 7
+    estimate = run_crosscorr(a, b, system, clocks, 99)
+    assert estimate == _crosscorr_of_the_whole_window(a, b, system, clocks, 99)
+    assert (estimate == 1.0) == (case == "equal-signals")
+
+
+def test_crosscorr_of_signals_that_differ_only_in_the_first_pass():
+    # b is a plus a symmetric U(16), which is nonzero at about one clock in
+    # 2**16: over a window that starts at such a clock and ends before the
+    # next, a and b differ at the first clock alone
+    system = ReferenceSystem(16, RtwScheme.SYMMETRIC, master_seed=37)
+    a, rare = build_product_string(Pattern.from_string("0110"), 4), build_universe(16)
+    b = Sum(((1, a), (1, rare)))
+    clocks = 2 * min(ConfigReader(e, system, [0]).span for e in (a, b)) + 1
+    ints, _ = eval_array(rare, system, 0, 1 << 19)
+    live = np.flatnonzero(ints)
+    t_start = int(live[np.flatnonzero(np.diff(live) > clocks)[0]])
+    estimate = run_crosscorr(a, b, system, clocks, t_start)
+    assert estimate != 1.0
+    assert estimate == _crosscorr_of_the_whole_window(a, b, system, clocks, t_start)
+
+
+def test_crosscorr_past_the_float_range_is_scaled():
+    # a 1,000-bit asymmetric U: a . a / clocks is past the largest float
+    system = ReferenceSystem(1000, RtwScheme.ASYMMETRIC, master_seed=0)
+    a, b = build_universe(1000), build_even(1000)
+    x, _ = eval_array(a, system, 0, 10)
+    y, _ = eval_array(b, system, 0, 10)
+    aa, bb, ab = (int(np.dot(u.astype(object), v.astype(object))) for u, v in ((x, x), (y, y), (x, y)))
+    assert aa // 10 > 2**1024
+    expected = Fraction(ab << 200, math.isqrt((aa * bb) << 400))
+    assert abs(run_crosscorr(a, b, system, 10) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("statistic", ["zero-stats", "crosscorr"])
+def test_statistics_hold_a_few_passes_at_any_window(statistic):
+    clocks = 1 << 22
+    system = ReferenceSystem(8, RtwScheme.SYMMETRIC, master_seed=36)
+    a = build_product_string(Pattern.from_string("01101001"), 8)
+    b = build_product_string(Pattern.from_string("11100001"), 8)
+    u1 = build_universe(1)
+    for e in (a, b, u1):  # the programs and their sign streams
+        ConfigReader(e, system, [0])
+    tracemalloc.start()
+    try:
+        if statistic == "zero-stats":
+            run_zero_stats(u1, system, clocks)
+        else:
+            run_crosscorr(a, b, system, clocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * experiments.PASS_BYTES, peak
+
+
 def test_speedup_report_values():
     report = speedup_report(4, 8, 8)
     assert report["classical_ratio"] == "4"
