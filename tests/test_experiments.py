@@ -412,15 +412,24 @@ def test_crosscorr_of_signals_that_differ_only_in_the_first_pass():
     assert estimate == _crosscorr_of_the_whole_window(a, b, system, clocks, t_start)
 
 
-def test_crosscorr_past_the_float_range_is_scaled():
+# a 330-digit odd coefficient, about 2**1096: its signal's sum of squares
+# over clocks is past the largest float, a plain signal's is not
+HUGE = 10**329 + 7
+
+
+@pytest.mark.parametrize("pair", ["u-even", "huge-small", "small-huge"])
+def test_crosscorr_past_the_float_range_is_scaled(pair):
     # a 1,000-bit asymmetric U: a . a / clocks is past the largest float
     system = ReferenceSystem(1000, RtwScheme.ASYMMETRIC, master_seed=0)
-    a, b = build_universe(1000), build_even(1000)
+    huge = Sum(((HUGE, ref(1, 0)), (1, ref(2, 0))))
+    small = Sum(((1, ref(1, 0)), (1, ref(2, 1))))
+    a, b = {"u-even": (build_universe(1000), build_even(1000)),
+            "huge-small": (huge, small), "small-huge": (small, huge)}[pair]
     x, _ = eval_array(a, system, 0, 10)
     y, _ = eval_array(b, system, 0, 10)
     aa, bb, ab = (int(np.dot(u.astype(object), v.astype(object))) for u, v in ((x, x), (y, y), (x, y)))
-    assert aa // 10 > 2**1024
-    expected = Fraction(ab << 200, math.isqrt((aa * bb) << 400))
+    assert max(aa, bb) // 10 > 2**1024
+    expected = Fraction(ab << 2000, math.isqrt((aa * bb) << 4000))
     assert abs(run_crosscorr(a, b, system, 10) - expected) <= 1e-12
 
 
