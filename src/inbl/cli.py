@@ -121,6 +121,13 @@ def _base_report(args, parameters: dict) -> dict:
     return report
 
 
+def _live_clock_report(live) -> dict:
+    """A one-clock protocol's live clock, switch actions and one exact
+    reading per recorded configuration, the un-grounded signal first."""
+    return {"live_clock": live.clock, "switch_ops": live.switch_ops,
+            "readings": [Dyadic(int(x), live.exp2).to_json() for x in live.readings[:, 0]]}
+
+
 def _cmd_search(args) -> Tuple[dict, int]:
     expr, bits = _load_expr(args.file)
     system = _make_system(args, bits)
@@ -173,9 +180,7 @@ def _cmd_entangle(args) -> Tuple[dict, int]:
         },
     )
     report["bell_class"] = bell.value
-    # the un-grounded signal, then the four probe configurations
-    report["live_clock"] = live.clock
-    report["readings"] = [Dyadic(int(x), live.exp2).to_json() for x in live.readings[:, 0]]
+    report.update(_live_clock_report(live))
     if args.oracle_check:
         expected = oracle.legal_bell_class(oracle.expand(expr, 2))
         report["oracle_check"] = {"bell_class": expected.value, "agrees": expected is bell}
@@ -188,20 +193,22 @@ def _cmd_lookup(args) -> Tuple[dict, int]:
     pb = phonebook.build_phonebook(spec)
     system = _make_system(args, spec.total_bits)
     if args.cmd == "lookup":
-        direction, key_kind, key, run = "forward", "name", args.name, phonebook.lookup
+        direction, key_kind, key = "forward", "name", args.name
         book = dict(spec.entries)
     else:
-        direction, key_kind, key, run = "inverse", "number", args.number, phonebook.inverse_lookup
+        direction, key_kind, key = "inverse", "number", args.number
         book = {number: name for name, number in spec.entries}
-    result, ops = run(pb, system, key, max_wait=args.max_wait)
+    result, live = phonebook.probe_book(pb, system, key, direction, args.max_wait)
+    verdict = Verdict.ABSENT if result is None else Verdict.PRESENT
     report = _base_report(args, {"file": args.file, key_kind: key, "direction": direction})
+    report["verdict"] = verdict.value
     report["result"] = result
-    report["switch_ops"] = ops
+    report.update(_live_clock_report(live))
     report["switching_cost"] = phonebook.switching_cost(spec.name_bits, spec.number_bits, direction)
     if args.oracle_check:
-        expected = book[key]
+        expected = book.get(key)
         report["oracle_check"] = {"expected": expected, "agrees": expected == result}
-    return report, EXIT_OK
+    return report, EXIT_OK if verdict is Verdict.PRESENT else EXIT_ABSENT
 
 
 def _cmd_zero_stats(args) -> Tuple[dict, int]:

@@ -41,14 +41,6 @@ class OracleLimitExceeded(InblError):
     """Requested expansion exceeds the configured oracle size cap."""
 
 
-class NameAbsent(InblError):
-    """Forward phonebook lookup of a name that is not in the book."""
-
-
-class NumberAbsent(InblError):
-    """Inverse phonebook lookup of a number that is not in the book."""
-
-
 class ProbeInconsistency(InblError):
     """A phonebook probe found no single wire of a digit whose grounding
     zeroes the collapsed signal."""

@@ -7,32 +7,26 @@ key's side (the N name bits forward, the S number bits inverse), then probe
 the other side's wires one by one: grounding the survivor's own wire zeroes
 the signal, grounding the other wire of the same digit does nothing.
 
-A lookup is the protocols' one step, `search._probe_at_live_clock`:
+`probe_book` is the protocols' one step, `search._probe_at_live_clock`:
 collapse, probe, one read at the live clock. The wire draws stay frozen at
 that clock, so the switch actions come first and every configuration they
 pass through (the collapse, then each probed wire grounded on top of it) is
 read in one exact call per window of clocks, beside the un-grounded signal.
+A book is certified and a key's collapse leaves at most one entry, so a
+collapse reading of 0 is an exact answer: the key is absent (None).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Optional, Tuple
 
-from .errors import (
-    DuplicateName,
-    NameAbsent,
-    NotBijective,
-    NumberAbsent,
-    ParseError,
-    PatternError,
-    ProbeInconsistency,
-)
+from .errors import DuplicateName, NotBijective, ParseError, PatternError, ProbeInconsistency
 from .dsl import parse_int
 from .expr import Expr, Pattern, Sum, build_product_string
 from .reference import ReferenceSystem, wire_id
-from .search import DEFAULT_MAX_WAIT, _probe_at_live_clock
+from .search import DEFAULT_MAX_WAIT, LiveClock, _probe_at_live_clock
 
 
 @dataclass(frozen=True)
@@ -89,23 +83,26 @@ def switching_cost(name_bits: int, number_bits: int, direction: str) -> int:
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
-def _collapse_and_probe(
+def probe_book(
     pb: PhonebookExpr,
     system: ReferenceSystem,
     key: str,
-    key_offset: int,
-    key_width: int,
-    probe_offset: int,
-    probe_width: int,
-    absent: type,
-    max_wait: int,
-    t_start: int,
-) -> Tuple[str, int]:
-    """Collapse the book onto the entry whose bits key_offset+1.. spell key,
-    then ground/restore both wires of each of the probe_width digits after
-    probe_offset, and read every configuration at one live clock: the wire
-    whose grounding zeroes the signal is the entry's own. Returns (probed
-    digits, switch_ops)."""
+    direction: str,
+    max_wait: int = DEFAULT_MAX_WAIT,
+    t_start: int = 0,
+) -> Tuple[Optional[str], LiveClock]:
+    """A lookup of key in either direction (see the module docstring).
+    Returns the other side's digits, None when the key is absent, and the
+    LiveClock: row 1 reads the collapse, row 2 + 2k + v probed digit k's wire v."""
+    n, s = pb.spec.name_bits, pb.spec.number_bits
+    if direction == "forward":
+        key_offset, key_width, probe_offset, probe_width = 0, n, n, s
+    elif direction == "inverse":
+        if not pb.spec.bijective:
+            raise NotBijective("inverse lookup needs distinct numbers")
+        key_offset, key_width, probe_offset, probe_width = n, s, 0, n
+    else:
+        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     if len(key) != key_width or any(c not in "01" for c in key):
         raise PatternError(f"bad key {key!r} for {key_width} bits")
     if system.num_bits != pb.spec.total_bits:
@@ -115,10 +112,10 @@ def _collapse_and_probe(
     key_pattern = Pattern(tuple((key_offset + i + 1, int(c)) for i, c in enumerate(key)))
     probe_bits = range(probe_offset + 1, probe_offset + probe_width + 1)
     probes = [wire_id(j, v) for j in probe_bits for v in (0, 1)]
-    live, ops = _probe_at_live_clock(pb.expr, system, [key_pattern], probes, max_wait, t_start)
+    live = _probe_at_live_clock(pb.expr, system, [key_pattern], probes, max_wait, t_start)
     readings = live.readings[:, 0].tolist()
     if readings[1] == 0:
-        raise absent(f"{key} is not in the book")
+        return None, live
     digits = []
     for k, j in enumerate(probe_bits):
         zeroed = [v for v in (0, 1) if readings[2 + 2 * k + v] == 0]
@@ -127,7 +124,7 @@ def _collapse_and_probe(
                 f"probe inconsistency at bit {j}: groundings zeroing signal = {zeroed}"
             )
         digits.append("01"[zeroed[0]])
-    return "".join(digits), ops
+    return "".join(digits), live
 
 
 def lookup(
@@ -136,10 +133,10 @@ def lookup(
     name: str,
     max_wait: int = DEFAULT_MAX_WAIT,
     t_start: int = 0,
-) -> Tuple[str, int]:
-    """Forward lookup: returns (number, switch_ops). Zero error probability."""
-    n, s = pb.spec.name_bits, pb.spec.number_bits
-    return _collapse_and_probe(pb, system, name, 0, n, n, s, NameAbsent, max_wait, t_start)
+) -> Tuple[Optional[str], int]:
+    """Forward lookup: (number, or None when absent; switch_ops). Zero error."""
+    number, live = probe_book(pb, system, name, "forward", max_wait, t_start)
+    return number, live.switch_ops
 
 
 def inverse_lookup(
@@ -148,12 +145,10 @@ def inverse_lookup(
     number: str,
     max_wait: int = DEFAULT_MAX_WAIT,
     t_start: int = 0,
-) -> Tuple[str, int]:
-    """Inverse lookup on a one-to-one book: returns (name, switch_ops)."""
-    if not pb.spec.bijective:
-        raise NotBijective("inverse lookup needs distinct numbers")
-    n, s = pb.spec.name_bits, pb.spec.number_bits
-    return _collapse_and_probe(pb, system, number, n, s, 0, n, NumberAbsent, max_wait, t_start)
+) -> Tuple[Optional[str], int]:
+    """Inverse lookup on a one-to-one book: (name, or None when absent; switch_ops)."""
+    name, live = probe_book(pb, system, number, "inverse", max_wait, t_start)
+    return name, live.switch_ops
 
 
 def parse_phonebook(text: str) -> PhonebookSpec:

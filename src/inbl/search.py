@@ -3,9 +3,10 @@
 Grounding the inverse wires of a pattern annihilates every product-string
 that disagrees with it, so a nonzero reading proves that a match exists.
 Every protocol is one step, `_probe_at_live_clock`: collapse, probe, one
-read at the live clock. Its switch actions come first, each configuration
-recorded as its wire mask (see switchboard), one int: per collapse pattern
-the inverse grounding, then each probe wire grounded on it and restored.
+read at the live clock, whose one record (a `LiveClock`, with the switch
+actions that changed the state) each protocol decides from. The actions
+come first, each configuration recorded as its wire mask (see switchboard):
+per collapse the inverse grounding, then each probe wire grounded and restored.
 `wait_for_live_clock` then scans windows from the clocks the protocol
 reads, each later window WINDOW_GROWTH times the one before up to one
 reader pass. Each window is one exact call to the protocol's one
@@ -93,11 +94,13 @@ class SearchOutcome:
 class LiveClock(NamedTuple):
     """The live clock a scan found and the readings the caller asked for
     from it on: configuration r reads readings[r, k] * 2**exp2 at clock
-    clock + k, row 0 being the un-grounded signal."""
+    clock + k, row 0 being the un-grounded signal. switch_ops counts the
+    switch actions that made the recorded configurations."""
 
     clock: int
     readings: np.ndarray
     exp2: int
+    switch_ops: int = 0
 
 
 def wait_for_live_clock(
@@ -145,15 +148,15 @@ def _probe_at_live_clock(
     max_wait: int,
     t_start: int,
     reads: int = 1,
-) -> Tuple[LiveClock, int]:
+) -> LiveClock:
     """Collapse, probe, one read at the live clock: every protocol's step.
 
     Per collapse pattern, ground its inverse wires and record the
     configuration, then ground, record and restore each probe wire in turn
     (a probe wire the collapse grounds stays grounded). The LiveClock reads
     the recorded configurations as rows 1, 2, ... in that order, after the
-    un-grounded row 0. Returns it and the switch actions that changed the
-    state: each collapse's groundings and each probe that grounded a wire.
+    un-grounded row 0. Its switch_ops are the switch actions that changed
+    the state: each collapse's groundings and each probe that grounded a wire.
     """
     configs, ops = [], 0
     for pattern in collapses:
@@ -166,7 +169,8 @@ def _probe_at_live_clock(
             if changed:
                 switches.restore(wire)
             ops += changed
-    return wait_for_live_clock(expr, system, t_start, max_wait, configs, reads), ops
+    clock, readings, exp2, _ = wait_for_live_clock(expr, system, t_start, max_wait, configs, reads)
+    return LiveClock(clock, readings, exp2, ops)
 
 
 def full_string_search(
@@ -209,7 +213,7 @@ def fragment_search(
     support = _program(expr, system.scheme).support
     exact = support is not None and not support & ~pattern.mask
     n = 1 if exact else tau
-    live, switch_ops = _probe_at_live_clock(expr, system, [pattern], (), max_wait, t_start, n)
+    live = _probe_at_live_clock(expr, system, [pattern], (), max_wait, t_start, n)
     t, reads = live.clock, live.readings[1]
     hits = reads.nonzero()[0]
     present = len(hits) > 0
@@ -217,7 +221,7 @@ def fragment_search(
     verdict = Verdict.PRESENT if present else Verdict.ABSENT if exact else Verdict.ABSENT_BOUNDED
     return SearchOutcome(
         verdict=verdict,
-        switch_ops=switch_ops,
+        switch_ops=live.switch_ops,
         clocks_waited=t - t_start,
         clocks_observed=observed,
         witness_clock=t + observed - 1 if present else None,
@@ -245,7 +249,8 @@ def entangle_discriminate(
     collapse 1=v grounds R1_(1-v), and the probe also grounds R2_p, where
     probe_partner_value selects p (the two variants give identical
     verdicts). Returns the class and the LiveClock, whose rows 1-4 read the
-    collapse 1=0, it with R2_p, the collapse 1=1 and it with R2_p.
+    collapse 1=0, it with R2_p, the collapse 1=1 and it with R2_p, made by
+    4 switch actions.
     """
     if system.num_bits != 2:
         raise ValueError("entanglement discrimination is defined for 2 noise-bits")
@@ -254,7 +259,7 @@ def entangle_discriminate(
     if legal_bell_class(expand(expr, 2)) is None:
         raise IllegalClass("the signal is none of the six legal two-bit classes")
     partner = [wire_id(2, probe_partner_value)]
-    live, _ = _probe_at_live_clock(expr, system, _BIT1_COLLAPSES, partner, max_wait, t_start)
+    live = _probe_at_live_clock(expr, system, _BIT1_COLLAPSES, partner, max_wait, t_start)
     # per bit-1 value: None when no string has it, else the bit-2 value
     # entangled with it, p if grounding R2_p zeroes the collapse, else 1-p
     found = [None if not side else probe_partner_value ^ bool(both)

@@ -125,7 +125,8 @@ def test_entangle_report_states_the_live_clock_and_five_readings(capsys, eq7_fil
     code, report = run_json(capsys, argv)
     assert code == 0
     assert set(report) == {"command", "subcommand", "seed", "parameters", "bell_class",
-                           "live_clock", "readings", "duration_s"}
+                           "live_clock", "switch_ops", "readings", "duration_s"}
+    assert report["switch_ops"] == 4
     # the un-grounded signal, then per bit-1 value v R1_(1-v) grounded,
     # without and with R2_p, each read by the scalar evaluator
     system = ReferenceSystem(2, RtwScheme.SYMMETRIC, master_seed=9)
@@ -272,10 +273,34 @@ def test_a_bad_phonebook_entry_exits_2_at_its_position(tmp_path, capsys, text, e
     assert captured.err == f"error: {error}\n"
 
 
-def test_lookup_absent_name_errors(capsys, book_file):
-    code = main(["lookup", book_file, "--name", "11", "--seed", "7"])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize("cmd, flag, key, result", [
+    ("lookup", "--name", "01", "10"),
+    ("lookup", "--name", "11", None),
+    ("inverse-lookup", "--number", "11", "10"),
+    ("inverse-lookup", "--number", "00", None),
+])
+@pytest.mark.parametrize("seed", [6, 7])
+def test_lookup_reports_its_verdict_and_readings(capsys, book_file, cmd, flag, key, result, seed):
+    # an absent key is a verdict, not an error: exit 1 with a full report,
+    # and the oracle agrees that neither side has it
+    argv = [cmd, book_file, flag, key, "--scheme", "sym", "--seed", str(seed)]
+    for extra in ([], ["--oracle-check"]):
+        code, report = run_json(capsys, argv + extra)
+        assert code == (0 if result else 1)
+        assert report["verdict"] == ("present" if result else "absent")
+        assert report["result"] == result
+        assert report["switch_ops"] == 6 == report["switching_cost"]
+    assert report["oracle_check"] == {"expected": result, "agrees": True}
+    # the un-grounded book, the collapse onto the key, then each wire of the
+    # other side's two digits grounded on it, each read by the scalar evaluator
+    system = ReferenceSystem(4, RtwScheme.SYMMETRIC, master_seed=seed)
+    expr = inbl.build_phonebook(inbl.parse_phonebook(BOOK_TEXT)).expr
+    t = report["live_clock"]
+    assert type(t) is int and not evaluate(expr, system, t).is_zero()
+    offset, probed = (0, (3, 4)) if cmd == "lookup" else (2, (1, 2))
+    collapse = sum(1 << WireId(offset + i + 1, 1 - int(c)).tag for i, c in enumerate(key))
+    configs = [0, collapse] + [collapse | 1 << WireId(j, v).tag for j in probed for v in (0, 1)]
+    assert report["readings"] == [evaluate(expr, system, t, mask).to_json() for mask in configs]
 
 
 def test_probe_inconsistency_exits_2_without_traceback(capsys, monkeypatch, book_file):
@@ -513,8 +538,9 @@ def test_arbitrary_file_bytes_exit_0_1_or_2(tmp_path_factory, data):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv + ["--max-wait", "64", "--seed", "3"])
         assert code in (0, 1, 2), (argv, code)
-        if code == 1:  # absent, and only absent, exits 1
-            assert json.loads(out.getvalue())["outcome"]["verdict"].startswith("absent")
+        if code == 1:  # absent, and only absent, exits 1 (a lookup's verdict is top-level)
+            report = json.loads(out.getvalue())
+            assert report.get("outcome", report)["verdict"].startswith("absent")
         if code == 2:
             assert err.getvalue().startswith("error:"), err.getvalue()
             assert "Traceback" not in err.getvalue()

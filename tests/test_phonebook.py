@@ -5,9 +5,7 @@ import pytest
 from inbl.errors import (
     DuplicateName,
     MaxWaitExceeded,
-    NameAbsent,
     NotBijective,
-    NumberAbsent,
     ParseError,
     PatternError,
     ProbeInconsistency,
@@ -22,6 +20,7 @@ from inbl.phonebook import (
     inverse_lookup,
     lookup,
     parse_phonebook,
+    probe_book,
     switching_cost,
 )
 from inbl.reference import ReferenceSystem, RtwScheme
@@ -82,10 +81,11 @@ def test_lookup_small_book():
 
 
 def test_lookup_absent_name():
+    # an absent key is an exact answer: the collapse reads 0 after the
+    # lookup's full switch actions
     pb = build_phonebook(small_book())
     system = ReferenceSystem(4, master_seed=3)
-    with pytest.raises(NameAbsent):
-        lookup(pb, system, "11")
+    assert lookup(pb, system, "11") == (None, switching_cost(2, 2, "forward"))
 
 
 def test_negative_max_wait_is_rejected():
@@ -105,8 +105,7 @@ def test_inverse_lookup_small_book():
     name, ops = inverse_lookup(pb, system, "11")
     assert name == "10"
     assert ops == 6 == switching_cost(2, 2, "inverse")
-    with pytest.raises(NumberAbsent):
-        inverse_lookup(pb, system, "00")
+    assert inverse_lookup(pb, system, "00") == (None, switching_cost(2, 2, "inverse"))
 
 
 def test_round_trip_random_bijective_books():
@@ -146,6 +145,8 @@ def test_lookup_width_and_system_checks():
         lookup(pb, ReferenceSystem(4, master_seed=1), "011")
     with pytest.raises(PatternError):
         lookup(pb, ReferenceSystem(3, master_seed=1), "01")
+    with pytest.raises(ValueError, match="direction must be 'forward' or 'inverse', got 'name'"):
+        probe_book(pb, ReferenceSystem(4, master_seed=1), "01", "name")
 
 
 def test_parse_phonebook_file():
@@ -309,10 +310,8 @@ def test_lookup_waits_past_a_dead_clock(monkeypatch):
         lookup(pb, system, "01", max_wait=0, t_start=dead)
     with pytest.raises(MaxWaitExceeded):
         inverse_lookup(pb, system, "11", max_wait=live - dead - 1, t_start=dead)
-    with pytest.raises(NameAbsent):
-        lookup(pb, system, "11", t_start=dead)
-    with pytest.raises(NumberAbsent):
-        inverse_lookup(pb, system, "00", t_start=dead)
+    assert lookup(pb, system, "11", t_start=dead) == (None, 6)
+    assert inverse_lookup(pb, system, "00", t_start=dead) == (None, 6)
 
 
 @pytest.mark.parametrize("expr", [

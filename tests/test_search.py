@@ -1,4 +1,3 @@
-import gc
 import math
 import random
 import sys
@@ -150,7 +149,9 @@ def test_wait_for_live_clock_reads_1_to_block_clocks():
     for reads in (0, BLOCK_CLOCKS + 1):
         with pytest.raises(ValueError, match=f"reads must be between 1 and {BLOCK_CLOCKS}"):
             wait_for_live_clock(expr, system, 0, 10, reads=reads)
-    assert wait_for_live_clock(expr, system, 0, 10, reads=5).readings.shape == (1, 5)
+    live = wait_for_live_clock(expr, system, 0, 10, reads=5)
+    # the scan makes no switch action
+    assert live.readings.shape == (1, 5) and live.switch_ops == 0
 
 
 def test_wait_for_live_clock_dead_superposition():
@@ -187,12 +188,12 @@ def test_probe_at_live_clock_reads_each_recorded_configuration(dag, scheme, data
             masks.append(collapse | 1 << wire.tag)
             want_ops += not collapse >> wire.tag & 1
     try:
-        live, ops = _probe_at_live_clock(expr, system, collapses, probes, 30, t_start, reads)
+        live = _probe_at_live_clock(expr, system, collapses, probes, 30, t_start, reads)
     except MaxWaitExceeded:
         assert all(evaluate(expr, system, t).is_zero() for t in range(t_start, t_start + 31))
         return
     assert all(evaluate(expr, system, t).is_zero() for t in range(t_start, live.clock))
-    assert ops == want_ops
+    assert live.switch_ops == want_ops
     assert live.readings.shape == (1 + len(masks), reads)
     for row, mask in zip(live.readings, [0, *masks]):
         got = [Dyadic(int(x), live.exp2) for x in row]
@@ -523,7 +524,8 @@ def scalar_entangle(expr, system, max_wait, t_start, probe_partner_value):
 
 def windowed_entangle(expr, system, max_wait, t_start, partner):
     cls, live = entangle_discriminate(expr, system, max_wait, t_start, partner)
-    assert live.readings.shape == (5, 1)
+    # each bit-1 collapse grounds one wire, and its probe one more
+    assert live.readings.shape == (5, 1) and live.switch_ops == 4
     return cls, live.clock, [Dyadic(int(x), live.exp2) for x in live.readings[:, 0]]
 
 
@@ -735,7 +737,7 @@ def test_outcome_matches_the_reference_and_keeps_no_window(monkeypatch):
         for pattern, tau in queries:
             del windows[:]
             got = windowed_search(expr, make_system(), pattern, tau, 5000, t_start)
-            gc.collect()
+            # reference counting alone must free every window
             assert windows and not any(window() for window in windows)
             want = scalar_search(expr, make_system(), pattern, tau, 5000, t_start)
             assert got.to_json() == want.to_json() and got == want
